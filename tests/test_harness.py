@@ -3,6 +3,7 @@ bookkeeping, bundled worlds, and report serialization."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -66,6 +67,42 @@ def test_dynamic_rerun_is_byte_identical():
     assert report_csv(a) == report_csv(b)
     for ra, rb in zip(a.per_trial, b.per_trial):
         assert ra.trajectory_log == rb.trajectory_log
+
+
+# sha256 of each artifact of exploration_boxes, 3 trials, seed 0, 20 s,
+# recorded at 3dc17f9. A refactor of the runners must keep every byte.
+_EXPLORATION_PIN = {
+    True: {
+        "report.csv": "912a428b0252c13827177e73a928aa6a3b43f47cd1016df3e843d8ed3199cad7",
+        "trials.csv": "d71033a298b7dd15b1fd72d275f06aa2ca12ef51ba46ac363f6d5c9e24f23690",
+        "trial_000.traj.csv": "4104d3e897b44dc4ebda1052525b769edbeb9cbe2ac49e438a81f5f448296526",
+        "trial_000.dec.csv": "77e0b87a2dd09445ecaf350375ddfd44e6ea84c18fc242e74a67df58879573ca",
+        "trial_001.traj.csv": "9d437668598972999ce349652b43071782b50a8cc38455ff96d21f905968a9a4",
+        "trial_001.dec.csv": "a1e449786ea958186b996799dd2ab4b7f23c499eefa05e02fc2a021d063c3b1d",
+        "trial_002.traj.csv": "9904ac30077657b5e3b66f332d11e6cf111e7e8015da39d6cd9f0c0f95a811e8",
+        "trial_002.dec.csv": "657079dd5ccc076908675f6bc81c9d760f7d3449cd5f8c4e8b6a772078b5d464",
+    },
+    False: {
+        "report.csv": "5bde810663c312099e40d91b083ac5390f731484dc2589b0126fe1edfaa7c392",
+        "trials.csv": "4093137c1d39b6dca719e76c2a05fc0d23504a87f67ac7198b97c51976790c66",
+        "trial_000.traj.csv": "c0b32abff0e7e21cc39ee7a9c52864039dd27cc8f96c2e41238f0c8efb002be3",
+        "trial_001.traj.csv": "47ea85b25cc28d7aa73faa43971b9022e3947e0615923e7adfa98d166e716920",
+        "trial_002.traj.csv": "28de142218bd944d990f8b8d4686e4b9e125439b680e6e594755db75c449cfdb",
+    },
+}
+
+
+@pytest.mark.parametrize("shield", [True, False])
+def test_exploration_bytes_match_pinned_digests(shield):
+    rep = run_exploration(ExperimentSpec(task="exploration", world="exploration_boxes",
+                                         trials=3, seed=0, max_time_s=20.0, shield=shield))
+    texts = {"report.csv": report_csv(rep), "trials.csv": per_trial_csv(rep)}
+    for r in rep.per_trial:
+        texts[f"trial_{r.trial:03d}.traj.csv"] = r.trajectory_log
+        if r.decision_log is not None:
+            texts[f"trial_{r.trial:03d}.dec.csv"] = r.decision_log
+    digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
+    assert digests == _EXPLORATION_PIN[shield]
 
 
 def test_seed_changes_exploration_outcome():
