@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .projection import CameraMount
 
@@ -74,11 +74,3 @@ class AvoidanceConfig:
             )
         if self.x_half_range_m is not None and self.x_half_range_m <= 0:
             raise ValueError(f"x_half_range_m must be positive, got {self.x_half_range_m}")
-
-    @property
-    def theta_thres(self) -> float:
-        """Gating threshold; stored once, on the safety parameters."""
-        return self.safety.theta_thres
-
-    def with_safety(self, **changes) -> "AvoidanceConfig":
-        return replace(self, safety=replace(self.safety, **changes))

@@ -3,14 +3,13 @@
 from .episodes import (GOAL_RADIUS_M, TRAJECTORY_LOG_HEADER, EpisodeResult,
                        follow_waypoint_command, run_episode)
 from .experiments import (ExperimentSpec, MetricsReport, TrialRecord,
-                          emit_plot_data, per_trial_csv, report_csv,
-                          resolve_world, run_dynamic, run_exploration,
-                          run_goal_conditioned)
+                          per_trial_csv, report_csv, resolve_world, run_dynamic,
+                          run_experiment, run_exploration, run_goal_conditioned)
 
 __all__ = [
     "GOAL_RADIUS_M", "TRAJECTORY_LOG_HEADER", "EpisodeResult",
     "follow_waypoint_command", "run_episode",
     "ExperimentSpec", "MetricsReport", "TrialRecord",
-    "emit_plot_data", "per_trial_csv", "report_csv", "resolve_world",
-    "run_dynamic", "run_exploration", "run_goal_conditioned",
+    "per_trial_csv", "report_csv", "resolve_world",
+    "run_dynamic", "run_experiment", "run_exploration", "run_goal_conditioned",
 ]

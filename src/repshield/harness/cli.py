@@ -17,20 +17,22 @@ from ..platforms import PLATFORMS, get_platform
 from ..projection import load_depth_frame
 from ..repulsion import load_trajectory
 from ..worldgen import DYNAMIC_SCENARIOS
-from .experiments import (ExperimentSpec, MetricsReport, emit_plot_data,
-                          per_trial_csv, run_dynamic, run_exploration,
-                          run_goal_conditioned)
+from .experiments import (ExperimentSpec, MetricsReport, per_trial_csv, report_csv,
+                          run_experiment)
 
 
-def _add_common(parser: argparse.ArgumentParser, default_trials: int) -> None:
-    parser.add_argument("--world", help="bundled world name or world file path")
+def _add_common(parser: argparse.ArgumentParser, task: str, default_trials: int) -> None:
+    parser.set_defaults(func=_cmd_run, task=task)
+    where = parser.add_mutually_exclusive_group()
+    where.add_argument("--world", help="bundled world name or world file path")
+    if task == "dynamic_obstacle":
+        where.add_argument("--scenario", choices=DYNAMIC_SCENARIOS,
+                           help="bundled scenario S, shorthand for --world dynamic_S")
     parser.add_argument("--platform", choices=sorted(PLATFORMS), default="locobot")
     parser.add_argument("--shield", action=argparse.BooleanOptionalAction, default=True,
                         help="wrap the policy in the avoidance shield")
     parser.add_argument("--trials", type=int, default=default_trials)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--config", type=Path,
-                        help="key = value config file overriding platform defaults")
     parser.add_argument("--out", type=Path, help="directory for report and logs")
     parser.add_argument("--max-time", type=float, default=300.0,
                         help="per-trial wall of simulated seconds")
@@ -38,17 +40,11 @@ def _add_common(parser: argparse.ArgumentParser, default_trials: int) -> None:
                         help="per-trial odometer cap in meters")
 
 
-def _build_spec(args, task: str) -> ExperimentSpec:
-    return ExperimentSpec(task=task, world=args.world, platform=args.platform,
-                          shield=args.shield, trials=args.trials, seed=args.seed,
-                          max_distance_m=args.max_distance, max_time_s=args.max_time)
-
-
 def _write_outputs(report: MetricsReport, out: Path | None) -> None:
     if out is None:
         return
     out.mkdir(parents=True, exist_ok=True)
-    emit_plot_data(report, out / "report.csv")
+    (out / "report.csv").write_text(report_csv(report))
     (out / "trials.csv").write_text(per_trial_csv(report))
     logs = out / "logs"
     logs.mkdir(exist_ok=True)
@@ -71,25 +67,13 @@ def _print_summary(report: MetricsReport) -> None:
           f" trials_with={report.collision_trials}")
 
 
-def _cmd_explore(args) -> int:
-    spec = _build_spec(args, "exploration")
-    report = run_exploration(spec)
-    _print_summary(report)
-    _write_outputs(report, args.out)
-    return 0
-
-
-def _cmd_goal(args) -> int:
-    spec = _build_spec(args, "goal_conditioned")
-    report = run_goal_conditioned(spec)
-    _print_summary(report)
-    _write_outputs(report, args.out)
-    return 0
-
-
-def _cmd_dynamic(args) -> int:
-    spec = _build_spec(args, "dynamic_obstacle")
-    report = run_dynamic(spec, scenario=args.scenario)
+def _cmd_run(args) -> int:
+    scenario = getattr(args, "scenario", None)
+    world = f"dynamic_{scenario}" if scenario else args.world
+    report = run_experiment(ExperimentSpec(
+        task=args.task, world=world, platform=args.platform, shield=args.shield,
+        trials=args.trials, seed=args.seed, max_distance_m=args.max_distance,
+        max_time_s=args.max_time))
     _print_summary(report)
     _write_outputs(report, args.out)
     return 0
@@ -123,19 +107,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reactive collision-avoidance benchmarks in a planar simulator.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("explore", help="wander until first contact")
-    _add_common(p, default_trials=20)
-    p.set_defaults(func=_cmd_explore)
-
-    p = sub.add_parser("goal", help="follow a goal chain through clutter")
-    _add_common(p, default_trials=1)
-    p.set_defaults(func=_cmd_goal)
-
-    p = sub.add_parser("dynamic", help="goal navigation against a scripted agent")
-    _add_common(p, default_trials=10)
-    p.add_argument("--scenario", choices=DYNAMIC_SCENARIOS,
-                   help="bundled scenario; alternative to --world")
-    p.set_defaults(func=_cmd_dynamic)
+    _add_common(sub.add_parser("explore", help="wander until first contact"),
+                "exploration", default_trials=20)
+    _add_common(sub.add_parser("goal", help="follow a goal chain through clutter"),
+                "goal_conditioned", default_trials=1)
+    _add_common(sub.add_parser("dynamic", help="goal navigation against a scripted agent"),
+                "dynamic_obstacle", default_trials=10)
 
     p = sub.add_parser("replay", help="run the avoidance step over recorded frames")
     p.add_argument("--frames", required=True, type=Path,
@@ -143,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trajectory", required=True, type=Path,
                    help="TJ1 trajectory applied at every frame")
     p.add_argument("--platform", choices=sorted(PLATFORMS), default="locobot")
-    p.add_argument("--config", type=Path)
+    p.add_argument("--config", type=Path,
+                   help="key = value config file overriding platform defaults")
     p.add_argument("--out", type=Path, help="decision log destination (default stdout)")
     p.add_argument("--dt", type=float, default=0.1)
     p.set_defaults(func=_cmd_replay)

@@ -33,7 +33,6 @@ class EpisodeResult:
     distance_m: float
     distance_before_collision_m: float
     collisions: int
-    sim_time_s: float
     final_state: RobotState
     trajectory_log: str
     decision_log: str | None
@@ -86,7 +85,6 @@ def run_episode(world: WorldModel, policy, *, platform: PlatformSpec,
     first_collision_distance = None
     arrived = False
     completion_time = math.nan
-    sim_time = 0.0
 
     max_ticks = int(round(max_time_s / dt))
     for k in range(max_ticks):
@@ -97,10 +95,10 @@ def run_episode(world: WorldModel, policy, *, platform: PlatformSpec,
         if goal_list and gi == len(goal_list):
             arrived = True
             completion_time = t
-            sim_time = t
             break
 
         goal = goal_list[gi] if goal_list else None
+        # Looked up per tick on this module: a benchmark stamps ticks by patching it.
         traj = policy_trajectory(policy, state, goal)
         if shield:
             frame = raycast_depth(world, state, intr, mount, t=t, far=far)
@@ -134,7 +132,6 @@ def run_episode(world: WorldModel, policy, *, platform: PlatformSpec,
         distance_before_collision_m=(first_collision_distance
                                      if first_collision_distance is not None else distance),
         collisions=collisions,
-        sim_time_s=sim_time,
         final_state=state,
         trajectory_log="\n".join(traj_rows) + "\n",
         decision_log="\n".join(dec_rows) + "\n" if dec_rows is not None else None,

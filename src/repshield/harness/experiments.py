@@ -17,11 +17,10 @@ import numpy as np
 
 from ..errors import InputFormatError
 from ..platforms import SIM_FRAME_ROWS, PlatformSpec, get_platform
-from ..sim import RobotState, WorldModel, check_collision, perturb_agent
+from ..sim import RobotState, WorldModel, check_collision, load_world, perturb_agent
 from ..sim.policies import GoalSeeker, Wanderer
 from ..worldgen import BUNDLED_WORLDS, bundled_world_path
-from ..sim.world import load_world
-from .episodes import GOAL_RADIUS_M, EpisodeResult, run_episode
+from .episodes import EpisodeResult, run_episode
 
 TASKS = ("exploration", "goal_conditioned", "dynamic_obstacle")
 
@@ -99,11 +98,6 @@ def _trial_rng(seed: int, trial: int, stream: int) -> np.random.Generator:
                                                         spawn_key=(trial, stream)))
 
 
-def _trial_policy_seed(seed: int, trial: int) -> int:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial, _STREAM_POLICY))
-    return int(ss.generate_state(1)[0])
-
-
 def resolve_world(world: str | Path | WorldModel) -> WorldModel:
     """Accept a WorldModel, a bundled world name, or a file path."""
     if isinstance(world, WorldModel):
@@ -160,13 +154,13 @@ def _record(trial: int, res: EpisodeResult) -> TrialRecord:
                        trajectory_log=res.trajectory_log, decision_log=res.decision_log)
 
 
-def _aggregate(task: str, spec: ExperimentSpec, records: list[TrialRecord]) -> MetricsReport:
+def _aggregate(spec: ExperimentSpec, records: list[TrialRecord]) -> MetricsReport:
     dbc_mean, dbc_std = _mean_std([r.distance_before_collision_m for r in records])
     path_mean, path_std = _mean_std([r.distance_m for r in records])
     times = [r.completion_time_s for r in records if r.arrived]
     time_mean, time_std = _mean_std(times)
     return MetricsReport(
-        task=task, shield=spec.shield, trials=len(records),
+        task=spec.task, shield=spec.shield, trials=len(records),
         arrival_rate=sum(r.arrived for r in records) / len(records),
         distance_before_collision_mean=dbc_mean, distance_before_collision_std=dbc_std,
         path_length_mean=path_mean, path_length_std=path_std,
@@ -177,79 +171,86 @@ def _aggregate(task: str, spec: ExperimentSpec, records: list[TrialRecord]) -> M
     )
 
 
+def _perturbed_agents(world: WorldModel, seed: int, trial: int) -> WorldModel:
+    """Jitter each scripted agent's schedule, speed and path per trial."""
+    rng = _trial_rng(seed, trial, _STREAM_SCHEDULE)
+    agents = tuple(perturb_agent(a,
+                                 delay=rng.uniform(0.0, 1.0),
+                                 speed_scale=rng.uniform(0.9, 1.1),
+                                 lateral_offset=rng.uniform(-0.1, 0.1))
+                   for a in world.agents)
+    return replace(world, agents=agents)
+
+
+def _wanderer(spec: ExperimentSpec, trial: int) -> Wanderer:
+    ss = np.random.SeedSequence(entropy=spec.seed, spawn_key=(trial, _STREAM_POLICY))
+    return Wanderer(spec.waypoint_count, spec.step_len_m, seed=int(ss.generate_state(1)[0]))
+
+
+def _goal_seeker(spec: ExperimentSpec, trial: int) -> GoalSeeker:
+    return GoalSeeker(spec.waypoint_count, spec.step_len_m)
+
+
+# Per task: start sampler, policy factory, and whether a collision ends the trial.
+_PROTOCOLS = {
+    "exploration": (_sample_start, _wanderer, True),
+    "goal_conditioned": (_jittered_start, _goal_seeker, False),
+    "dynamic_obstacle": (_jittered_start, _goal_seeker, False),
+}
+
+
+def run_experiment(spec: ExperimentSpec) -> MetricsReport:
+    """Run every trial of one experiment arm and aggregate its metrics.
+
+    Exploration wanders until first contact and scores the distance covered
+    before it. Goal-conditioned runs visit the world's ordered goal chain;
+    dynamic-obstacle runs do the same against the world's scripted agents,
+    whose schedules are jittered per trial.
+    """
+    sample_start, new_policy, stop_on_collision = _PROTOCOLS[spec.task]
+    base = resolve_world(spec.world)
+    dynamic = spec.task == "dynamic_obstacle"
+    if dynamic and not base.agents:
+        raise InputFormatError("dynamic-obstacle world defines no agents")
+    goals = None if spec.task == "exploration" else base.goals
+    if goals is not None and goals.size == 0:
+        raise InputFormatError(f"{spec.task} world defines no goals")
+    platform = get_platform(spec.platform)
+    cfg = platform.config()
+    records = []
+    for trial in range(spec.trials):
+        world = _perturbed_agents(base, spec.seed, trial) if dynamic else base
+        start = sample_start(world, platform, _trial_rng(spec.seed, trial, _STREAM_START))
+        res = run_episode(world, new_policy(spec, trial), platform=platform,
+                          shield=spec.shield, start=start, cfg=cfg, goals=goals, dt=spec.dt,
+                          max_distance_m=spec.max_distance_m, max_time_s=spec.max_time_s,
+                          stop_on_collision=stop_on_collision, frame_rows=spec.frame_rows)
+        records.append(_record(trial, res))
+    return _aggregate(spec, records)
+
+
+def _run_task(task: str, spec: ExperimentSpec) -> MetricsReport:
+    if spec.task != task:
+        raise ValueError(f"spec.task is {spec.task!r}, expected {task!r}")
+    return run_experiment(spec)
+
+
 def run_exploration(spec: ExperimentSpec) -> MetricsReport:
-    """Wander until first contact; score distance covered before it."""
-    if spec.task != "exploration":
-        raise ValueError(f"spec.task is {spec.task!r}, expected 'exploration'")
-    world = resolve_world(spec.world)
-    platform = get_platform(spec.platform)
-    cfg = platform.config()
-    records = []
-    for trial in range(spec.trials):
-        start = _sample_start(world, platform, _trial_rng(spec.seed, trial, _STREAM_START))
-        policy = Wanderer(spec.waypoint_count, spec.step_len_m,
-                          seed=_trial_policy_seed(spec.seed, trial))
-        res = run_episode(world, policy, platform=platform, shield=spec.shield,
-                          start=start, cfg=cfg, goals=None, dt=spec.dt,
-                          max_distance_m=spec.max_distance_m, max_time_s=spec.max_time_s,
-                          stop_on_collision=True, frame_rows=spec.frame_rows)
-        records.append(_record(trial, res))
-    return _aggregate("exploration", spec, records)
+    """``run_experiment`` for a spec whose task must be exploration."""
+    return _run_task("exploration", spec)
 
 
-def run_goal_conditioned(spec: ExperimentSpec,
-                         goals: np.ndarray | None = None) -> MetricsReport:
-    """Visit an ordered goal chain; collisions are counted, not fatal."""
-    if spec.task != "goal_conditioned":
-        raise ValueError(f"spec.task is {spec.task!r}, expected 'goal_conditioned'")
-    world = resolve_world(spec.world)
-    platform = get_platform(spec.platform)
-    cfg = platform.config()
-    goal_array = np.asarray(goals if goals is not None else world.goals, dtype=np.float64)
-    if goal_array.size == 0:
-        raise InputFormatError("goal-conditioned run needs goals (argument or world file)")
-    records = []
-    for trial in range(spec.trials):
-        start = _jittered_start(world, platform, _trial_rng(spec.seed, trial, _STREAM_START))
-        policy = GoalSeeker(spec.waypoint_count, spec.step_len_m)
-        res = run_episode(world, policy, platform=platform, shield=spec.shield,
-                          start=start, cfg=cfg, goals=goal_array, dt=spec.dt,
-                          max_distance_m=spec.max_distance_m, max_time_s=spec.max_time_s,
-                          stop_on_collision=False, frame_rows=spec.frame_rows)
-        records.append(_record(trial, res))
-    return _aggregate("goal_conditioned", spec, records)
+def run_goal_conditioned(spec: ExperimentSpec) -> MetricsReport:
+    """``run_experiment`` for a spec whose task must be goal_conditioned."""
+    return _run_task("goal_conditioned", spec)
 
 
 def run_dynamic(spec: ExperimentSpec, scenario: str | None = None) -> MetricsReport:
-    """Goal navigation against one scripted agent, jittered per trial."""
-    if spec.task != "dynamic_obstacle":
-        raise ValueError(f"spec.task is {spec.task!r}, expected 'dynamic_obstacle'")
-    source = spec.world if spec.world is not None else (
-        f"dynamic_{scenario}" if scenario else None)
-    base = resolve_world(source)
-    if not base.agents:
-        raise InputFormatError("dynamic-obstacle world defines no agents")
-    platform = get_platform(spec.platform)
-    cfg = platform.config()
-    if base.goals.size == 0:
-        raise InputFormatError("dynamic-obstacle world defines no goals")
-    records = []
-    for trial in range(spec.trials):
-        rng = _trial_rng(spec.seed, trial, _STREAM_SCHEDULE)
-        agents = tuple(perturb_agent(a,
-                                     delay=rng.uniform(0.0, 1.0),
-                                     speed_scale=rng.uniform(0.9, 1.1),
-                                     lateral_offset=rng.uniform(-0.1, 0.1))
-                       for a in base.agents)
-        world = replace(base, agents=agents)
-        start = _jittered_start(world, platform, _trial_rng(spec.seed, trial, _STREAM_START))
-        policy = GoalSeeker(spec.waypoint_count, spec.step_len_m)
-        res = run_episode(world, policy, platform=platform, shield=spec.shield,
-                          start=start, cfg=cfg, goals=world.goals, dt=spec.dt,
-                          max_distance_m=spec.max_distance_m, max_time_s=spec.max_time_s,
-                          stop_on_collision=False, frame_rows=spec.frame_rows)
-        records.append(_record(trial, res))
-    return _aggregate("dynamic_obstacle", spec, records)
+    """``run_experiment`` for a dynamic_obstacle spec; ``scenario`` names the
+    bundled world ``dynamic_<scenario>`` when the spec gives no world."""
+    if spec.world is None and scenario:
+        spec = replace(spec, world=f"dynamic_{scenario}")
+    return _run_task("dynamic_obstacle", spec)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +285,3 @@ def per_trial_csv(report: MetricsReport) -> str:
                     f"{r.distance_before_collision_m!r},{r.completion_time_s!r},"
                     f"{r.collisions}")
     return "\n".join(rows) + "\n"
-
-
-def emit_plot_data(report: MetricsReport, path: str | Path) -> None:
-    """Write the summary CSV for downstream plotting."""
-    Path(path).write_text(report_csv(report))

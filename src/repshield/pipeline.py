@@ -7,7 +7,7 @@ is fully determined by the stream of observations and trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .config import AvoidanceConfig, SafetyParams
@@ -112,38 +112,23 @@ def decision_log_row(t: float, decision: AvoidanceDecision,
 # Config files: flat "key = value" text
 # ---------------------------------------------------------------------------
 
-_FLOAT_KEYS = ("tau_z", "epsilon", "theta_clip", "x_half_range_m",
-               "theta_thres", "v_fwd", "v_max", "omega_max", "k_omega",
-               "height_m", "x_offset_m", "fov_deg", "depth_offset_m")
-_SAFETY_KEYS = ("theta_thres", "v_fwd", "v_max", "omega_max", "k_omega")
-_MOUNT_KEYS = ("height_m", "x_offset_m", "fov_deg", "depth_offset_m")
-CONFIG_KEYS = ("tau_z", "epsilon", "bin_count", "theta_clip", "direction_mode",
-               "x_half_range_m") + _SAFETY_KEYS + _MOUNT_KEYS
+# Every scalar field of the config, in file order: AvoidanceConfig's own,
+# then those of its nested safety and mount records. Each key maps to its
+# record ("" for the top level) and its declared type name.
+_FIELDS = {f.name: ("", f.type) for f in fields(AvoidanceConfig)
+           if f.name not in ("safety", "mount")}
+_FIELDS.update({f.name: ("safety", f.type) for f in fields(SafetyParams)})
+_FIELDS.update({f.name: ("mount", f.type) for f in fields(CameraMount)})
+CONFIG_KEYS = tuple(_FIELDS)
 
 
 def save_config(cfg: AvoidanceConfig, path: str | Path) -> None:
     """Write the flat key = value form; x_half_range_m is omitted when unset."""
-    lines = [
-        f"tau_z = {cfg.tau_z!r}",
-        f"epsilon = {cfg.epsilon!r}",
-        f"bin_count = {cfg.bin_count}",
-        f"theta_clip = {cfg.theta_clip!r}",
-        f"direction_mode = {cfg.direction_mode}",
-    ]
-    if cfg.x_half_range_m is not None:
-        lines.append(f"x_half_range_m = {cfg.x_half_range_m!r}")
-    s, m = cfg.safety, cfg.mount
-    lines += [
-        f"theta_thres = {s.theta_thres!r}",
-        f"v_fwd = {s.v_fwd!r}",
-        f"v_max = {s.v_max!r}",
-        f"omega_max = {s.omega_max!r}",
-        f"k_omega = {s.k_omega!r}",
-        f"height_m = {m.height_m!r}",
-        f"x_offset_m = {m.x_offset_m!r}",
-        f"fov_deg = {m.fov_deg!r}",
-        f"depth_offset_m = {m.depth_offset_m!r}",
-    ]
+    lines = []
+    for key, (record, _) in _FIELDS.items():
+        value = getattr(getattr(cfg, record) if record else cfg, key)
+        if value is not None:
+            lines.append(f"{key} = {value}" if isinstance(value, str) else f"{key} = {value!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -151,9 +136,10 @@ def load_config(path: str | Path, base: AvoidanceConfig | None = None) -> Avoida
     """Parse a flat config file.
 
     With a base config, present keys override it; without one, every key
-    except x_half_range_m must appear. Unknown keys are rejected.
+    except x_half_range_m must appear. Unknown keys and non-finite floats
+    are rejected.
     """
-    values: dict[str, object] = {}
+    values: dict[str, dict[str, object]] = {"": {}, "safety": {}, "mount": {}}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -162,53 +148,28 @@ def load_config(path: str | Path, base: AvoidanceConfig | None = None) -> Avoida
             raise InputFormatError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in CONFIG_KEYS:
+        if key not in _FIELDS:
             raise InputFormatError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in values:
+        record, type_name = _FIELDS[key]
+        if key in values[record]:
             raise InputFormatError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
-            if key == "bin_count":
-                values[key] = int(value)
-            elif key == "direction_mode":
-                values[key] = value
-            else:
-                values[key] = float(value)
+            parsed = {"int": int, "str": str}.get(type_name, float)(value)
         except ValueError as exc:
             raise InputFormatError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+        if isinstance(parsed, float) and not math.isfinite(parsed):
+            raise InputFormatError(f"{path}:{lineno}: {key} must be finite, got {value}")
+        values[record][key] = parsed
 
     if base is None:
-        missing = [k for k in CONFIG_KEYS if k not in values and k != "x_half_range_m"]
+        missing = [k for k, (record, _) in _FIELDS.items()
+                   if k not in values[record] and k != "x_half_range_m"]
         if missing:
             raise InputFormatError(f"{path}: missing keys {missing}")
-
-    def pick(key: str, fallback):
-        return values.get(key, fallback)
-
-    base_mount = base.mount if base else CameraMount(height_m=1.0)
-    base_safety = base.safety if base else SafetyParams()
-    mount = CameraMount(
-        height_m=pick("height_m", base_mount.height_m),
-        x_offset_m=pick("x_offset_m", base_mount.x_offset_m),
-        fov_deg=pick("fov_deg", base_mount.fov_deg),
-        depth_offset_m=pick("depth_offset_m", base_mount.depth_offset_m),
-    )
-    safety = SafetyParams(
-        theta_thres=pick("theta_thres", base_safety.theta_thres),
-        v_fwd=pick("v_fwd", base_safety.v_fwd),
-        v_max=pick("v_max", base_safety.v_max),
-        omega_max=pick("omega_max", base_safety.omega_max),
-        k_omega=pick("k_omega", base_safety.k_omega),
-    )
+        # Every key but x_half_range_m is given, so only its default survives.
+        base = AvoidanceConfig(mount=CameraMount(height_m=1.0))
     try:
-        return AvoidanceConfig(
-            mount=mount,
-            tau_z=pick("tau_z", base.tau_z if base else 1.0),
-            epsilon=pick("epsilon", base.epsilon if base else -0.05),
-            bin_count=pick("bin_count", base.bin_count if base else 32),
-            theta_clip=pick("theta_clip", base.theta_clip if base else math.pi / 4),
-            direction_mode=pick("direction_mode", base.direction_mode if base else "repel"),
-            safety=safety,
-            x_half_range_m=pick("x_half_range_m", base.x_half_range_m if base else None),
-        )
+        return replace(base, safety=replace(base.safety, **values["safety"]),
+                       mount=replace(base.mount, **values["mount"]), **values[""])
     except ValueError as exc:
         raise InputFormatError(f"{path}: {exc}") from exc

@@ -243,6 +243,25 @@ def construct_obstacle_map(cloud: PointCloud, cfg: "AvoidanceConfig") -> Obstacl
 # File formats
 # ---------------------------------------------------------------------------
 
+def _read_tagged(path: str | Path, tag: str, header: tuple) -> tuple[list, np.ndarray]:
+    """Read a whitespace-separated ``TAG h1 .. hn v1 v2 ...`` text file.
+
+    ``header`` holds one parser (``int`` or ``float``) per header token.
+    Returns the parsed header values and the body as a float64 vector.
+    """
+    tokens = Path(path).read_text().split()
+    if not tokens or tokens[0] != tag:
+        raise InputFormatError(f"{path}: expected {tag} header")
+    if len(tokens) <= len(header):
+        raise InputFormatError(f"{path}: truncated {tag} header")
+    try:
+        values = [parse(t) for parse, t in zip(header, tokens[1:])]
+        body = np.array([float(t) for t in tokens[len(header) + 1:]], dtype=np.float64)
+    except ValueError as exc:
+        raise InputFormatError(f"{path}: malformed {tag} value: {exc}") from exc
+    return values, body
+
+
 def save_depth_frame(frame: DepthFrame, path: str | Path) -> None:
     """Write a DF1 file: header line, then one row of depths per image row."""
     intr = frame.intrinsics
@@ -257,18 +276,8 @@ def save_depth_frame(frame: DepthFrame, path: str | Path) -> None:
 
 def load_depth_frame(path: str | Path, mount: CameraMount) -> DepthFrame:
     """Read a DF1 file; the mount is supplied separately by configuration."""
-    text = Path(path).read_text()
-    tokens = text.split()
-    if not tokens or tokens[0] != "DF1":
-        raise InputFormatError(f"{path}: expected DF1 header")
-    if len(tokens) < 7:
-        raise InputFormatError(f"{path}: truncated DF1 header")
-    try:
-        width, height = int(tokens[1]), int(tokens[2])
-        fx, fy, cx, cy = (float(t) for t in tokens[3:7])
-        depths = np.array([float(t) for t in tokens[7:]], dtype=np.float64)
-    except ValueError as exc:
-        raise InputFormatError(f"{path}: malformed DF1 value: {exc}") from exc
+    (width, height, fx, fy, cx, cy), depths = _read_tagged(
+        path, "DF1", (int, int, float, float, float, float))
     if depths.size != width * height:
         raise InputFormatError(
             f"{path}: expected {width * height} depth values, found {depths.size}"
@@ -289,15 +298,7 @@ def save_point_cloud(cloud: PointCloud, path: str | Path) -> None:
 
 
 def load_point_cloud(path: str | Path) -> PointCloud:
-    text = Path(path).read_text()
-    tokens = text.split()
-    if not tokens or tokens[0] != "PC1":
-        raise InputFormatError(f"{path}: expected PC1 header")
-    try:
-        count = int(tokens[1])
-        values = np.array([float(t) for t in tokens[2:]], dtype=np.float64)
-    except (IndexError, ValueError) as exc:
-        raise InputFormatError(f"{path}: malformed PC1 content: {exc}") from exc
+    (count,), values = _read_tagged(path, "PC1", (int,))
     if values.size != count * 3:
         raise InputFormatError(f"{path}: expected {count} points, found {values.size / 3}")
     try:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import AvoidanceConfig
 from .errors import InputFormatError, SingularityError
-from .projection import ObstacleMap
+from .projection import ObstacleMap, _read_tagged
 
 # Distances below this are clamped before cubing so a near-contact point
 # produces a large but finite force.
@@ -135,15 +135,7 @@ def save_trajectory(traj: Trajectory, path: str | Path) -> None:
 
 
 def load_trajectory(path: str | Path) -> Trajectory:
-    text = Path(path).read_text()
-    tokens = text.split()
-    if not tokens or tokens[0] != "TJ1":
-        raise InputFormatError(f"{path}: expected TJ1 header")
-    try:
-        count = int(tokens[1])
-        values = np.array([float(t) for t in tokens[2:]], dtype=np.float64)
-    except (IndexError, ValueError) as exc:
-        raise InputFormatError(f"{path}: malformed TJ1 content: {exc}") from exc
+    (count,), values = _read_tagged(path, "TJ1", (int,))
     if count < 1 or values.size != count * 2:
         raise InputFormatError(f"{path}: expected {count} waypoints, found {values.size / 2}")
     try:

@@ -25,8 +25,6 @@ def world_to_local(robot: RobotState, point) -> np.ndarray:
 class GoalSeeker:
     """Straight-line waypoints toward a world goal, saturating at it."""
 
-    kind = "goal_seeker"
-
     def __init__(self, waypoint_count: int = 8, step_len_m: float = 0.25):
         if waypoint_count < 1 or step_len_m <= 0:
             raise ValueError("need waypoint_count >= 1 and step_len_m > 0")
@@ -61,8 +59,6 @@ class Wanderer:
     resetting to dead ahead.
     """
 
-    kind = "wanderer"
-
     def __init__(self, waypoint_count: int = 8, step_len_m: float = 0.25,
                  seed: int = 0, drift_step: float = 0.09, max_bend: float = 0.7):
         if waypoint_count < 1 or step_len_m <= 0:
@@ -85,15 +81,6 @@ class Wanderer:
         angles = bend * k / self.waypoint_count
         deltas = self.step_len_m * np.column_stack((np.cos(angles), np.sin(angles)))
         return Trajectory(np.cumsum(deltas, axis=0))
-
-
-def make_policy(kind: str, waypoint_count: int = 8, step_len_m: float = 0.25,
-                seed: int = 0):
-    if kind == "goal_seeker":
-        return GoalSeeker(waypoint_count, step_len_m)
-    if kind == "wanderer":
-        return Wanderer(waypoint_count, step_len_m, seed)
-    raise ValueError(f"unknown policy kind {kind!r}")
 
 
 def policy_trajectory(policy, robot: RobotState, goal=None) -> Trajectory:

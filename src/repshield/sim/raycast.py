@@ -20,14 +20,11 @@ _T_EPS = 1e-9
 
 
 def column_depths(world: WorldModel, robot: RobotState, intrinsics: CameraIntrinsics,
-                  mount: CameraMount, t: float = 0.0, far: float = FAR_LIMIT_M,
-                  jitter: float = 0.0, rng: np.random.Generator | None = None) -> np.ndarray:
+                  mount: CameraMount, t: float = 0.0, far: float = FAR_LIMIT_M) -> np.ndarray:
     """Planar depth per pixel column, 0 where nothing is hit within ``far``.
 
     Args:
         t: simulation time, used to place scripted agents.
-        jitter: optional uniform noise half-amplitude in meters, applied to
-            hit columns only; requires ``rng`` when non-zero.
     """
     heading = robot.heading
     fwd = np.array([np.cos(heading), np.sin(heading)])
@@ -84,19 +81,12 @@ def column_depths(world: WorldModel, robot: RobotState, intrinsics: CameraIntrin
     if mount.depth_offset_m != 0.0:
         depth = np.where(depth > 0.0,
                          np.maximum(depth + mount.depth_offset_m, _T_EPS), 0.0)
-    if jitter > 0.0:
-        if rng is None:
-            raise ValueError("depth jitter requires an rng")
-        noise = rng.uniform(-jitter, jitter, size=depth.shape)
-        depth = np.where(depth > 0.0, np.maximum(depth + noise, _T_EPS), 0.0)
     return depth
 
 
 def raycast_depth(world: WorldModel, robot: RobotState, intrinsics: CameraIntrinsics,
-                  mount: CameraMount, t: float = 0.0, far: float = FAR_LIMIT_M,
-                  jitter: float = 0.0, rng: np.random.Generator | None = None) -> DepthFrame:
+                  mount: CameraMount, t: float = 0.0, far: float = FAR_LIMIT_M) -> DepthFrame:
     """Render a full frame by tiling the column depths across all rows."""
-    cols = column_depths(world, robot, intrinsics, mount, t=t, far=far,
-                         jitter=jitter, rng=rng)
+    cols = column_depths(world, robot, intrinsics, mount, t=t, far=far)
     grid = np.tile(cols, (intrinsics.height, 1))
     return DepthFrame(grid, intrinsics, mount)

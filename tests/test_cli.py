@@ -10,6 +10,7 @@ import pytest
 
 from repshield import (CameraMount, DepthFrame, Trajectory, intrinsics_for_fov,
                        save_depth_frame)
+from repshield.harness import ExperimentSpec, report_csv, run_experiment
 from repshield.harness.cli import main
 from repshield.repulsion import save_trajectory
 from repshield.sim import WorldModel, save_world
@@ -39,7 +40,9 @@ def test_explore_writes_artifact_tree(arena_world, tmp_path, capsys):
                "--max-time", "2", "--out", str(out_dir)])
     capsys.readouterr()
     assert rc == 0
-    assert (out_dir / "report.csv").read_text().startswith("metric,value")
+    expected = run_experiment(ExperimentSpec(task="exploration", world=str(arena_world),
+                                             trials=2, max_time_s=2.0))
+    assert (out_dir / "report.csv").read_text() == report_csv(expected)
     trials = (out_dir / "trials.csv").read_text().splitlines()
     assert len(trials) == 3
     for trial in range(2):
@@ -80,6 +83,25 @@ def test_dynamic_scenario_runs(capsys):
                "--max-time", "2"])
     assert rc == 0
     assert "task=dynamic_obstacle" in capsys.readouterr().out
+
+
+def test_scenario_and_world_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dynamic", "--scenario", "side_appear", "--world", "dynamic_front_approach",
+              "--trials", "1", "--max-time", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_closed_loop_commands_reject_config(arena_world, tmp_path, capsys):
+    # Closed-loop runs always use the platform defaults; the flag would be ignored.
+    cfg_path = tmp_path / "slow.cfg"
+    cfg_path.write_text("v_fwd = 0.05\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["goal", "--world", str(arena_world), "--trials", "1", "--max-time", "2",
+              "--config", str(cfg_path)])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_replay_to_stdout_and_file(tmp_path, capsys):

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from repshield.errors import InputFormatError
-from repshield.harness import (ExperimentSpec, emit_plot_data, per_trial_csv,
-                               report_csv, resolve_world, run_dynamic,
-                               run_exploration, run_goal_conditioned)
+from repshield.harness import (ExperimentSpec, per_trial_csv, report_csv,
+                               resolve_world, run_dynamic, run_exploration,
+                               run_goal_conditioned)
 from repshield.sim import WorldModel, load_world
 from repshield.worldgen import (BUNDLED_WORLDS, bundled_world_path,
                                 write_bundled_worlds)
@@ -284,10 +284,3 @@ def test_per_trial_csv_shape():
         fields = line.split(",")
         assert int(fields[0]) == i
         float(fields[2])
-
-
-def test_emit_plot_data_writes_report(tmp_path):
-    rep = run_exploration(_explore_spec(trials=1))
-    out = tmp_path / "report.csv"
-    emit_plot_data(rep, out)
-    assert out.read_text() == report_csv(rep)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from repshield import (AvoidanceConfig, CameraMount, DepthFrame, InputFormatErro
                        estimate_repulsive_direction, gate_command,
                        intrinsics_for_fov, load_config, rotate_trajectory,
                        save_config)
-from repshield.pipeline import DECISION_LOG_HEADER
+from repshield.pipeline import CONFIG_KEYS, DECISION_LOG_HEADER
+from repshield.platforms import get_platform
 from repshield.safety import compute_desired_heading
 
 
@@ -268,6 +270,18 @@ def test_config_errors(tmp_path):
     path.write_text("tau_z = 1.0\n")
     with pytest.raises(InputFormatError):
         load_config(path)
+
+
+_FLOAT_CONFIG_KEYS = [k for k in CONFIG_KEYS if k not in ("bin_count", "direction_mode")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", _FLOAT_CONFIG_KEYS)
+def test_config_rejects_non_finite_floats(tmp_path, key, value):
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"# override\n{key} = {value}\n")
+    with pytest.raises(InputFormatError, match=re.escape(f"{path}:2: {key} must be finite")):
+        load_config(path, base=get_platform("locobot").config())
 
 
 def test_config_comments_and_blanks(tmp_path):

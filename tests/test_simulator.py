@@ -19,7 +19,7 @@ from repshield import (AvoidanceConfig, CameraMount, ControlCommand,
 from repshield.platforms import get_platform
 from repshield.sim import (AgentTrack, Circle, GoalSeeker, Polygon, RobotState,
                            WorldModel, Wanderer, check_collision, column_depths,
-                           load_world, make_policy, perturb_agent, raycast_depth,
+                           load_world, perturb_agent, raycast_depth,
                            save_world, step_kinematics)
 from repshield.harness import run_episode
 
@@ -235,22 +235,6 @@ def test_raycast_depth_frame_tiles_rows():
         np.testing.assert_array_equal(row, frame.depths[0])
 
 
-def test_raycast_jitter_reproducible_and_guarded():
-    w = WorldModel(bounds=(0, 0, 4, 4), bounds_solid=True)
-    mount = CameraMount(height_m=0.3, fov_deg=60.0)
-    intr = intrinsics_for_fov(7, 1, 60.0)
-    robot = RobotState(2, 2, 0.0)
-    with pytest.raises(ValueError):
-        column_depths(w, robot, intr, mount, jitter=0.01)
-    a = column_depths(w, robot, intr, mount, jitter=0.01,
-                      rng=np.random.default_rng(5))
-    b = column_depths(w, robot, intr, mount, jitter=0.01,
-                      rng=np.random.default_rng(5))
-    np.testing.assert_array_equal(a, b)
-    clean = column_depths(w, robot, intr, mount)
-    assert np.any(a != clean)
-
-
 def test_reduced_row_frames_give_identical_obstacle_maps():
     # Rendering at 8 rows preserves the native vertical fov, so the
     # obstacle map matches the full-resolution render exactly.
@@ -414,13 +398,6 @@ def test_wanderer_step_lengths_and_bend_bound():
     # First segment bearing stays inside the bend clamp.
     first = traj.waypoints[0]
     assert abs(math.atan2(first[1], first[0])) <= policy.max_bend + 1e-12
-
-
-def test_make_policy_dispatch():
-    assert make_policy("goal_seeker").kind == "goal_seeker"
-    assert make_policy("wanderer", seed=4).kind == "wanderer"
-    with pytest.raises(ValueError):
-        make_policy("teleport")
 
 
 # ---------------------------------------------------------------------------
