@@ -7,6 +7,7 @@ that runs the avoidance step over recorded depth frames.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -16,7 +17,9 @@ from ..pipeline import (DECISION_LOG_HEADER, avoidance_step, decision_log_row,
 from ..platforms import PLATFORMS, get_platform
 from ..projection import load_depth_frame
 from ..repulsion import load_trajectory
+from ..safety import RotationLatch
 from ..worldgen import DYNAMIC_SCENARIOS
+from .episodes import CONTROL_PERIOD_S
 from .experiments import (ExperimentSpec, MetricsReport, per_trial_csv, report_csv,
                           run_experiment)
 
@@ -48,10 +51,10 @@ def _write_outputs(report: MetricsReport, out: Path | None) -> None:
     (out / "trials.csv").write_text(per_trial_csv(report))
     logs = out / "logs"
     logs.mkdir(exist_ok=True)
-    for rec in report.per_trial:
-        (logs / f"trial_{rec.trial:03d}.traj.csv").write_text(rec.trajectory_log)
-        if rec.decision_log is not None:
-            (logs / f"trial_{rec.trial:03d}.dec.csv").write_text(rec.decision_log)
+    for trial, res in enumerate(report.per_trial):
+        (logs / f"trial_{trial:03d}.traj.csv").write_text(res.trajectory_log)
+        if res.decision_log is not None:
+            (logs / f"trial_{trial:03d}.dec.csv").write_text(res.decision_log)
 
 
 def _print_summary(report: MetricsReport) -> None:
@@ -80,6 +83,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    if not (math.isfinite(args.dt) and args.dt > 0):
+        raise ValueError(f"--dt must be finite and positive, got {args.dt}")
     platform = get_platform(args.platform)
     cfg = platform.config()
     if args.config is not None:
@@ -89,10 +94,12 @@ def _cmd_replay(args) -> int:
     if not frames:
         raise InputFormatError(f"no *.df1 frames found in {args.frames}")
     rows = [DECISION_LOG_HEADER]
+    # Latched as in closed loop, so replay logs the commands closed loop would issue.
+    latch = RotationLatch()
     for k, frame_path in enumerate(frames):
         frame = load_depth_frame(frame_path, cfg.mount)
         decision = avoidance_step(frame, traj, cfg)
-        rows.append(decision_log_row(k * args.dt, decision))
+        rows.append(decision_log_row(k * args.dt, decision, latch.apply(decision.command)))
     text = "\n".join(rows) + "\n"
     if args.out is not None:
         Path(args.out).write_text(text)
@@ -123,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=Path,
                    help="key = value config file overriding platform defaults")
     p.add_argument("--out", type=Path, help="decision log destination (default stdout)")
-    p.add_argument("--dt", type=float, default=0.1)
+    p.add_argument("--dt", type=float, default=CONTROL_PERIOD_S,
+                   help="seconds between frames in the log's t column")
     p.set_defaults(func=_cmd_replay)
     return parser
 

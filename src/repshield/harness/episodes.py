@@ -13,17 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import AvoidanceConfig
 from ..pipeline import DECISION_LOG_HEADER, avoidance_step, decision_log_row
 from ..platforms import SIM_FRAME_ROWS, PlatformSpec
 from ..repulsion import Trajectory
 from ..safety import ControlCommand, RotationLatch
-from ..sim import (FAR_LIMIT_M, RobotState, WorldModel, check_collision,
-                   policy_trajectory, raycast_depth, step_kinematics)
+from ..sim import (RobotState, WorldModel, check_collision, policy_trajectory,
+                   raycast_depth, step_kinematics)
 
 TRAJECTORY_LOG_HEADER = "t,x,y,heading,v,omega,collided"
 
 GOAL_RADIUS_M = 0.3
+CONTROL_PERIOD_S = 0.1
 
 
 @dataclass
@@ -54,22 +54,21 @@ def follow_waypoint_command(traj: Trajectory, safety) -> ControlCommand:
 
 
 def run_episode(world: WorldModel, policy, *, platform: PlatformSpec,
-                shield: bool, start: RobotState, cfg: AvoidanceConfig | None = None,
-                goals: np.ndarray | None = None, dt: float = 0.1,
+                shield: bool, start: RobotState, goals: np.ndarray | None = None,
                 max_distance_m: float = math.inf, max_time_s: float = 300.0,
-                stop_on_collision: bool = False, goal_radius_m: float = GOAL_RADIUS_M,
-                frame_rows: int = SIM_FRAME_ROWS, far: float = FAR_LIMIT_M) -> EpisodeResult:
-    """Run one episode and return its metrics and logs.
+                stop_on_collision: bool = False) -> EpisodeResult:
+    """Run one episode at the platform's default config; return metrics and logs.
 
-    Goal bookkeeping: goals are visited in order; a goal within
-    ``goal_radius_m`` is consumed at the start of a tick, and consuming the
-    last one ends the episode as an arrival. Collisions do not block
+    Ticks are ``CONTROL_PERIOD_S`` apart. Goals are visited in order; a goal
+    within ``GOAL_RADIUS_M`` is consumed at the start of a tick, and consuming
+    the last one ends the episode as an arrival. Collisions do not block
     arrival. Distance is the commanded odometer (sum of v * dt), which for
     arc integration equals true path length.
     """
-    cfg = cfg or platform.config()
-    intr = platform.intrinsics(frame_rows)
+    cfg = platform.config()
+    intr = platform.intrinsics(SIM_FRAME_ROWS)
     mount = cfg.mount
+    dt = CONTROL_PERIOD_S
 
     goal_list = [np.asarray(g, dtype=np.float64) for g in (goals if goals is not None else [])]
     gi = 0
@@ -90,7 +89,7 @@ def run_episode(world: WorldModel, policy, *, platform: PlatformSpec,
     for k in range(max_ticks):
         t = k * dt
         while gi < len(goal_list) and math.hypot(state.x - goal_list[gi][0],
-                                                 state.y - goal_list[gi][1]) <= goal_radius_m:
+                                                 state.y - goal_list[gi][1]) <= GOAL_RADIUS_M:
             gi += 1
         if goal_list and gi == len(goal_list):
             arrived = True
@@ -101,7 +100,7 @@ def run_episode(world: WorldModel, policy, *, platform: PlatformSpec,
         # Looked up per tick on this module: a benchmark stamps ticks by patching it.
         traj = policy_trajectory(policy, state, goal)
         if shield:
-            frame = raycast_depth(world, state, intr, mount, t=t, far=far)
+            frame = raycast_depth(world, state, intr, mount, t=t)
             decision = avoidance_step(frame, traj, cfg)
             cmd = latch.apply(decision.command)
             dec_rows.append(decision_log_row(t, decision, cmd))

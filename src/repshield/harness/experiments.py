@@ -16,11 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import InputFormatError
-from ..platforms import SIM_FRAME_ROWS, PlatformSpec, get_platform
+from ..platforms import PlatformSpec, get_platform
 from ..sim import RobotState, WorldModel, check_collision, load_world, perturb_agent
 from ..sim.policies import GoalSeeker, Wanderer
 from ..worldgen import BUNDLED_WORLDS, bundled_world_path
-from .episodes import EpisodeResult, run_episode
+from .episodes import CONTROL_PERIOD_S, EpisodeResult, run_episode
 
 TASKS = ("exploration", "goal_conditioned", "dynamic_obstacle")
 
@@ -32,7 +32,10 @@ _STREAM_SCHEDULE = 2
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Declarative description of one experiment arm."""
+    """Declarative description of one experiment arm.
+
+    Policies emit 8 waypoints 0.25 m apart; ``max_distance_m`` may be inf.
+    """
 
     task: str
     world: str | Path | WorldModel | None = None
@@ -40,30 +43,19 @@ class ExperimentSpec:
     shield: bool = True
     trials: int = 10
     seed: int = 0
-    waypoint_count: int = 8
-    step_len_m: float = 0.25
     max_distance_m: float = 30.0
     max_time_s: float = 300.0
-    dt: float = 0.1
-    frame_rows: int = SIM_FRAME_ROWS
 
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
-
-
-@dataclass
-class TrialRecord:
-    trial: int
-    arrived: bool
-    distance_m: float
-    distance_before_collision_m: float
-    completion_time_s: float
-    collisions: int
-    trajectory_log: str
-    decision_log: str | None
+        if not (math.isfinite(self.max_time_s) and self.max_time_s >= CONTROL_PERIOD_S):
+            raise ValueError(f"max_time_s must be finite and at least {CONTROL_PERIOD_S}, "
+                             f"got {self.max_time_s}")
+        if not self.max_distance_m > 0:
+            raise ValueError(f"max_distance_m must be positive, got {self.max_distance_m}")
 
 
 @dataclass
@@ -82,7 +74,7 @@ class MetricsReport:
     completion_time_std: float
     collision_count_mean: float
     collision_trials: int
-    per_trial: list[TrialRecord] = field(default_factory=list)
+    per_trial: list[EpisodeResult] = field(default_factory=list)  # index = trial
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -147,14 +139,7 @@ def _jittered_start(world: WorldModel, platform: PlatformSpec,
     return RobotState(x0, y0, h0, platform.footprint_radius_m, platform.name)
 
 
-def _record(trial: int, res: EpisodeResult) -> TrialRecord:
-    return TrialRecord(trial=trial, arrived=res.arrived, distance_m=res.distance_m,
-                       distance_before_collision_m=res.distance_before_collision_m,
-                       completion_time_s=res.completion_time_s, collisions=res.collisions,
-                       trajectory_log=res.trajectory_log, decision_log=res.decision_log)
-
-
-def _aggregate(spec: ExperimentSpec, records: list[TrialRecord]) -> MetricsReport:
+def _aggregate(spec: ExperimentSpec, records: list[EpisodeResult]) -> MetricsReport:
     dbc_mean, dbc_std = _mean_std([r.distance_before_collision_m for r in records])
     path_mean, path_std = _mean_std([r.distance_m for r in records])
     times = [r.completion_time_s for r in records if r.arrived]
@@ -184,11 +169,11 @@ def _perturbed_agents(world: WorldModel, seed: int, trial: int) -> WorldModel:
 
 def _wanderer(spec: ExperimentSpec, trial: int) -> Wanderer:
     ss = np.random.SeedSequence(entropy=spec.seed, spawn_key=(trial, _STREAM_POLICY))
-    return Wanderer(spec.waypoint_count, spec.step_len_m, seed=int(ss.generate_state(1)[0]))
+    return Wanderer(seed=int(ss.generate_state(1)[0]))
 
 
 def _goal_seeker(spec: ExperimentSpec, trial: int) -> GoalSeeker:
-    return GoalSeeker(spec.waypoint_count, spec.step_len_m)
+    return GoalSeeker()
 
 
 # Per task: start sampler, policy factory, and whether a collision ends the trial.
@@ -216,16 +201,15 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
     if goals is not None and goals.size == 0:
         raise InputFormatError(f"{spec.task} world defines no goals")
     platform = get_platform(spec.platform)
-    cfg = platform.config()
     records = []
     for trial in range(spec.trials):
         world = _perturbed_agents(base, spec.seed, trial) if dynamic else base
         start = sample_start(world, platform, _trial_rng(spec.seed, trial, _STREAM_START))
-        res = run_episode(world, new_policy(spec, trial), platform=platform,
-                          shield=spec.shield, start=start, cfg=cfg, goals=goals, dt=spec.dt,
-                          max_distance_m=spec.max_distance_m, max_time_s=spec.max_time_s,
-                          stop_on_collision=stop_on_collision, frame_rows=spec.frame_rows)
-        records.append(_record(trial, res))
+        records.append(run_episode(world, new_policy(spec, trial), platform=platform,
+                                   shield=spec.shield, start=start, goals=goals,
+                                   max_distance_m=spec.max_distance_m,
+                                   max_time_s=spec.max_time_s,
+                                   stop_on_collision=stop_on_collision))
     return _aggregate(spec, records)
 
 
@@ -280,8 +264,8 @@ def report_csv(report: MetricsReport) -> str:
 def per_trial_csv(report: MetricsReport) -> str:
     rows = ["trial,arrived,path_length_m,distance_before_collision_m,"
             "completion_time_s,collisions"]
-    for r in report.per_trial:
-        rows.append(f"{r.trial},{int(r.arrived)},{r.distance_m!r},"
+    for trial, r in enumerate(report.per_trial):
+        rows.append(f"{trial},{int(r.arrived)},{r.distance_m!r},"
                     f"{r.distance_before_collision_m!r},{r.completion_time_s!r},"
                     f"{r.collisions}")
     return "\n".join(rows) + "\n"

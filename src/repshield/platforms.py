@@ -68,13 +68,11 @@ class PlatformSpec:
                                 cx=native.cx, cy=(rows - 1) / 2.0,
                                 width=self.image_width, height=rows)
 
-    def config(self, **overrides) -> AvoidanceConfig:
-        kwargs = dict(mount=self.mount(), tau_z=self.tau_z_m,
-                      bin_count=self.default_bin_count,
-                      safety=SafetyParams(v_fwd=V_MAX_MPS, v_max=V_MAX_MPS,
-                                          omega_max=OMEGA_MAX_RPS))
-        kwargs.update(overrides)
-        return AvoidanceConfig(**kwargs)
+    def config(self) -> AvoidanceConfig:
+        return AvoidanceConfig(mount=self.mount(), tau_z=self.tau_z_m,
+                               bin_count=self.default_bin_count,
+                               safety=SafetyParams(v_fwd=V_MAX_MPS, v_max=V_MAX_MPS,
+                                                   omega_max=OMEGA_MAX_RPS))
 
 
 PLATFORMS = {

@@ -126,14 +126,12 @@ class ObstacleMap:
     """Per-bin nearest obstacle points in the robot frame (x forward, y left).
 
     ``points`` has shape (B, 2) with B <= bin_count; ``bins`` holds the
-    strictly increasing bin index of each entry. ``sensing_range`` records
-    the range cutoff the map was built with.
+    strictly increasing bin index of each entry.
     """
 
     points: np.ndarray
     bins: np.ndarray
     bin_count: int
-    sensing_range: float
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -208,7 +206,7 @@ def construct_obstacle_map(cloud: PointCloud, cfg: "AvoidanceConfig") -> Obstacl
     half = bin_half_range(cfg)
     bin_count = cfg.bin_count
 
-    empty = ObstacleMap(np.empty((0, 2)), np.empty(0, dtype=np.int64), bin_count, tau)
+    empty = ObstacleMap(np.empty((0, 2)), np.empty(0, dtype=np.int64), bin_count)
     if pts.shape[0] == 0:
         return empty
 
@@ -235,8 +233,7 @@ def construct_obstacle_map(cloud: PointCloud, cfg: "AvoidanceConfig") -> Obstacl
 
     robot_x = z[sel] + m.x_offset_m
     robot_y = -x[sel]
-    return ObstacleMap(np.column_stack((robot_x, robot_y)), sorted_bins[first],
-                       bin_count, tau)
+    return ObstacleMap(np.column_stack((robot_x, robot_y)), sorted_bins[first], bin_count)
 
 
 # ---------------------------------------------------------------------------

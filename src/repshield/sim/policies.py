@@ -59,15 +59,14 @@ class Wanderer:
     resetting to dead ahead.
     """
 
-    def __init__(self, waypoint_count: int = 8, step_len_m: float = 0.25,
-                 seed: int = 0, drift_step: float = 0.09, max_bend: float = 0.7):
+    drift_step = 0.09  # std of the target's per-call random-walk step, rad
+    max_bend = 0.7     # clamp on the target's offset from the heading, rad
+
+    def __init__(self, waypoint_count: int = 8, step_len_m: float = 0.25, seed: int = 0):
         if waypoint_count < 1 or step_len_m <= 0:
             raise ValueError("need waypoint_count >= 1 and step_len_m > 0")
         self.waypoint_count = waypoint_count
         self.step_len_m = step_len_m
-        self.seed = seed
-        self.drift_step = drift_step
-        self.max_bend = max_bend
         self._rng = np.random.default_rng(seed)
         self._target: float | None = None
 

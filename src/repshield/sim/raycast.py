@@ -20,8 +20,8 @@ _T_EPS = 1e-9
 
 
 def column_depths(world: WorldModel, robot: RobotState, intrinsics: CameraIntrinsics,
-                  mount: CameraMount, t: float = 0.0, far: float = FAR_LIMIT_M) -> np.ndarray:
-    """Planar depth per pixel column, 0 where nothing is hit within ``far``.
+                  mount: CameraMount, t: float = 0.0) -> np.ndarray:
+    """Planar depth per pixel column, 0 where nothing is hit within ``FAR_LIMIT_M``.
 
     Args:
         t: simulation time, used to place scripted agents.
@@ -74,7 +74,7 @@ def column_depths(world: WorldModel, robot: RobotState, intrinsics: CameraIntrin
         t_best = np.minimum(t_best, t_hit.min(axis=1))
 
     depth = t_best * cos_axis
-    depth = np.where(np.isfinite(depth) & (depth <= far), depth, 0.0)
+    depth = np.where(np.isfinite(depth) & (depth <= FAR_LIMIT_M), depth, 0.0)
     # The mount's depth_offset_m models the estimator's systematic bias, and
     # the avoidance pipeline subtracts it. Emitting true + bias here means
     # that correction lands back on the true depth.
@@ -85,8 +85,8 @@ def column_depths(world: WorldModel, robot: RobotState, intrinsics: CameraIntrin
 
 
 def raycast_depth(world: WorldModel, robot: RobotState, intrinsics: CameraIntrinsics,
-                  mount: CameraMount, t: float = 0.0, far: float = FAR_LIMIT_M) -> DepthFrame:
+                  mount: CameraMount, t: float = 0.0) -> DepthFrame:
     """Render a full frame by tiling the column depths across all rows."""
-    cols = column_depths(world, robot, intrinsics, mount, t=t, far=far)
+    cols = column_depths(world, robot, intrinsics, mount, t=t)
     grid = np.tile(cols, (intrinsics.height, 1))
     return DepthFrame(grid, intrinsics, mount)

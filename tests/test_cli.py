@@ -135,6 +135,47 @@ def test_replay_to_stdout_and_file(tmp_path, capsys):
     assert log_path.read_text() == out
 
 
+def test_replay_applies_rotation_latch(tmp_path, capsys):
+    # A 0.4 m return alternating between the right and left thirds of the
+    # image: each raw step turns away from it, so the raw commands alternate
+    # +/- omega_max while rotating in place. Closed loop's rotation latch
+    # keeps the first direction until forward motion resumes; replay must too.
+    intr = intrinsics_for_fov(9, 3, 90.0)
+    mount = CameraMount(height_m=0.3, fov_deg=90.0)
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    for k in range(4):
+        depths = np.zeros((3, 9))
+        depths[:, slice(6, 9) if k % 2 == 0 else slice(0, 3)] = 0.4
+        save_depth_frame(DepthFrame(depths, intr, mount), frames_dir / f"frame_{k}.df1")
+    traj_path = tmp_path / "straight.tj1"
+    save_trajectory(Trajectory(np.column_stack((np.arange(1, 9) * 0.25,
+                                                np.zeros(8)))), traj_path)
+    rc = main(["replay", "--frames", str(frames_dir), "--trajectory", str(traj_path)])
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rc == 0
+    assert [float(r[5]) > 0 for r in rows] == [True, False, True, False]   # theta_des
+    assert [(float(r[1]), float(r[2])) for r in rows] == [(0.0, 0.8)] * 4
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["explore", "--world", "exploration_boxes", "--trials", "1", "--max-time", "-1"],
+     "max_time_s"),
+    (["goal", "--world", "corridor_empty", "--trials", "1", "--max-distance", "nan"],
+     "max_distance_m"),
+    (["dynamic", "--scenario", "side_appear", "--trials", "1", "--max-time", "nan"],
+     "max_time_s"),
+    (["replay", "--frames", ".", "--trajectory", "t.tj1", "--dt", "0"], "--dt"),
+], ids=["explore", "goal", "dynamic", "replay"])
+def test_bad_caps_and_dt_exit_1(argv, name, capsys):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and name in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_replay_with_config_override(tmp_path, capsys):
     intr = intrinsics_for_fov(5, 2, 90.0)
     mount = CameraMount(height_m=0.3, fov_deg=90.0)

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from repshield.errors import InputFormatError
-from repshield.harness import (ExperimentSpec, per_trial_csv, report_csv,
-                               resolve_world, run_dynamic, run_exploration,
+from repshield.harness import (CONTROL_PERIOD_S, ExperimentSpec, per_trial_csv,
+                               report_csv, resolve_world, run_dynamic, run_exploration,
                                run_goal_conditioned)
 from repshield.sim import WorldModel, load_world
 from repshield.worldgen import (BUNDLED_WORLDS, bundled_world_path,
@@ -97,10 +97,10 @@ def test_exploration_bytes_match_pinned_digests(shield):
     rep = run_exploration(ExperimentSpec(task="exploration", world="exploration_boxes",
                                          trials=3, seed=0, max_time_s=20.0, shield=shield))
     texts = {"report.csv": report_csv(rep), "trials.csv": per_trial_csv(rep)}
-    for r in rep.per_trial:
-        texts[f"trial_{r.trial:03d}.traj.csv"] = r.trajectory_log
+    for trial, r in enumerate(rep.per_trial):
+        texts[f"trial_{trial:03d}.traj.csv"] = r.trajectory_log
         if r.decision_log is not None:
-            texts[f"trial_{r.trial:03d}.dec.csv"] = r.decision_log
+            texts[f"trial_{trial:03d}.dec.csv"] = r.decision_log
     digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
     assert digests == _EXPLORATION_PIN[shield]
 
@@ -167,7 +167,7 @@ def test_metrics_recomputable_from_trajectory_logs():
         collisions = 0
         prev = False
         for row in rows:
-            distance += float(row[4]) * spec.dt
+            distance += float(row[4]) * CONTROL_PERIOD_S
             hit = row[6] == "1"
             if hit and not prev:
                 collisions += 1
@@ -235,6 +235,23 @@ def test_spec_validation():
         ExperimentSpec(task="parkour")
     with pytest.raises(ValueError):
         ExperimentSpec(task="exploration", trials=0)
+
+
+@pytest.mark.parametrize("caps", [
+    {"max_time_s": -1.0}, {"max_time_s": 0.0}, {"max_time_s": 0.05},
+    {"max_time_s": math.nan}, {"max_time_s": math.inf},
+    {"max_distance_m": 0.0}, {"max_distance_m": -1.0}, {"max_distance_m": math.nan},
+])
+def test_spec_rejects_bad_caps(caps):
+    with pytest.raises(ValueError):
+        ExperimentSpec(task="goal_conditioned", **caps)
+
+
+def test_spec_accepts_one_tick_and_no_odometer_cap():
+    rep = run_goal_conditioned(ExperimentSpec(
+        task="goal_conditioned", world=_GOAL_ARENA, trials=1,
+        max_time_s=CONTROL_PERIOD_S, max_distance_m=math.inf))
+    assert rep.per_trial[0].trajectory_log.count("\n") == 2   # header and one tick
 
 
 def test_runners_reject_mismatched_task():

@@ -17,11 +17,11 @@ import pytest
 from repshield import (AvoidanceConfig, CameraMount, ControlCommand,
                        construct_obstacle_map, back_project, intrinsics_for_fov)
 from repshield.platforms import get_platform
-from repshield.sim import (AgentTrack, Circle, GoalSeeker, Polygon, RobotState,
-                           WorldModel, Wanderer, check_collision, column_depths,
+from repshield.sim import (FAR_LIMIT_M, AgentTrack, Circle, GoalSeeker, Polygon,
+                           RobotState, WorldModel, Wanderer, check_collision, column_depths,
                            load_world, perturb_agent, raycast_depth,
                            save_world, step_kinematics)
-from repshield.harness import run_episode
+from repshield.harness import GOAL_RADIUS_M, run_episode
 
 
 def _square(cx, cy, side):
@@ -193,12 +193,16 @@ def test_raycast_agent_moves_with_time():
 
 
 def test_raycast_far_limit_blanks_columns():
-    w = WorldModel(bounds=(0, 0, 40, 40), bounds_solid=True)
+    # Walls just beyond and just inside FAR_LIMIT_M, straight ahead.
     robot = RobotState(20.0, 20.0, 0.0)
     mount = CameraMount(height_m=0.3, fov_deg=60.0)
     intr = intrinsics_for_fov(5, 2, 60.0)
-    assert np.all(column_depths(w, robot, intr, mount, far=5.0) == 0.0)
-    assert np.all(column_depths(w, robot, intr, mount, far=25.0) > 0.0)
+    beyond = WorldModel(bounds=(0, 0, 20.0 + FAR_LIMIT_M + 0.1, 40), bounds_solid=True)
+    within = WorldModel(bounds=(0, 0, 20.0 + FAR_LIMIT_M - 0.1, 40), bounds_solid=True)
+    assert np.all(column_depths(beyond, robot, intr, mount) == 0.0)
+    near = column_depths(within, robot, intr, mount)
+    assert near[2] == pytest.approx(FAR_LIMIT_M - 0.1, abs=1e-12)
+    assert np.all(near > 0.0)
 
 
 def test_property_raycast_translation_invariance():
@@ -412,11 +416,17 @@ def test_closed_loop_empty_world_reaches_goal():
     w = WorldModel(bounds=(-2.0, -5.0, 12.0, 5.0), bounds_solid=False)
     start = RobotState(0.0, 0.0, 0.0, plat.footprint_radius_m, plat.name)
     res = run_episode(w, GoalSeeker(), platform=plat, shield=True, start=start,
-                      goals=np.array([[5.0, 0.0]]), max_time_s=60.0,
-                      goal_radius_m=0.1)
+                      goals=np.array([[5.0, 0.0]]), max_time_s=60.0)
     assert res.arrived
     assert res.collisions == 0
-    assert math.hypot(res.final_state.x - 5.0, res.final_state.y) < 0.1
+    # Each logged row is the pose at the start of the next tick; the episode
+    # ends on the first one within the goal radius.
+    rows = [line.split(",") for line in res.trajectory_log.splitlines()[1:]]
+    gaps = [math.hypot(float(r[1]) - 5.0, float(r[2])) for r in rows]
+    assert gaps[-1] <= GOAL_RADIUS_M
+    assert all(gap > GOAL_RADIUS_M for gap in gaps[:-1])
+    assert float(rows[-1][0]) == res.completion_time_s
+    assert (res.final_state.x, res.final_state.y) == (float(rows[-1][1]), float(rows[-1][2]))
     # Passthrough cruising: 5 m at 0.2 m/s is 25 s of travel, minus the
-    # goal radius, so roughly 24.5 s.
-    assert res.completion_time_s == pytest.approx(24.6, abs=0.5)
+    # goal radius, so roughly 23.5 s.
+    assert res.completion_time_s == pytest.approx(23.5, abs=0.5)
