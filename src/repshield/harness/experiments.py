@@ -51,6 +51,8 @@ class ExperimentSpec:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not (math.isfinite(self.max_time_s) and self.max_time_s >= CONTROL_PERIOD_S):
             raise ValueError(f"max_time_s must be finite and at least {CONTROL_PERIOD_S}, "
                              f"got {self.max_time_s}")

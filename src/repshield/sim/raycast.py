@@ -57,14 +57,11 @@ def column_depths(world: WorldModel, robot: RobotState, intrinsics: CameraIntrin
         t_hit = np.where(ok, t_hit, np.inf)
         t_best = np.minimum(t_best, t_hit.min(axis=1))
 
-    centers = [c.center for c in world.circles] + \
-              [ag.position(t) for ag in world.agents]
-    radii = [c.radius for c in world.circles] + [ag.radius for ag in world.agents]
-    if centers:
-        oc = np.asarray(centers) - origin
-        r2 = np.asarray(radii) ** 2
+    centers, radii = world.discs(t)
+    if radii.size:
+        oc = centers - origin
         b = dirs @ oc.T
-        c_term = np.einsum("ij,ij->i", oc, oc) - r2
+        c_term = np.einsum("ij,ij->i", oc, oc) - radii ** 2
         disc = b * b - c_term[None, :]
         sqrt_disc = np.sqrt(np.maximum(disc, 0.0))
         near = b - sqrt_disc

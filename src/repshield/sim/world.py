@@ -8,6 +8,7 @@ is set the rectangle boundary behaves as four walls.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -50,11 +51,6 @@ class Polygon:
         cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
         if np.any(cross > 1e-12) and np.any(cross < -1e-12):
             raise ValueError("polygon is not convex")
-
-    @property
-    def edges(self) -> np.ndarray:
-        """Edge segments, shape (N, 2, 2): [i] runs vertex i -> i+1."""
-        return np.stack((self.vertices, np.roll(self.vertices, -1, axis=0)), axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,22 +140,38 @@ class WorldModel:
                 raise ValueError(f"polygon vertices outside bounds {self.bounds}")
 
     @cached_property
+    def polygon_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """All polygon edges as one (E, 2, 2) array, E >= 0, and each polygon's first index."""
+        verts = [p.vertices for p in self.polygons]
+        segs = np.concatenate([np.empty((0, 2, 2))] + [
+            np.stack((v, np.roll(v, -1, axis=0)), axis=1) for v in verts])
+        return segs, np.cumsum([0] + [len(v) for v in verts])[:-1]
+
+    @cached_property
     def static_segments(self) -> np.ndarray:
         """All static wall/edge segments, shape (S, 2, 2); S may be 0."""
-        segs = [p.edges for p in self.polygons]
+        segs = [self.polygon_edges[0]]
         if self.bounds_solid:
             xmin, ymin, xmax, ymax = self.bounds
             corners = np.array([[xmin, ymin], [xmax, ymin], [xmax, ymax], [xmin, ymax]])
             segs.append(np.stack((corners, np.roll(corners, -1, axis=0)), axis=1))
-        if not segs:
-            return np.empty((0, 2, 2))
         return np.concatenate(segs, axis=0)
+
+    @cached_property
+    def _disc_table(self) -> tuple[np.ndarray, np.ndarray]:
+        return (np.array([c.center for c in self.circles]).reshape(-1, 2),
+                np.array([c.radius for c in self.circles] + [a.radius for a in self.agents]))
+
+    def discs(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Centers (K, 2) and radii (K,) of the circles, then of each agent at time t."""
+        centers, radii = self._disc_table
+        if self.agents:
+            centers = np.concatenate((centers, [a.position(t) for a in self.agents]))
+        return centers, radii
 
 
 def _point_segment_distances(p: np.ndarray, segments: np.ndarray) -> np.ndarray:
     """Distance from one point to each segment, shape (S,)."""
-    if segments.shape[0] == 0:
-        return np.empty(0)
     a = segments[:, 0]
     b = segments[:, 1]
     ab = b - a
@@ -170,14 +182,6 @@ def _point_segment_distances(p: np.ndarray, segments: np.ndarray) -> np.ndarray:
     t = np.clip(t, 0.0, 1.0)
     closest = a + t[:, None] * ab
     return np.hypot(*(p - closest).T)
-
-
-def _inside_convex(p: np.ndarray, verts: np.ndarray) -> bool:
-    nxt = np.roll(verts, -1, axis=0)
-    edge = nxt - verts
-    rel = p - verts
-    cross = edge[:, 0] * rel[:, 1] - edge[:, 1] * rel[:, 0]
-    return bool(np.all(cross >= 0) or np.all(cross <= 0))
 
 
 def check_collision(world: WorldModel, robot, t: float = 0.0) -> bool:
@@ -195,18 +199,17 @@ def check_collision(world: WorldModel, robot, t: float = 0.0) -> bool:
         if wall_clearance <= r:
             return True
 
-    for c in world.circles:
-        if np.hypot(*(p - c.center)) <= c.radius + r:
-            return True
-    for poly in world.polygons:
-        if _inside_convex(p, poly.vertices):
-            return True
-        if np.any(_point_segment_distances(p, poly.edges) <= r):
-            return True
-    for agent in world.agents:
-        if np.hypot(*(p - agent.position(t))) <= agent.radius + r:
-            return True
-    return False
+    centers, radii = world.discs(t)
+    if radii.size and (np.hypot(*(p - centers).T) <= radii + r).any():
+        return True
+    segs, first = world.polygon_edges
+    if not first.size:
+        return False
+    edge = segs[:, 1] - segs[:, 0]
+    rel = p - segs[:, 0]
+    cross = edge[:, 0] * rel[:, 1] - edge[:, 1] * rel[:, 0]
+    inside = np.logical_and.reduceat(np.stack((cross >= 0, cross <= 0)), first, axis=1)
+    return bool(inside.any() or (_point_segment_distances(p, segs) <= r).any())
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +261,13 @@ def load_world(path: str | Path) -> WorldModel:
     def fail(lineno, msg):
         raise InputFormatError(f"{path}:{lineno}: {msg}")
 
+    def finite(lineno, tokens) -> list[float]:
+        values = [float(v) for v in tokens]
+        for token, value in zip(tokens, values):
+            if not math.isfinite(value):
+                fail(lineno, f"numbers must be finite, got {token}")
+        return values
+
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -265,7 +275,7 @@ def load_world(path: str | Path) -> WorldModel:
         kind, *rest = line.split()
         try:
             if kind == "bounds":
-                bounds = tuple(float(v) for v in rest)
+                bounds = tuple(finite(lineno, rest))
                 if len(bounds) != 4:
                     fail(lineno, "bounds needs 4 numbers")
             elif kind == "seed":
@@ -275,26 +285,26 @@ def load_world(path: str | Path) -> WorldModel:
             elif kind == "start":
                 if len(rest) != 3:
                     fail(lineno, "start needs x y heading")
-                start = tuple(float(v) for v in rest)
+                start = tuple(finite(lineno, rest))
             elif kind == "goal":
                 if len(rest) != 2:
                     fail(lineno, "goal needs x y")
-                goals.append([float(rest[0]), float(rest[1])])
+                goals.append(finite(lineno, rest))
             elif kind == "circle":
                 if len(rest) != 3:
                     fail(lineno, "circle needs cx cy r")
-                circles.append(Circle(np.array([float(rest[0]), float(rest[1])]),
-                                      float(rest[2])))
+                cx, cy, radius = finite(lineno, rest)
+                circles.append(Circle(np.array([cx, cy]), radius))
             elif kind == "polygon":
                 n = int(rest[0])
-                coords = [float(v) for v in rest[1:]]
+                coords = finite(lineno, rest[1:])
                 if len(coords) != 2 * n:
                     fail(lineno, f"polygon declared {n} vertices, found {len(coords) / 2}")
                 polygons.append(Polygon(np.array(coords).reshape(n, 2)))
             elif kind == "agent":
-                radius = float(rest[0])
+                radius, = finite(lineno, rest[:1])
                 n = int(rest[1])
-                vals = [float(v) for v in rest[2:]]
+                vals = finite(lineno, rest[2:])
                 if len(vals) != 3 * n:
                     fail(lineno, f"agent declared {n} knots, found {len(vals) / 3}")
                 arr = np.array(vals).reshape(n, 3)

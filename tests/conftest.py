@@ -3,7 +3,8 @@
 The oracles here are written as plain linear scans, deliberately not
 sharing any code path with the package: the binning oracle walks points
 one by one with a dict, the force oracle sums per-obstacle contributions
-with scalar math and picks the argmax by exhaustive comparison.
+with scalar math and picks the argmax by exhaustive comparison, and the
+collision oracle tests each circle, polygon and agent in its own loop.
 """
 
 from __future__ import annotations
@@ -95,3 +96,66 @@ def oracle_dominant(waypoints, obstacles, direction_mode: str = "repel"):
         if mag > best_mag:
             best, best_mag = k, mag
     return np.array(forces), best
+
+
+# ---------------------------------------------------------------------------
+# Collision oracle
+# ---------------------------------------------------------------------------
+# The per-object collision check the array version replaced, kept with its
+# exact arithmetic: the contract is bitwise agreement, not closeness.
+
+_COLLISION_TOLERANCE_M = 1e-9
+
+
+def _polygon_edges(vertices: np.ndarray) -> np.ndarray:
+    """Edge segments, shape (N, 2, 2): [i] runs vertex i -> i+1."""
+    return np.stack((vertices, np.roll(vertices, -1, axis=0)), axis=1)
+
+
+def _point_segment_distances(p: np.ndarray, segments: np.ndarray) -> np.ndarray:
+    """Distance from one point to each segment, shape (S,)."""
+    if segments.shape[0] == 0:
+        return np.empty(0)
+    a = segments[:, 0]
+    b = segments[:, 1]
+    ab = b - a
+    ap = p - a
+    denom = np.einsum("ij,ij->i", ab, ab)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = np.where(denom > 0, np.einsum("ij,ij->i", ap, ab) / denom, 0.0)
+    t = np.clip(t, 0.0, 1.0)
+    closest = a + t[:, None] * ab
+    return np.hypot(*(p - closest).T)
+
+
+def _inside_convex(p: np.ndarray, verts: np.ndarray) -> bool:
+    nxt = np.roll(verts, -1, axis=0)
+    edge = nxt - verts
+    rel = p - verts
+    cross = edge[:, 0] * rel[:, 1] - edge[:, 1] * rel[:, 0]
+    return bool(np.all(cross >= 0) or np.all(cross <= 0))
+
+
+def oracle_collision(world, robot, t: float = 0.0) -> bool:
+    """True iff the robot disc touches anything at time t (closed contact)."""
+    p = np.array([robot.x, robot.y])
+    r = robot.footprint_radius + _COLLISION_TOLERANCE_M
+
+    if world.bounds_solid:
+        xmin, ymin, xmax, ymax = world.bounds
+        wall_clearance = min(p[0] - xmin, xmax - p[0], p[1] - ymin, ymax - p[1])
+        if wall_clearance <= r:
+            return True
+
+    for c in world.circles:
+        if np.hypot(*(p - c.center)) <= c.radius + r:
+            return True
+    for poly in world.polygons:
+        if _inside_convex(p, poly.vertices):
+            return True
+        if np.any(_point_segment_distances(p, _polygon_edges(poly.vertices)) <= r):
+            return True
+    for agent in world.agents:
+        if np.hypot(*(p - agent.position(t))) <= agent.radius + r:
+            return True
+    return False

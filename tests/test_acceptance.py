@@ -128,6 +128,7 @@ _INVARIANT_TESTS = {
         "test_property_raycast_translation_invariance",
         "test_property_displacement_bounded_by_speed",
         "test_property_collision_monotone_in_radius",
+        "test_property_collision_oracle_equivalence",
         "test_closed_loop_empty_world_reaches_goal",
     ],
     "test_harness": [

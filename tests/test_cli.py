@@ -166,7 +166,8 @@ def test_replay_applies_rotation_latch(tmp_path, capsys):
     (["dynamic", "--scenario", "side_appear", "--trials", "1", "--max-time", "nan"],
      "max_time_s"),
     (["replay", "--frames", ".", "--trajectory", "t.tj1", "--dt", "0"], "--dt"),
-], ids=["explore", "goal", "dynamic", "replay"])
+    (["goal", "--world", "corridor_empty", "--trials", "1", "--seed", "-1"], "seed"),
+], ids=["explore", "goal", "dynamic", "replay", "seed"])
 def test_bad_caps_and_dt_exit_1(argv, name, capsys):
     rc = main(argv)
     captured = capsys.readouterr()

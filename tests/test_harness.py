@@ -241,6 +241,7 @@ def test_spec_validation():
     {"max_time_s": -1.0}, {"max_time_s": 0.0}, {"max_time_s": 0.05},
     {"max_time_s": math.nan}, {"max_time_s": math.inf},
     {"max_distance_m": 0.0}, {"max_distance_m": -1.0}, {"max_distance_m": math.nan},
+    {"seed": -1},
 ])
 def test_spec_rejects_bad_caps(caps):
     with pytest.raises(ValueError):

@@ -10,18 +10,23 @@ which every hand-computed case below evaluates directly.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from repshield import (AvoidanceConfig, CameraMount, ControlCommand,
                        construct_obstacle_map, back_project, intrinsics_for_fov)
+from repshield.errors import InputFormatError
 from repshield.platforms import get_platform
 from repshield.sim import (FAR_LIMIT_M, AgentTrack, Circle, GoalSeeker, Polygon,
                            RobotState, WorldModel, Wanderer, check_collision, column_depths,
                            load_world, perturb_agent, raycast_depth,
                            save_world, step_kinematics)
 from repshield.harness import GOAL_RADIUS_M, run_episode
+from repshield.worldgen import BUNDLED_WORLDS, bundled_world_path
+
+from conftest import oracle_collision
 
 
 def _square(cx, cy, side):
@@ -141,6 +146,55 @@ def test_property_collision_monotone_in_radius():
         r_small = r_big * float(rng.uniform(0.1, 1.0))
         if not check_collision(w, RobotState(x, y, 0.0, r_big)):
             assert not check_collision(w, RobotState(x, y, 0.0, r_small))
+
+
+def _mixed_world():
+    """Circles, boxes, a triangle and one agent, with open bounds."""
+    track = AgentTrack(0.2, np.array([0.0, 6.0, 15.0]),
+                       np.array([[-3.5, -1.0], [3.0, 1.0], [0.0, 3.5]]))
+    triangle = Polygon(np.array([[-1.0, -2.5], [0.0, -1.5], [1.0, -3.0]]))  # clockwise
+    return WorldModel(bounds=(-4, -4, 4, 4),
+                      circles=(Circle(np.array([-2.0, 2.0]), 0.5),
+                               Circle(np.array([2.5, -2.5]), 0.3)),
+                      polygons=(_square(1.0, 1.0, 0.8), _square(-2.5, -1.0, 0.4), triangle),
+                      agents=(track,), bounds_solid=False)
+
+
+def _tangent_poses(world, r, t):
+    """Robot centers at distance r, r + 1e-9 and r + 2e-9 from the xmin wall,
+    from the middle of each polygon's first edge (outward) and from each
+    disc at time t."""
+    xmin, ymin, _, ymax = world.bounds
+    anchors = [(np.array([xmin, 0.5 * (ymin + ymax)]), np.array([1.0, 0.0]))]
+    for poly in world.polygons:
+        a, b = poly.vertices[0], poly.vertices[1]
+        normal = np.array([b[1] - a[1], a[0] - b[0]]) / np.hypot(*(b - a))
+        mid = 0.5 * (a + b)
+        if np.dot(normal, mid - poly.vertices.mean(axis=0)) < 0:
+            normal = -normal
+        anchors.append((mid, normal))
+    centers, radii = world.discs(t)
+    anchors += [(c + np.array([rad, 0.0]), np.array([1.0, 0.0])) for c, rad in zip(centers, radii)]
+    return [p + (r + k * 1e-9) * n for p, n in anchors for k in range(3)]
+
+
+def test_property_collision_oracle_equivalence():
+    rng = np.random.default_rng(54)
+    worlds = [load_world(bundled_world_path(name)) for name in BUNDLED_WORLDS]
+    for world in worlds + [_mixed_world()]:
+        xmin, ymin, xmax, ymax = world.bounds
+        for k in range(100):
+            t = float(rng.uniform(0.0, 15.0))
+            cases = [(np.array([rng.uniform(xmin - 0.5, xmax + 0.5),
+                                rng.uniform(ymin - 0.5, ymax + 0.5)]),
+                      0.1705 if k % 2 else float(rng.uniform(0.05, 0.6)))]
+            if k < 3:
+                cases += [(c, 0.1705) for c in _tangent_poses(world, 0.1705, t)]
+                # Deep inside: only the containment test can see these.
+                cases += [(poly.vertices.mean(axis=0), 0.01) for poly in world.polygons]
+            for center, r in cases:
+                robot = RobotState(float(center[0]), float(center[1]), 0.0, r)
+                assert check_collision(world, robot, t) == oracle_collision(world, robot, t)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +395,24 @@ def test_world_file_errors(tmp_path):
         load_world(p)
     p.write_text("WORLD1\nseed 3\n")   # no bounds line
     with pytest.raises(Exception):
+        load_world(p)
+
+
+_FINITE_WORLD = ["WORLD1", "bounds 0 0 4 4", "start 1 1 0", "goal 3 3", "circle 2 3 0.2",
+                 "polygon 3 1 2 2 2 1.5 2.5", "agent 0.2 2 0 0.5 0.5 5 3.5 0.5"]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind", ["bounds", "start", "goal", "circle", "polygon", "agent"])
+def test_world_file_rejects_non_finite(tmp_path, kind, bad):
+    p = tmp_path / "w.world"
+    p.write_text("\n".join(_FINITE_WORLD) + "\n")
+    load_world(p)
+    lineno = next(i for i, line in enumerate(_FINITE_WORLD, start=1) if line.startswith(kind))
+    lines = list(_FINITE_WORLD)
+    lines[lineno - 1] = lines[lineno - 1].rsplit(" ", 1)[0] + " " + bad
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputFormatError, match=f"{re.escape(str(p))}:{lineno}: .*finite"):
         load_world(p)
 
 
