@@ -16,7 +16,7 @@ import numpy as np
 from ..pipeline import DECISION_LOG_HEADER, avoidance_step, decision_log_row
 from ..platforms import SIM_FRAME_ROWS, PlatformSpec
 from ..repulsion import Trajectory
-from ..safety import ControlCommand, RotationLatch
+from ..safety import ControlCommand, RotationLatch, turn_rate
 from ..sim import (RobotState, WorldModel, check_collision, policy_trajectory,
                    raycast_depth, step_kinematics)
 
@@ -49,8 +49,7 @@ def follow_waypoint_command(traj: Trajectory, safety) -> ControlCommand:
     if wp[0] == 0.0 and wp[1] == 0.0:
         return ControlCommand(0.0, 0.0)
     theta = math.atan2(wp[1], wp[0])
-    omega = float(np.clip(safety.k_omega * theta, -safety.omega_max, safety.omega_max))
-    return ControlCommand(safety.v_fwd, omega)
+    return ControlCommand(safety.v_fwd, turn_rate(theta, safety))
 
 
 def run_episode(world: WorldModel, policy, *, platform: PlatformSpec,

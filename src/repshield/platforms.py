@@ -9,11 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import AvoidanceConfig, SafetyParams
+from .config import AvoidanceConfig
 from .projection import CameraIntrinsics, CameraMount, intrinsics_for_fov
-
-V_MAX_MPS = 0.2
-OMEGA_MAX_RPS = 0.8
 
 # The simulated world is planar, so image rows carry no extra geometry
 # and the obstacle map is identical for any row count; frames are
@@ -70,9 +67,7 @@ class PlatformSpec:
 
     def config(self) -> AvoidanceConfig:
         return AvoidanceConfig(mount=self.mount(), tau_z=self.tau_z_m,
-                               bin_count=self.default_bin_count,
-                               safety=SafetyParams(v_fwd=V_MAX_MPS, v_max=V_MAX_MPS,
-                                                   omega_max=OMEGA_MAX_RPS))
+                               bin_count=self.default_bin_count)
 
 
 PLATFORMS = {

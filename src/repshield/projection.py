@@ -37,8 +37,10 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError(f"focal lengths must be positive, got fx={self.fx} fy={self.fy}")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise ValueError(
+                f"focal lengths must be finite and positive, got fx={self.fx} fy={self.fy}"
+            )
         if self.width < 1 or self.height < 1:
             raise ValueError(f"image size must be at least 1x1, got {self.width}x{self.height}")
         if not (0 <= self.cx < self.width) or not (0 <= self.cy < self.height):
@@ -223,10 +225,9 @@ def construct_obstacle_map(cloud: PointCloud, cfg: "AvoidanceConfig") -> Obstacl
     width = 2.0 * half / bin_count
     bins = np.minimum((np.floor((x + half) / width)).astype(np.int64), bin_count - 1)
 
-    # Sort by (bin, z, original index); the first row of each bin group is
-    # then exactly the linear-scan winner including the index tie-break.
-    idx = np.arange(x.size)
-    order = np.lexsort((idx, z, bins))
+    # Sort by (bin, z); np.lexsort is stable, so the first row of each bin
+    # group is exactly the linear-scan winner including the index tie-break.
+    order = np.lexsort((z, bins))
     sorted_bins = bins[order]
     first = np.concatenate(([0], np.nonzero(np.diff(sorted_bins))[0] + 1))
     sel = order[first]

@@ -67,7 +67,7 @@ def _obstacle_points(obstacles: ObstacleMap | np.ndarray) -> np.ndarray:
 
 def repulsive_force(waypoint: np.ndarray, obstacles: ObstacleMap | np.ndarray,
                     direction_mode: str = "repel") -> np.ndarray:
-    """Summed obstacle force on one waypoint.
+    """Summed obstacle force on one waypoint, shape (2,), or on K, shape (K, 2).
 
     Each obstacle at distance d contributes magnitude 1/d^3 along the
     waypoint-obstacle axis; ``repel`` points away from the obstacle,
@@ -75,24 +75,23 @@ def repulsive_force(waypoint: np.ndarray, obstacles: ObstacleMap | np.ndarray,
     result does not depend on summation blocking.
 
     Raises:
-        SingularityError: the waypoint coincides exactly with an obstacle.
+        SingularityError: a waypoint coincides exactly with an obstacle;
+            the first such waypoint reports its lowest obstacle index.
     """
     pts = _obstacle_points(obstacles)
-    if pts.shape[0] == 0:
-        return np.zeros(2)
     p = np.asarray(waypoint, dtype=np.float64)
-    diffs = p - pts
-    dists = np.hypot(diffs[:, 0], diffs[:, 1])
-    zero = np.nonzero(dists == 0.0)[0]
+    diffs = p.reshape(-1, 1, 2) - pts
+    dists = np.hypot(diffs[..., 0], diffs[..., 1])
+    zero = np.nonzero(dists == 0.0)[1]
     if zero.size:
         raise SingularityError(int(zero[0]))
-    units = diffs / dists[:, None]
-    clamped = np.maximum(dists, MIN_OBSTACLE_DISTANCE_M)
-    scale = -1.0 / clamped**3
+    units = diffs / dists[..., None]
+    scale = -1.0 / np.maximum(dists, MIN_OBSTACLE_DISTANCE_M)**3
     if direction_mode == "repel":
         scale = -scale
-    contrib = scale[:, None] * units
-    return np.array([math.fsum(contrib[:, 0]), math.fsum(contrib[:, 1])])
+    contrib = scale[..., None] * units
+    return np.array([[math.fsum(xs), math.fsum(ys)]
+                     for xs, ys in contrib.transpose(0, 2, 1).tolist()]).reshape(p.shape)
 
 
 def estimate_repulsive_direction(traj: Trajectory, obstacles: ObstacleMap | np.ndarray,
@@ -103,8 +102,7 @@ def estimate_repulsive_direction(traj: Trajectory, obstacles: ObstacleMap | np.n
     smallest index, which also covers the all-zero case of an empty
     obstacle set.
     """
-    forces = np.array([repulsive_force(wp, obstacles, cfg.direction_mode)
-                       for wp in traj.waypoints])
+    forces = repulsive_force(traj.waypoints, obstacles, cfg.direction_mode)
     magnitudes = np.hypot(forces[:, 0], forces[:, 1])
     k = int(np.argmax(magnitudes))
     fx, fy = forces[k]

@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import SafetyParams
 from .errors import DegenerateHeadingError
 from .repulsion import Trajectory
@@ -43,6 +41,11 @@ def compute_desired_heading(adjusted: Trajectory, dominant_index: int) -> float:
     return theta
 
 
+def turn_rate(heading: float, params: SafetyParams) -> float:
+    """Angular velocity k_omega * heading, clipped to [-omega_max, omega_max]."""
+    return float(min(max(params.k_omega * heading, -params.omega_max), params.omega_max))
+
+
 def gate_command(theta_des: float, params: SafetyParams) -> ControlCommand:
     """Issue (v, omega) from the desired heading.
 
@@ -50,7 +53,7 @@ def gate_command(theta_des: float, params: SafetyParams) -> ControlCommand:
     omega_max. Forward speed is v_fwd only while |theta_des| stays within
     the safe cone; strictly beyond theta_thres the robot rotates in place.
     """
-    omega = float(np.clip(params.k_omega * theta_des, -params.omega_max, params.omega_max))
+    omega = turn_rate(theta_des, params)
     if abs(theta_des) > params.theta_thres:
         return ControlCommand(0.0, omega)
     return ControlCommand(params.v_fwd, omega)

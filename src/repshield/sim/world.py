@@ -279,9 +279,13 @@ def load_world(path: str | Path) -> WorldModel:
                 if len(bounds) != 4:
                     fail(lineno, "bounds needs 4 numbers")
             elif kind == "seed":
+                if len(rest) != 1 or not rest[0].isdigit():
+                    fail(lineno, "seed needs one non-negative integer")
                 seed = int(rest[0])
             elif kind == "bounds_solid":
-                solid = bool(int(rest[0]))
+                if rest not in (["0"], ["1"]):
+                    fail(lineno, "bounds_solid needs exactly 0 or 1")
+                solid = rest == ["1"]
             elif kind == "start":
                 if len(rest) != 3:
                     fail(lineno, "start needs x y heading")

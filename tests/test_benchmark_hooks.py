@@ -2,8 +2,9 @@
 its callers look them up under. Its own self-test is not part of this
 suite, so this check runs one short traced case and requires every traced
 layer, and the per-tick clock, to still be reached. It also replays the
-shortest goal and dynamic-obstacle cases the benchmark recorded and requires
-their reference output digests."""
+shortest goal and dynamic-obstacle cases the benchmark recorded, and a spread
+of its native-resolution replay poses, and requires their reference output
+digests."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repshield import pipeline
 from repshield.harness import ExperimentSpec
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -52,3 +54,17 @@ def test_recorded_case_matches_reference(workloads, workload, case):
     benchmark's reference digests of every report and log byte."""
     expected = workloads.load_reference()[workload][case]
     assert workloads.case_outcome(workloads.run_case(workload, case)) == expected
+
+
+@pytest.mark.parametrize("platform", ["locobot", "turtlebot4", "robomaster"])
+def test_native_replay_matches_reference(workloads, platform):
+    """Every 40th replay pool pose at the platform's native resolution gives
+    the benchmark's reference command, heading and adjusted waypoints; the
+    sample holds passthrough frames (robomaster 0 and 160, turtlebot4 200)."""
+    p = workloads.PLATFORM_NAMES.index(platform)
+    entries = workloads.load_reference()["native_replay"][platform]
+    worlds = workloads.corridor_worlds()
+    for j in range(0, workloads.REPLAY_POOL, 40):
+        decision = pipeline.avoidance_step(*workloads.replay_case(p, j, worlds))
+        assert workloads.decision_digest(decision) == entries[j]["digest"], j
+        assert decision.passthrough == entries[j]["passthrough"], j

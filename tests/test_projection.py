@@ -10,6 +10,7 @@ and the robot-frame transform x = (Z - depth_offset) + x_offset, y = -X.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -314,6 +315,18 @@ def test_depth_frame_load_errors(tmp_path):
         load_depth_frame(p, CameraMount(height_m=0.3))
     p.write_text("DF1 2 2 1.0 oops 0.5 0.5\n0 0 0 0\n")
     with pytest.raises(InputFormatError):
+        load_depth_frame(p, CameraMount(height_m=0.3))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["fx", "fy"])
+def test_depth_frame_rejects_non_finite_focal_length(tmp_path, key, bad):
+    # Before the check, fx = inf mapped every pixel to X = 0 (one obstacle
+    # dead ahead) and fx = nan failed later without naming the file.
+    p = tmp_path / "bad.df1"
+    focal = {"fx": "1.0", "fy": "1.0", key: bad}
+    p.write_text(f"DF1 2 2 {focal['fx']} {focal['fy']} 0.5 0.5\n1 1 1 1\n")
+    with pytest.raises(InputFormatError, match=f"{re.escape(str(p))}: focal lengths"):
         load_depth_frame(p, CameraMount(height_m=0.3))
 
 

@@ -168,6 +168,16 @@ def test_estimate_duplicate_waypoints_tie_to_lowest_index():
     assert res.dominant_index == 0
 
 
+def test_estimate_singularity_reports_first_waypoint_in_order():
+    # Waypoint 2 sits on obstacle 3 and waypoint 5 on obstacle 1: the first
+    # coincident pair in waypoint order is reported, not the lowest obstacle.
+    wps = np.column_stack((np.arange(1.0, 9.0), np.full(8, 0.5)))
+    obs = np.array([[0.0, -1.0], wps[5], [0.0, -2.0], wps[2], [0.0, -3.0]])
+    with pytest.raises(SingularityError) as err:
+        estimate_repulsive_direction(Trajectory(wps), obs, _cfg())
+    assert err.value.obstacle_index == 3
+
+
 def test_property_oracle_equivalence_small():
     rng = np.random.default_rng(25)
     cfg = _cfg()

@@ -99,6 +99,20 @@ def test_property_branch_exhaustive_and_limits():
             assert math.copysign(1.0, cmd.omega) == math.copysign(1.0, theta)
 
 
+def test_gate_omega_is_clip_bit_for_bit():
+    # Signed zeros and the exact saturation boundaries included; omega is
+    # always a Python float so the logs print plain reprs.
+    p = SafetyParams()
+    edge = p.omega_max / p.k_omega
+    rng = np.random.default_rng(33)
+    thetas = [0.0, -0.0, edge, -edge, math.pi, -math.pi, *rng.uniform(-math.pi, math.pi, 500)]
+    for theta in thetas:
+        omega = gate_command(theta, p).omega
+        expected = float(np.clip(p.k_omega * theta, -p.omega_max, p.omega_max))
+        assert type(omega) is float
+        assert (omega, math.copysign(1.0, omega)) == (expected, math.copysign(1.0, expected))
+
+
 def test_gate_zero_heading_goes_straight():
     cmd = gate_command(0.0, SafetyParams())
     assert cmd.v == 0.2 and cmd.omega == 0.0

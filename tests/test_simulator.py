@@ -416,6 +416,23 @@ def test_world_file_rejects_non_finite(tmp_path, kind, bad):
         load_world(p)
 
 
+@pytest.mark.parametrize("line", ["seed -5", "seed 1.5", "seed", "seed 3 4", "seed x",
+                                  "bounds_solid 7", "bounds_solid -1", "bounds_solid",
+                                  "bounds_solid 0 1", "bounds_solid true"])
+def test_world_file_rejects_bad_seed_and_bounds_solid(tmp_path, line):
+    p = tmp_path / "w.world"
+    p.write_text("\n".join(_FINITE_WORLD[:2] + [line] + _FINITE_WORLD[2:]) + "\n")
+    with pytest.raises(InputFormatError, match=f"{re.escape(str(p))}:3: {line.split()[0]} needs"):
+        load_world(p)
+
+
+def test_world_file_reads_seed_and_bounds_solid(tmp_path):
+    p = tmp_path / "w.world"
+    p.write_text("\n".join(_FINITE_WORLD[:2] + ["seed 42", "bounds_solid 0"]) + "\n")
+    world = load_world(p)
+    assert world.rng_seed == 42 and world.bounds_solid is False
+
+
 # ---------------------------------------------------------------------------
 # Policies
 # ---------------------------------------------------------------------------
