@@ -9,7 +9,7 @@ supported evaluation protocols at desk scale.
 
 from .config import AvoidanceConfig, SafetyParams
 from .errors import DegenerateHeadingError, InputFormatError, SingularityError
-from .pipeline import (AvoidanceDecision, avoidance_step, decision_log_row,
+from .pipeline import (AvoidanceDecision, Shield, avoidance_step, decision_log_row,
                        load_config, save_config)
 from .platforms import PLATFORMS, PlatformSpec, get_platform
 from .projection import (CameraIntrinsics, CameraMount, DepthFrame, ObstacleMap,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AvoidanceConfig", "SafetyParams",
     "InputFormatError", "SingularityError", "DegenerateHeadingError",
-    "AvoidanceDecision", "avoidance_step", "decision_log_row",
+    "AvoidanceDecision", "Shield", "avoidance_step", "decision_log_row",
     "load_config", "save_config",
     "PLATFORMS", "PlatformSpec", "get_platform",
     "CameraIntrinsics", "CameraMount", "DepthFrame", "PointCloud", "ObstacleMap",

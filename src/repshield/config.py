@@ -33,10 +33,10 @@ class SafetyParams:
             raise ValueError(
                 f"need 0 < v_fwd <= v_max, got v_fwd={self.v_fwd} v_max={self.v_max}"
             )
-        if self.omega_max <= 0:
-            raise ValueError(f"omega_max must be positive, got {self.omega_max}")
-        if self.k_omega <= 0:
-            raise ValueError(f"k_omega must be positive, got {self.k_omega}")
+        if not 0 < self.omega_max < math.inf:
+            raise ValueError(f"omega_max must be finite and positive, got {self.omega_max}")
+        if not 0 < self.k_omega < math.inf:
+            raise ValueError(f"k_omega must be finite and positive, got {self.k_omega}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,10 @@ class AvoidanceConfig:
     x_half_range_m: float | None = None
 
     def __post_init__(self):
-        if self.tau_z <= 0:
-            raise ValueError(f"tau_z must be positive, got {self.tau_z}")
+        if not 0 < self.tau_z < math.inf:
+            raise ValueError(f"tau_z must be finite and positive, got {self.tau_z}")
+        if not math.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be finite, got {self.epsilon}")
         if self.bin_count < 1:
             raise ValueError(f"bin_count must be at least 1, got {self.bin_count}")
         if not (0 < self.theta_clip <= math.pi):
@@ -72,5 +74,6 @@ class AvoidanceConfig:
             raise ValueError(
                 f"direction_mode must be one of {DIRECTION_MODES}, got {self.direction_mode!r}"
             )
-        if self.x_half_range_m is not None and self.x_half_range_m <= 0:
-            raise ValueError(f"x_half_range_m must be positive, got {self.x_half_range_m}")
+        if self.x_half_range_m is not None and not 0 < self.x_half_range_m < math.inf:
+            raise ValueError(
+                f"x_half_range_m must be finite and positive, got {self.x_half_range_m}")

@@ -12,12 +12,10 @@ import sys
 from pathlib import Path
 
 from ..errors import InputFormatError
-from ..pipeline import (DECISION_LOG_HEADER, avoidance_step, decision_log_row,
-                        load_config)
+from ..pipeline import DECISION_LOG_HEADER, Shield, decision_log_row, load_config
 from ..platforms import PLATFORMS, get_platform
 from ..projection import load_depth_frame
 from ..repulsion import load_trajectory
-from ..safety import RotationLatch
 from ..worldgen import DYNAMIC_SCENARIOS
 from .episodes import CONTROL_PERIOD_S
 from .experiments import (ExperimentSpec, MetricsReport, per_trial_csv, report_csv,
@@ -94,12 +92,11 @@ def _cmd_replay(args) -> int:
     if not frames:
         raise InputFormatError(f"no *.df1 frames found in {args.frames}")
     rows = [DECISION_LOG_HEADER]
-    # Latched as in closed loop, so replay logs the commands closed loop would issue.
-    latch = RotationLatch()
+    # The closed loop's Shield, so replay logs the commands closed loop would issue.
+    avoider = Shield(cfg)
     for k, frame_path in enumerate(frames):
-        frame = load_depth_frame(frame_path, cfg.mount)
-        decision = avoidance_step(frame, traj, cfg)
-        rows.append(decision_log_row(k * args.dt, decision, latch.apply(decision.command)))
+        decision, cmd = avoider.step(load_depth_frame(frame_path, cfg.mount), traj)
+        rows.append(decision_log_row(k * args.dt, decision, cmd))
     text = "\n".join(rows) + "\n"
     if args.out is not None:
         Path(args.out).write_text(text)

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..pipeline import DECISION_LOG_HEADER, avoidance_step, decision_log_row
+# avoidance_step is unused here, but a benchmark's tracer looks it up on this module.
+from ..pipeline import DECISION_LOG_HEADER, Shield, avoidance_step, decision_log_row  # noqa: F401
 from ..platforms import SIM_FRAME_ROWS, PlatformSpec
 from ..repulsion import Trajectory
-from ..safety import ControlCommand, RotationLatch, turn_rate
+from ..safety import ControlCommand, turn_rate
 from ..sim import (RobotState, WorldModel, check_collision, policy_trajectory,
                    raycast_depth, step_kinematics)
 
@@ -75,7 +76,7 @@ def run_episode(world: WorldModel, policy, *, platform: PlatformSpec,
     state = start
     traj_rows = [TRAJECTORY_LOG_HEADER]
     dec_rows = [DECISION_LOG_HEADER] if shield else None
-    latch = RotationLatch()
+    avoider = Shield(cfg)
 
     distance = 0.0
     collisions = 0
@@ -100,8 +101,7 @@ def run_episode(world: WorldModel, policy, *, platform: PlatformSpec,
         traj = policy_trajectory(policy, state, goal)
         if shield:
             frame = raycast_depth(world, state, intr, mount, t=t)
-            decision = avoidance_step(frame, traj, cfg)
-            cmd = latch.apply(decision.command)
+            decision, cmd = avoider.step(frame, traj)
             dec_rows.append(decision_log_row(t, decision, cmd))
         else:
             cmd = follow_waypoint_command(traj, cfg.safety)

@@ -1,7 +1,7 @@
 """The per-frame avoidance step: observation in, velocity command out.
 
-The step is pure: it holds no state between frames, so closed-loop behavior
-is fully determined by the stream of observations and trajectories.
+The step is pure. The one piece of state carried between frames, the
+rotation latch, lives in ``Shield``, which wraps the step for one stream.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .projection import (CameraMount, DepthFrame, ObstacleMap, PointCloud,
                          back_project, construct_obstacle_map)
 from .repulsion import (RepulsiveResult, Trajectory, estimate_repulsive_direction,
                         rotate_trajectory)
-from .safety import ControlCommand, compute_desired_heading, gate_command
+from .safety import ControlCommand, RotationLatch, compute_desired_heading, gate_command
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,6 +84,20 @@ def avoidance_step(observation: DepthFrame | PointCloud, traj: Trajectory,
     return AvoidanceDecision(adjusted, command, omap, repulsive, passthrough, theta_des)
 
 
+class Shield:
+    """The avoidance step for one stream of frames, plus its rotation latch;
+    step returns the decision and the command to execute."""
+
+    def __init__(self, cfg: AvoidanceConfig):
+        self.cfg = cfg
+        self._latch = RotationLatch()
+
+    def step(self, observation: DepthFrame | PointCloud,
+             traj: Trajectory) -> tuple[AvoidanceDecision, ControlCommand]:
+        decision = avoidance_step(observation, traj, self.cfg)
+        return decision, self._latch.apply(decision.command)
+
+
 # ---------------------------------------------------------------------------
 # Decision log
 # ---------------------------------------------------------------------------
@@ -91,15 +105,8 @@ def avoidance_step(observation: DepthFrame | PointCloud, traj: Trajectory,
 DECISION_LOG_HEADER = "t,v,omega,theta_rep,theta_rot,theta_des,passthrough,n_obstacles"
 
 
-def decision_log_row(t: float, decision: AvoidanceDecision,
-                     command: ControlCommand | None = None) -> str:
-    """One CSV row per avoidance step; floats keep full precision.
-
-    Args:
-        command: the command actually executed, when a stateful wrapper
-            (such as the rotation latch) adjusted the decision's own.
-    """
-    cmd = command if command is not None else decision.command
+def decision_log_row(t: float, decision: AvoidanceDecision, cmd: ControlCommand) -> str:
+    """One CSV row per avoidance step with the executed cmd; full-precision floats."""
     rep = decision.repulsive
     theta_rep = rep.theta_rep if rep is not None else 0.0
     theta_rot = rep.theta_rot if rep is not None else 0.0

@@ -77,8 +77,11 @@ class CameraMount:
     depth_offset_m: float = 0.0
 
     def __post_init__(self):
-        if self.height_m <= 0:
-            raise ValueError(f"camera height must be positive, got {self.height_m}")
+        if not 0 < self.height_m < math.inf:
+            raise ValueError(f"height_m must be finite and positive, got {self.height_m}")
+        for name in ("x_offset_m", "depth_offset_m"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0 < self.fov_deg <= 180):
             raise ValueError(f"fov_deg must be in (0, 180], got {self.fov_deg}")
 

@@ -110,7 +110,7 @@ def estimate_repulsive_direction(traj: Trajectory, obstacles: ObstacleMap | np.n
         theta_rep = 0.0
     else:
         theta_rep = math.atan2(fy, fx)
-    theta_rot = float(np.clip(theta_rep, -cfg.theta_clip, cfg.theta_clip))
+    theta_rot = float(min(max(theta_rep, -cfg.theta_clip), cfg.theta_clip))
     return RepulsiveResult(forces=forces, dominant_index=k,
                            theta_rep=theta_rep, theta_rot=theta_rot)
 

@@ -42,7 +42,12 @@ def test_perfbench_hooks_reach_every_layer(workloads):
     summary = tracer.summary()
     calls = {layer: summary.get(layer, {"calls": 0})["calls"] for layer in workloads.LAYERS}
     assert all(n > 0 for n in calls.values()), calls
-    assert len(clock.stamps) == workloads.logged_ticks(report) > 0
+    ticks = workloads.logged_ticks(report)
+    assert len(clock.stamps) == ticks > 0
+    # One shielded tick steps, latches and logs exactly once.
+    per_tick = ("safety.RotationLatch.apply", "pipeline.avoidance_step",
+                "pipeline.decision_log_row")
+    assert {layer: calls[layer] for layer in per_tick} == dict.fromkeys(per_tick, ticks)
 
 
 @pytest.mark.parametrize("workload, case", [

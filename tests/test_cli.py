@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from repshield import (CameraMount, DepthFrame, Trajectory, intrinsics_for_fov,
-                       save_depth_frame)
-from repshield.harness import ExperimentSpec, report_csv, run_experiment
+from repshield import (CameraMount, DepthFrame, Trajectory, get_platform,
+                       intrinsics_for_fov, save_depth_frame)
+from repshield.harness import (ExperimentSpec, episodes, report_csv, resolve_world,
+                               run_episode, run_experiment)
 from repshield.harness.cli import main
-from repshield.repulsion import save_trajectory
-from repshield.sim import WorldModel, save_world
+from repshield.repulsion import load_trajectory, save_trajectory
+from repshield.sim import RobotState, WorldModel, save_world
 
 
 @pytest.fixture
@@ -156,6 +158,59 @@ def test_replay_applies_rotation_latch(tmp_path, capsys):
     assert rc == 0
     assert [float(r[5]) > 0 for r in rows] == [True, False, True, False]   # theta_des
     assert [(float(r[1]), float(r[2])) for r in rows] == [(0.0, 0.8)] * 4
+
+
+class _FixedPolicy:
+    """Emits the same trajectory on every tick, whatever the pose or goal."""
+
+    def __init__(self, traj: Trajectory):
+        self.traj = traj
+
+    def trajectory(self, robot, goal=None) -> Trajectory:
+        return self.traj
+
+
+@pytest.mark.parametrize("world_name, start, max_time_s, min_overrides", [
+    ("exploration_boxes", (1.75, 1.4, 0.3), 20.0, 0),
+    ("corridor_03", None, 30.0, 1),
+    ("dynamic_front_approach", None, 30.0, 1),
+], ids=["exploration_boxes", "corridor_03", "dynamic_front_approach"])
+def test_replay_of_recorded_closed_loop_matches_its_decision_log(
+        world_name, start, max_time_s, min_overrides, tmp_path, monkeypatch, capsys):
+    """Replaying the frames a shielded episode rendered, with its trajectory,
+    reproduces that episode's decision log byte for byte, latch included."""
+    traj_path = tmp_path / "straight.tj1"
+    save_trajectory(Trajectory(np.column_stack((np.arange(1, 9) * 0.25, np.zeros(8)))),
+                    traj_path)
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    render, tick = episodes.raycast_depth, itertools.count()
+
+    def recording_raycast(*args, **kwargs):
+        frame = render(*args, **kwargs)
+        save_depth_frame(frame, frames_dir / f"frame_{next(tick):05d}.df1")
+        return frame
+
+    monkeypatch.setattr(episodes, "raycast_depth", recording_raycast)
+    world = resolve_world(world_name)
+    # Exploration wanders from a given pose; the goal worlds bring start and goals.
+    goals = world.goals if start is None else None
+    res = run_episode(world, _FixedPolicy(load_trajectory(traj_path)),
+                      platform=get_platform("locobot"), shield=True,
+                      start=RobotState(*(start or world.start)), goals=goals,
+                      max_time_s=max_time_s)
+    monkeypatch.undo()
+
+    log_path = tmp_path / "replay.csv"
+    rc = main(["replay", "--frames", str(frames_dir), "--trajectory", str(traj_path),
+               "--out", str(log_path)])
+    assert rc == 0, capsys.readouterr().err
+    assert log_path.read_bytes() == res.decision_log.encode()
+    # The latch overrode the gate: rotating in place against the fresh heading.
+    rows = [[float(x) for x in line.split(",")] for line in res.decision_log.splitlines()[1:]]
+    assert len(rows) == next(tick) > 0
+    overrides = sum(1 for r in rows if r[1] == 0.0 and np.sign(r[2]) != np.sign(r[5]))
+    assert overrides >= min_overrides
 
 
 @pytest.mark.parametrize("argv, name", [

@@ -195,7 +195,7 @@ def test_decision_log_row_fields():
     cfg = _cfg()
     decision = avoidance_step(PointCloud(np.array([[0.1, 0.2, 0.5]])),
                               _ahead_traj(), cfg)
-    row = decision_log_row(0.3, decision)
+    row = decision_log_row(0.3, decision, decision.command)
     parts = row.split(",")
     assert len(parts) == len(DECISION_LOG_HEADER.split(","))
     assert float(parts[0]) == 0.3
@@ -219,7 +219,7 @@ def test_decision_log_row_with_override_command():
 def test_decision_log_passthrough_zeros():
     cfg = _cfg()
     decision = avoidance_step(PointCloud(np.empty((0, 3))), _ahead_traj(), cfg)
-    parts = decision_log_row(0.0, decision).split(",")
+    parts = decision_log_row(0.0, decision, decision.command).split(",")
     assert parts[3] == "0.0" and parts[4] == "0.0"
     assert parts[6] == "1" and parts[7] == "0"
 
@@ -282,6 +282,26 @@ def test_config_rejects_non_finite_floats(tmp_path, key, value):
     path.write_text(f"# override\n{key} = {value}\n")
     with pytest.raises(InputFormatError, match=re.escape(f"{path}:2: {key} must be finite")):
         load_config(path, base=get_platform("locobot").config())
+
+
+_RECORD_FLOAT_FIELDS = {
+    "tau_z": lambda v: _cfg(tau_z=v),
+    "epsilon": lambda v: _cfg(epsilon=v),
+    "x_half_range_m": lambda v: _cfg(x_half_range_m=v),
+    "height_m": lambda v: CameraMount(height_m=v),
+    "x_offset_m": lambda v: CameraMount(height_m=0.3, x_offset_m=v),
+    "depth_offset_m": lambda v: CameraMount(height_m=0.3, depth_offset_m=v),
+    "omega_max": lambda v: SafetyParams(omega_max=v),
+    "k_omega": lambda v: SafetyParams(k_omega=v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", list(_RECORD_FLOAT_FIELDS))
+def test_config_records_reject_non_finite(field, value):
+    """The records themselves, not only load_config, refuse nan and inf."""
+    with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+        _RECORD_FLOAT_FIELDS[field](value)
 
 
 def test_config_comments_and_blanks(tmp_path):
