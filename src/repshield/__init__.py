@@ -14,8 +14,7 @@ from .pipeline import (AvoidanceDecision, Shield, avoidance_step, decision_log_r
 from .platforms import PLATFORMS, PlatformSpec, get_platform
 from .projection import (CameraIntrinsics, CameraMount, DepthFrame, ObstacleMap,
                          PointCloud, back_project, construct_obstacle_map,
-                         intrinsics_for_fov, load_depth_frame, load_point_cloud,
-                         save_depth_frame, save_point_cloud)
+                         intrinsics_for_fov, load_depth_frame, save_depth_frame)
 from .repulsion import (RepulsiveResult, Trajectory, estimate_repulsive_direction,
                         load_trajectory, repulsive_force, rotate_trajectory,
                         save_trajectory)
@@ -31,7 +30,7 @@ __all__ = [
     "PLATFORMS", "PlatformSpec", "get_platform",
     "CameraIntrinsics", "CameraMount", "DepthFrame", "PointCloud", "ObstacleMap",
     "back_project", "construct_obstacle_map", "intrinsics_for_fov",
-    "load_depth_frame", "save_depth_frame", "load_point_cloud", "save_point_cloud",
+    "load_depth_frame", "save_depth_frame",
     "RepulsiveResult", "Trajectory", "estimate_repulsive_direction",
     "repulsive_force", "rotate_trajectory", "load_trajectory", "save_trajectory",
     "ControlCommand", "compute_desired_heading", "gate_command",

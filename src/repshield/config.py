@@ -22,17 +22,14 @@ class SafetyParams:
 
     theta_thres: float = math.pi / 6
     v_fwd: float = 0.2
-    v_max: float = 0.2
     omega_max: float = 0.8
     k_omega: float = 2.0
 
     def __post_init__(self):
         if not (0 < self.theta_thres < math.pi):
             raise ValueError(f"theta_thres must be in (0, pi), got {self.theta_thres}")
-        if self.v_max <= 0 or not (0 < self.v_fwd <= self.v_max):
-            raise ValueError(
-                f"need 0 < v_fwd <= v_max, got v_fwd={self.v_fwd} v_max={self.v_max}"
-            )
+        if not 0 < self.v_fwd < math.inf:
+            raise ValueError(f"v_fwd must be finite and positive, got {self.v_fwd}")
         if not 0 < self.omega_max < math.inf:
             raise ValueError(f"omega_max must be finite and positive, got {self.omega_max}")
         if not 0 < self.k_omega < math.inf:

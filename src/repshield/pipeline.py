@@ -139,12 +139,10 @@ def save_config(cfg: AvoidanceConfig, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_config(path: str | Path, base: AvoidanceConfig | None = None) -> AvoidanceConfig:
-    """Parse a flat config file.
+def load_config(path: str | Path, base: AvoidanceConfig) -> AvoidanceConfig:
+    """Parse a flat config file; the keys it holds override ``base``.
 
-    With a base config, present keys override it; without one, every key
-    except x_half_range_m must appear. Unknown keys and non-finite floats
-    are rejected.
+    Unknown keys, duplicate keys and non-finite floats are rejected.
     """
     values: dict[str, dict[str, object]] = {"": {}, "safety": {}, "mount": {}}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -167,14 +165,6 @@ def load_config(path: str | Path, base: AvoidanceConfig | None = None) -> Avoida
         if isinstance(parsed, float) and not math.isfinite(parsed):
             raise InputFormatError(f"{path}:{lineno}: {key} must be finite, got {value}")
         values[record][key] = parsed
-
-    if base is None:
-        missing = [k for k, (record, _) in _FIELDS.items()
-                   if k not in values[record] and k != "x_half_range_m"]
-        if missing:
-            raise InputFormatError(f"{path}: missing keys {missing}")
-        # Every key but x_half_range_m is given, so only its default survives.
-        base = AvoidanceConfig(mount=CameraMount(height_m=1.0))
     try:
         return replace(base, safety=replace(base.safety, **values["safety"]),
                        mount=replace(base.mount, **values["mount"]), **values[""])

@@ -13,8 +13,9 @@ from .config import AvoidanceConfig
 from .projection import CameraIntrinsics, CameraMount, intrinsics_for_fov
 
 # The simulated world is planar, so image rows carry no extra geometry
-# and the obstacle map is identical for any row count; frames are
-# rendered with this many rows by default to keep episodes fast.
+# and the obstacle map is identical for two or more rows (one row would
+# give fy = 0, which CameraIntrinsics rejects); frames are rendered with
+# this many rows by default to keep episodes fast.
 SIM_FRAME_ROWS = 8
 
 

@@ -288,21 +288,3 @@ def load_depth_frame(path: str | Path, mount: CameraMount) -> DepthFrame:
         return DepthFrame(depths.reshape(height, width), intr, mount)
     except ValueError as exc:
         raise InputFormatError(f"{path}: {exc}") from exc
-
-
-def save_point_cloud(cloud: PointCloud, path: str | Path) -> None:
-    """Write a PC1 file: count header, then one ``x y z`` line per point."""
-    lines = [f"PC1 {len(cloud)}"]
-    for x, y, z in cloud.points:
-        lines.append(f"{float(x)!r} {float(y)!r} {float(z)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_point_cloud(path: str | Path) -> PointCloud:
-    (count,), values = _read_tagged(path, "PC1", (int,))
-    if values.size != count * 3:
-        raise InputFormatError(f"{path}: expected {count} points, found {values.size / 3}")
-    try:
-        return PointCloud(values.reshape(count, 3))
-    except ValueError as exc:
-        raise InputFormatError(f"{path}: {exc}") from exc

@@ -113,7 +113,6 @@ class WorldModel:
     circles: tuple[Circle, ...] = ()
     polygons: tuple[Polygon, ...] = ()
     agents: tuple[AgentTrack, ...] = ()
-    rng_seed: int = 0
     bounds_solid: bool = True
     start: tuple[float, float, float] | None = None
     goals: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
@@ -225,7 +224,6 @@ def save_world(world: WorldModel, path: str | Path) -> None:
     xmin, ymin, xmax, ymax = world.bounds
     lines = ["WORLD1",
              f"bounds {_num(xmin)} {_num(ymin)} {_num(xmax)} {_num(ymax)}",
-             f"seed {world.rng_seed}",
              f"bounds_solid {int(world.bounds_solid)}"]
     if world.start is not None:
         x, y, h = world.start
@@ -250,13 +248,13 @@ def load_world(path: str | Path) -> WorldModel:
         raise InputFormatError(f"{path}: expected WORLD1 header")
 
     bounds = None
-    seed = 0
     solid = True
     start = None
     goals: list[list[float]] = []
     circles: list[Circle] = []
     polygons: list[Polygon] = []
     agents: list[AgentTrack] = []
+    seen: set[str] = set()
 
     def fail(lineno, msg):
         raise InputFormatError(f"{path}:{lineno}: {msg}")
@@ -273,15 +271,15 @@ def load_world(path: str | Path) -> WorldModel:
         if not line:
             continue
         kind, *rest = line.split()
+        if kind in ("bounds", "bounds_solid", "start"):
+            if kind in seen:
+                fail(lineno, f"duplicate {kind}")
+            seen.add(kind)
         try:
             if kind == "bounds":
                 bounds = tuple(finite(lineno, rest))
                 if len(bounds) != 4:
                     fail(lineno, "bounds needs 4 numbers")
-            elif kind == "seed":
-                if len(rest) != 1 or not rest[0].isdigit():
-                    fail(lineno, "seed needs one non-negative integer")
-                seed = int(rest[0])
             elif kind == "bounds_solid":
                 if rest not in (["0"], ["1"]):
                     fail(lineno, "bounds_solid needs exactly 0 or 1")
@@ -300,12 +298,16 @@ def load_world(path: str | Path) -> WorldModel:
                 cx, cy, radius = finite(lineno, rest)
                 circles.append(Circle(np.array([cx, cy]), radius))
             elif kind == "polygon":
+                if not rest:
+                    fail(lineno, "polygon needs a vertex count")
                 n = int(rest[0])
                 coords = finite(lineno, rest[1:])
                 if len(coords) != 2 * n:
                     fail(lineno, f"polygon declared {n} vertices, found {len(coords) / 2}")
                 polygons.append(Polygon(np.array(coords).reshape(n, 2)))
             elif kind == "agent":
+                if len(rest) < 2:
+                    fail(lineno, "agent needs a radius and a knot count")
                 radius, = finite(lineno, rest[:1])
                 n = int(rest[1])
                 vals = finite(lineno, rest[2:])
@@ -315,7 +317,7 @@ def load_world(path: str | Path) -> WorldModel:
                 agents.append(AgentTrack(radius, arr[:, 0], arr[:, 1:]))
             else:
                 fail(lineno, f"unknown entry kind {kind!r}")
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             if isinstance(exc, InputFormatError):
                 raise
             fail(lineno, str(exc))
@@ -324,7 +326,7 @@ def load_world(path: str | Path) -> WorldModel:
         raise InputFormatError(f"{path}: missing bounds line")
     try:
         return WorldModel(bounds=bounds, circles=tuple(circles), polygons=tuple(polygons),
-                          agents=tuple(agents), rng_seed=seed, bounds_solid=solid,
+                          agents=tuple(agents), bounds_solid=solid,
                           start=start, goals=np.array(goals) if goals else np.empty((0, 2)))
     except ValueError as exc:
         raise InputFormatError(f"{path}: {exc}") from exc

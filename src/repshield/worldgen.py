@@ -44,8 +44,7 @@ def exploration_world(seed: int = 11) -> WorldModel:
     for cx, cy in _ARENA_BOX_SITES:
         jx, jy = rng.uniform(-0.03, 0.03, size=2)
         boxes.append(_box(cx + jx, cy + jy, side))
-    return WorldModel(bounds=bounds, polygons=tuple(boxes), rng_seed=seed,
-                      bounds_solid=True)
+    return WorldModel(bounds=bounds, polygons=tuple(boxes), bounds_solid=True)
 
 
 _CORRIDOR_BOUNDS = (0.0, -1.2, 24.0, 1.2)
@@ -108,8 +107,7 @@ def corridor_world(instance: int) -> WorldModel:
     for i, slot in enumerate(slots):
         x0 = float(_CLUSTER_SLOTS[slot] + rng.uniform(-0.25, 0.25))
         boxes.extend(_cluster_boxes(patterns[i], x0, sizes[order[i]]))
-    return WorldModel(bounds=_CORRIDOR_BOUNDS, polygons=tuple(boxes),
-                      rng_seed=4200 + instance, bounds_solid=True,
+    return WorldModel(bounds=_CORRIDOR_BOUNDS, polygons=tuple(boxes), bounds_solid=True,
                       start=_CORRIDOR_START, goals=np.array(_CORRIDOR_GOALS))
 
 
@@ -141,7 +139,7 @@ def empty_corridor_world() -> WorldModel:
     meters the resulting stop-and-turn chatter accumulates into episode
     times that say nothing about avoidance quality.
     """
-    return WorldModel(bounds=_DYNAMIC_BOUNDS, rng_seed=0, bounds_solid=True,
+    return WorldModel(bounds=_DYNAMIC_BOUNDS, bounds_solid=True,
                       start=_DYNAMIC_START, goals=np.array(_DYNAMIC_GOALS))
 
 
@@ -151,9 +149,8 @@ def dynamic_world(scenario: str) -> WorldModel:
         raise ValueError(f"unknown scenario {scenario!r}; choose from {DYNAMIC_SCENARIOS}")
     times, points = _DYNAMIC_TRACKS[scenario]
     agent = AgentTrack(AGENT_RADIUS_M, np.array(times), np.array(points))
-    return WorldModel(bounds=_DYNAMIC_BOUNDS, agents=(agent,), rng_seed=0,
-                      bounds_solid=True, start=_DYNAMIC_START,
-                      goals=np.array(_DYNAMIC_GOALS))
+    return WorldModel(bounds=_DYNAMIC_BOUNDS, agents=(agent,), bounds_solid=True,
+                      start=_DYNAMIC_START, goals=np.array(_DYNAMIC_GOALS))
 
 
 BUNDLED_WORLDS = {

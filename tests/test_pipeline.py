@@ -234,11 +234,13 @@ def test_config_round_trip(tmp_path):
                tau_z=1.0, bin_count=32, theta_clip=math.pi / 4,
                direction_mode="repel",
                safety=SafetyParams(theta_thres=math.pi / 6, v_fwd=0.2,
-                                   v_max=0.2, omega_max=0.8, k_omega=2.0),
+                                   omega_max=0.8, k_omega=2.0),
                x_half_range_m=0.9)
     path = tmp_path / "cfg.txt"
     save_config(cfg, path)
-    assert load_config(path) == cfg
+    # The base shares several values with cfg, so check every key was written.
+    assert [line.split(" = ")[0] for line in path.read_text().splitlines()] == list(CONFIG_KEYS)
+    assert load_config(path, base=get_platform("robomaster").config()) == cfg
 
 
 def test_config_partial_override(tmp_path):
@@ -266,10 +268,9 @@ def test_config_errors(tmp_path):
     path.write_text("tau_z = banana\n")
     with pytest.raises(InputFormatError):
         load_config(path, base=_cfg())
-    # Without a base, every key except x_half_range_m must be present.
-    path.write_text("tau_z = 1.0\n")
-    with pytest.raises(InputFormatError):
-        load_config(path)
+    path.write_text("v_max = 0.2\n")
+    with pytest.raises(InputFormatError, match=f"{re.escape(str(path))}:1: unknown key 'v_max'"):
+        load_config(path, base=_cfg())
 
 
 _FLOAT_CONFIG_KEYS = [k for k in CONFIG_KEYS if k not in ("bin_count", "direction_mode")]
@@ -291,6 +292,7 @@ _RECORD_FLOAT_FIELDS = {
     "height_m": lambda v: CameraMount(height_m=v),
     "x_offset_m": lambda v: CameraMount(height_m=0.3, x_offset_m=v),
     "depth_offset_m": lambda v: CameraMount(height_m=0.3, depth_offset_m=v),
+    "v_fwd": lambda v: SafetyParams(v_fwd=v),
     "omega_max": lambda v: SafetyParams(omega_max=v),
     "k_omega": lambda v: SafetyParams(k_omega=v),
 }

@@ -19,8 +19,7 @@ from conftest import oracle_obstacle_map, random_cloud
 from repshield import (AvoidanceConfig, CameraIntrinsics, CameraMount, DepthFrame,
                        InputFormatError, PointCloud, back_project,
                        construct_obstacle_map, intrinsics_for_fov,
-                       load_depth_frame, load_point_cloud, save_depth_frame,
-                       save_point_cloud)
+                       load_depth_frame, save_depth_frame)
 from repshield.projection import bin_half_range
 
 
@@ -328,22 +327,3 @@ def test_depth_frame_rejects_non_finite_focal_length(tmp_path, key, bad):
     p.write_text(f"DF1 2 2 {focal['fx']} {focal['fy']} 0.5 0.5\n1 1 1 1\n")
     with pytest.raises(InputFormatError, match=f"{re.escape(str(p))}: focal lengths"):
         load_depth_frame(p, CameraMount(height_m=0.3))
-
-
-def test_point_cloud_round_trip(tmp_path):
-    rng = np.random.default_rng(4)
-    pts = rng.normal(size=(17, 3))
-    path = tmp_path / "cloud.pc1"
-    save_point_cloud(PointCloud(pts), path)
-    loaded = load_point_cloud(path)
-    np.testing.assert_array_equal(loaded.points, pts)
-
-
-def test_point_cloud_load_errors(tmp_path):
-    p = tmp_path / "bad.pc1"
-    p.write_text("PC1 2\n1 2 3\n")
-    with pytest.raises(InputFormatError):
-        load_point_cloud(p)
-    p.write_text("nope\n")
-    with pytest.raises(InputFormatError):
-        load_point_cloud(p)

@@ -93,7 +93,6 @@ def test_property_branch_exhaustive_and_limits():
         theta = float(rng.uniform(-math.pi, math.pi))
         cmd = gate_command(theta, p)
         assert cmd.v in (0.0, p.v_fwd)
-        assert abs(cmd.v) <= p.v_max
         assert abs(cmd.omega) <= p.omega_max
         if theta != 0.0:
             assert math.copysign(1.0, cmd.omega) == math.copysign(1.0, theta)
@@ -143,7 +142,7 @@ def test_safety_params_validation():
     with pytest.raises(ValueError):
         SafetyParams(theta_thres=0.0)
     with pytest.raises(ValueError):
-        SafetyParams(v_fwd=0.3, v_max=0.2)
+        SafetyParams(v_fwd=0.0)
     with pytest.raises(ValueError):
         SafetyParams(omega_max=0.0)
     with pytest.raises(ValueError):

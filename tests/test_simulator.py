@@ -363,13 +363,13 @@ def test_world_file_round_trip(tmp_path):
     w = WorldModel(bounds=(0.0, -1.2, 8.0, 1.2),
                    polygons=(_square(2.0, 0.3, 0.22),),
                    circles=(Circle(np.array([5.0, -0.5]), 0.3),),
-                   agents=(track,), rng_seed=77, bounds_solid=True,
+                   agents=(track,), bounds_solid=True,
                    start=(0.8, 0.0, 0.0), goals=np.array([[7.2, 0.0]]))
     path = tmp_path / "w.world"
     save_world(w, path)
     out = load_world(path)
     assert out.bounds == w.bounds
-    assert out.rng_seed == 77 and out.bounds_solid
+    assert out.bounds_solid
     assert out.start == w.start
     np.testing.assert_array_equal(out.goals, w.goals)
     np.testing.assert_array_equal(out.polygons[0].vertices, w.polygons[0].vertices)
@@ -384,18 +384,11 @@ def test_world_file_round_trip(tmp_path):
 
 def test_world_file_errors(tmp_path):
     p = tmp_path / "bad.world"
-    p.write_text("NOPE\n")
-    with pytest.raises(Exception):
-        load_world(p)
-    p.write_text("WORLD1\nwibble 1 2\n")
-    with pytest.raises(Exception):
-        load_world(p)
-    p.write_text("WORLD1\npolygon 3 0 0 1 0\n")
-    with pytest.raises(Exception):
-        load_world(p)
-    p.write_text("WORLD1\nseed 3\n")   # no bounds line
-    with pytest.raises(Exception):
-        load_world(p)
+    for text in ["NOPE\n", "WORLD1\nwibble 1 2\n", "WORLD1\npolygon 3 0 0 1 0\n",
+                 "WORLD1\nbounds_solid 1\n"]:   # the last has no bounds line
+        p.write_text(text)
+        with pytest.raises(InputFormatError, match=re.escape(str(p))):
+            load_world(p)
 
 
 _FINITE_WORLD = ["WORLD1", "bounds 0 0 4 4", "start 1 1 0", "goal 3 3", "circle 2 3 0.2",
@@ -416,21 +409,43 @@ def test_world_file_rejects_non_finite(tmp_path, kind, bad):
         load_world(p)
 
 
-@pytest.mark.parametrize("line", ["seed -5", "seed 1.5", "seed", "seed 3 4", "seed x",
+# World files have no seed record: a seed line of any shape fails as an unknown kind.
+@pytest.mark.parametrize("line", ["seed 3", "seed -5", "seed 1.5", "seed", "seed 3 4", "seed x",
                                   "bounds_solid 7", "bounds_solid -1", "bounds_solid",
                                   "bounds_solid 0 1", "bounds_solid true"])
 def test_world_file_rejects_bad_seed_and_bounds_solid(tmp_path, line):
     p = tmp_path / "w.world"
     p.write_text("\n".join(_FINITE_WORLD[:2] + [line] + _FINITE_WORLD[2:]) + "\n")
-    with pytest.raises(InputFormatError, match=f"{re.escape(str(p))}:3: {line.split()[0]} needs"):
+    expected = ("unknown entry kind 'seed'" if line.startswith("seed")
+                else "bounds_solid needs")
+    with pytest.raises(InputFormatError, match=f"{re.escape(str(p))}:3: {expected}"):
         load_world(p)
 
 
-def test_world_file_reads_seed_and_bounds_solid(tmp_path):
+def test_world_file_reads_bounds_solid(tmp_path):
     p = tmp_path / "w.world"
-    p.write_text("\n".join(_FINITE_WORLD[:2] + ["seed 42", "bounds_solid 0"]) + "\n")
-    world = load_world(p)
-    assert world.rng_seed == 42 and world.bounds_solid is False
+    p.write_text("\n".join(_FINITE_WORLD[:2] + ["bounds_solid 0"]) + "\n")
+    assert load_world(p).bounds_solid is False
+
+
+@pytest.mark.parametrize("kind", ["bounds", "bounds_solid", "start"])
+def test_world_file_rejects_duplicate_records(tmp_path, kind):
+    lines = list(_FINITE_WORLD) + ["bounds_solid 1"]
+    lines.append(next(line for line in lines if line.split()[0] == kind))
+    p = tmp_path / "w.world"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputFormatError, match=f"{re.escape(str(p))}:{len(lines)}: duplicate {kind}$"):
+        load_world(p)
+
+
+@pytest.mark.parametrize("line", ["polygon", "agent", "agent 0.2"])
+def test_world_file_names_missing_count(tmp_path, line):
+    message = {"polygon": "polygon needs a vertex count",
+               "agent": "agent needs a radius and a knot count"}[line.split()[0]]
+    p = tmp_path / "w.world"
+    p.write_text("\n".join(_FINITE_WORLD[:2] + [line]) + "\n")
+    with pytest.raises(InputFormatError, match=f"{re.escape(str(p))}:3: {message}$"):
+        load_world(p)
 
 
 # ---------------------------------------------------------------------------
