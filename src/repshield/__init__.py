@@ -7,14 +7,13 @@ deterministic planar simulator and a benchmark harness reproduce the
 supported evaluation protocols at desk scale.
 """
 
-from .config import AvoidanceConfig, SafetyParams
+from .config import AvoidanceConfig, CameraMount, SafetyParams, load_config, save_config
 from .errors import DegenerateHeadingError, InputFormatError, SingularityError
-from .pipeline import (AvoidanceDecision, Shield, avoidance_step, decision_log_row,
-                       load_config, save_config)
+from .pipeline import AvoidanceDecision, Shield, avoidance_step, decision_log_row
 from .platforms import PLATFORMS, PlatformSpec, get_platform
-from .projection import (CameraIntrinsics, CameraMount, DepthFrame, ObstacleMap,
-                         PointCloud, back_project, construct_obstacle_map,
-                         intrinsics_for_fov, load_depth_frame, save_depth_frame)
+from .projection import (CameraIntrinsics, DepthFrame, ObstacleMap, PointCloud,
+                         back_project, construct_obstacle_map, intrinsics_for_fov,
+                         load_depth_frame, save_depth_frame)
 from .repulsion import (RepulsiveResult, Trajectory, estimate_repulsive_direction,
                         load_trajectory, repulsive_force, rotate_trajectory,
                         save_trajectory)

@@ -1,13 +1,38 @@
-"""Configuration records for the avoidance pipeline."""
+"""Configuration records for the avoidance pipeline, and their file format."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 
-from .projection import CameraMount
+from .errors import InputFormatError
 
 DIRECTION_MODES = ("repel", "attract")
+
+
+@dataclass(frozen=True)
+class CameraMount:
+    """Where the depth camera sits on the robot and how it reports range.
+
+    depth_offset_m is a per-sensor calibration bias: it is subtracted from
+    raw Z before any range filtering. x_offset_m is the camera position
+    ahead (+) or behind (-) the robot center along the forward axis.
+    """
+
+    height_m: float
+    x_offset_m: float = 0.0
+    fov_deg: float = 90.0
+    depth_offset_m: float = 0.0
+
+    def __post_init__(self):
+        if not 0 < self.height_m < math.inf:
+            raise ValueError(f"height_m must be finite and positive, got {self.height_m}")
+        for name in ("x_offset_m", "depth_offset_m"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not (0 < self.fov_deg <= 180):
+            raise ValueError(f"fov_deg must be in (0, 180], got {self.fov_deg}")
 
 
 @dataclass(frozen=True)
@@ -74,3 +99,60 @@ class AvoidanceConfig:
         if self.x_half_range_m is not None and not 0 < self.x_half_range_m < math.inf:
             raise ValueError(
                 f"x_half_range_m must be finite and positive, got {self.x_half_range_m}")
+
+
+# ---------------------------------------------------------------------------
+# Config files: flat "key = value" text
+# ---------------------------------------------------------------------------
+
+# Every scalar field of the config, in file order: AvoidanceConfig's own,
+# then those of its nested safety and mount records. Each key maps to its
+# record ("" for the top level) and its declared type name.
+_FIELDS = {f.name: ("", f.type) for f in fields(AvoidanceConfig)
+           if f.name not in ("safety", "mount")}
+_FIELDS.update({f.name: ("safety", f.type) for f in fields(SafetyParams)})
+_FIELDS.update({f.name: ("mount", f.type) for f in fields(CameraMount)})
+CONFIG_KEYS = tuple(_FIELDS)
+
+
+def save_config(cfg: AvoidanceConfig, path: str | Path) -> None:
+    """Write the flat key = value form; x_half_range_m is omitted when unset."""
+    lines = []
+    for key, (record, _) in _FIELDS.items():
+        value = getattr(getattr(cfg, record) if record else cfg, key)
+        if value is not None:
+            lines.append(f"{key} = {value}" if isinstance(value, str) else f"{key} = {value!r}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def load_config(path: str | Path, base: AvoidanceConfig) -> AvoidanceConfig:
+    """Parse a flat config file; the keys it holds override ``base``.
+
+    Unknown keys, duplicate keys and non-finite floats are rejected.
+    """
+    values: dict[str, dict[str, object]] = {"": {}, "safety": {}, "mount": {}}
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InputFormatError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in _FIELDS:
+            raise InputFormatError(f"{path}:{lineno}: unknown key {key!r}")
+        record, type_name = _FIELDS[key]
+        if key in values[record]:
+            raise InputFormatError(f"{path}:{lineno}: duplicate key {key!r}")
+        try:
+            parsed = {"int": int, "str": str}.get(type_name, float)(value)
+        except ValueError as exc:
+            raise InputFormatError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+        if isinstance(parsed, float) and not math.isfinite(parsed):
+            raise InputFormatError(f"{path}:{lineno}: {key} must be finite, got {value}")
+        values[record][key] = parsed
+    try:
+        return replace(base, safety=replace(base.safety, **values["safety"]),
+                       mount=replace(base.mount, **values["mount"]), **values[""])
+    except ValueError as exc:
+        raise InputFormatError(f"{path}: {exc}") from exc

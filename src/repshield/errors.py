@@ -12,10 +12,8 @@ class SingularityError(ValueError):
     obstacle is reported instead of silently producing infinities.
     """
 
-    def __init__(self, obstacle_index: int, message: str | None = None):
-        super().__init__(
-            message or f"waypoint coincides with obstacle {obstacle_index}"
-        )
+    def __init__(self, obstacle_index: int):
+        super().__init__(f"waypoint coincides with obstacle {obstacle_index}")
         self.obstacle_index = obstacle_index
 
 

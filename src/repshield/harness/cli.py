@@ -11,8 +11,9 @@ import math
 import sys
 from pathlib import Path
 
+from ..config import load_config
 from ..errors import InputFormatError
-from ..pipeline import DECISION_LOG_HEADER, Shield, decision_log_row, load_config
+from ..pipeline import DECISION_LOG_HEADER, Shield, decision_log_row
 from ..platforms import PLATFORMS, get_platform
 from ..projection import load_depth_frame
 from ..repulsion import load_trajectory

@@ -107,16 +107,17 @@ def resolve_world(world: str | Path | WorldModel) -> WorldModel:
     return load_world(path)
 
 
-def _sample_start(world: WorldModel, platform: PlatformSpec,
-                  rng: np.random.Generator, clearance: float = 0.3) -> RobotState:
-    """Uniform collision-free pose; the same rng stream on both arms.
+# Pads the footprint while sampling exploration starts only, so no trial
+# begins already brushing an obstacle that sits outside the camera fov.
+_START_CLEARANCE_M = 0.3
 
-    The clearance pads the footprint during sampling only, so no trial
-    begins already brushing an obstacle that sits outside the camera fov.
-    """
+
+def _sample_start(world: WorldModel, platform: PlatformSpec,
+                  rng: np.random.Generator) -> RobotState:
+    """Uniform collision-free pose; the same rng stream on both arms."""
     xmin, ymin, xmax, ymax = world.bounds
-    margin = platform.footprint_radius_m + clearance + 0.02
-    probe_radius = platform.footprint_radius_m + clearance
+    margin = platform.footprint_radius_m + _START_CLEARANCE_M + 0.02
+    probe_radius = platform.footprint_radius_m + _START_CLEARANCE_M
     for _ in range(1000):
         x = rng.uniform(xmin + margin, xmax - margin)
         y = rng.uniform(ymin + margin, ymax - margin)

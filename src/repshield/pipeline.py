@@ -6,14 +6,12 @@ rotation latch, lives in ``Shield``, which wraps the step for one stream.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields, replace
-from pathlib import Path
+from dataclasses import dataclass
 
-from .config import AvoidanceConfig, SafetyParams
+from .config import AvoidanceConfig
 from .errors import DegenerateHeadingError, InputFormatError
-from .projection import (CameraMount, DepthFrame, ObstacleMap, PointCloud,
-                         back_project, construct_obstacle_map)
+from .projection import (DepthFrame, ObstacleMap, PointCloud, back_project,
+                         construct_obstacle_map)
 from .repulsion import (RepulsiveResult, Trajectory, estimate_repulsive_direction,
                         rotate_trajectory)
 from .safety import ControlCommand, RotationLatch, compute_desired_heading, gate_command
@@ -113,60 +111,3 @@ def decision_log_row(t: float, decision: AvoidanceDecision, cmd: ControlCommand)
     return (f"{t!r},{cmd.v!r},{cmd.omega!r},"
             f"{theta_rep!r},{theta_rot!r},{decision.theta_des!r},"
             f"{int(decision.passthrough)},{len(decision.obstacle_map)}")
-
-
-# ---------------------------------------------------------------------------
-# Config files: flat "key = value" text
-# ---------------------------------------------------------------------------
-
-# Every scalar field of the config, in file order: AvoidanceConfig's own,
-# then those of its nested safety and mount records. Each key maps to its
-# record ("" for the top level) and its declared type name.
-_FIELDS = {f.name: ("", f.type) for f in fields(AvoidanceConfig)
-           if f.name not in ("safety", "mount")}
-_FIELDS.update({f.name: ("safety", f.type) for f in fields(SafetyParams)})
-_FIELDS.update({f.name: ("mount", f.type) for f in fields(CameraMount)})
-CONFIG_KEYS = tuple(_FIELDS)
-
-
-def save_config(cfg: AvoidanceConfig, path: str | Path) -> None:
-    """Write the flat key = value form; x_half_range_m is omitted when unset."""
-    lines = []
-    for key, (record, _) in _FIELDS.items():
-        value = getattr(getattr(cfg, record) if record else cfg, key)
-        if value is not None:
-            lines.append(f"{key} = {value}" if isinstance(value, str) else f"{key} = {value!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_config(path: str | Path, base: AvoidanceConfig) -> AvoidanceConfig:
-    """Parse a flat config file; the keys it holds override ``base``.
-
-    Unknown keys, duplicate keys and non-finite floats are rejected.
-    """
-    values: dict[str, dict[str, object]] = {"": {}, "safety": {}, "mount": {}}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InputFormatError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _FIELDS:
-            raise InputFormatError(f"{path}:{lineno}: unknown key {key!r}")
-        record, type_name = _FIELDS[key]
-        if key in values[record]:
-            raise InputFormatError(f"{path}:{lineno}: duplicate key {key!r}")
-        try:
-            parsed = {"int": int, "str": str}.get(type_name, float)(value)
-        except ValueError as exc:
-            raise InputFormatError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-        if isinstance(parsed, float) and not math.isfinite(parsed):
-            raise InputFormatError(f"{path}:{lineno}: {key} must be finite, got {value}")
-        values[record][key] = parsed
-    try:
-        return replace(base, safety=replace(base.safety, **values["safety"]),
-                       mount=replace(base.mount, **values["mount"]), **values[""])
-    except ValueError as exc:
-        raise InputFormatError(f"{path}: {exc}") from exc

@@ -9,8 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import AvoidanceConfig
-from .projection import CameraIntrinsics, CameraMount, intrinsics_for_fov
+from .config import AvoidanceConfig, CameraMount
+from .projection import CameraIntrinsics, intrinsics_for_fov
 
 # The simulated world is planar, so image rows carry no extra geometry
 # and the obstacle map is identical for two or more rows (one row would
@@ -25,14 +25,11 @@ class PlatformSpec:
 
     name: str
     tau_z_m: float
-    depth_offset_m: float
     image_width: int
     image_height: int
     length_m: float
     width_m: float
-    camera_height_m: float
-    camera_x_offset_m: float
-    fov_deg: float
+    camera: CameraMount
 
     @property
     def footprint_radius_m(self) -> float:
@@ -44,10 +41,7 @@ class PlatformSpec:
         return math.ceil(self.image_width / 10)
 
     def mount(self) -> CameraMount:
-        return CameraMount(height_m=self.camera_height_m,
-                           x_offset_m=self.camera_x_offset_m,
-                           fov_deg=self.fov_deg,
-                           depth_offset_m=self.depth_offset_m)
+        return self.camera
 
     def intrinsics(self, rows: int | None = None) -> CameraIntrinsics:
         """Camera intrinsics, optionally rendered at a reduced row count.
@@ -58,7 +52,7 @@ class PlatformSpec:
         pixels instead, a short frame would narrow the vertical span and
         hide obstacles close to the camera.
         """
-        native = intrinsics_for_fov(self.image_width, self.image_height, self.fov_deg)
+        native = intrinsics_for_fov(self.image_width, self.image_height, self.camera.fov_deg)
         if rows is None or rows == self.image_height:
             return native
         tan_half_v = ((self.image_height - 1) / 2.0) / native.fy
@@ -67,28 +61,28 @@ class PlatformSpec:
                                 width=self.image_width, height=rows)
 
     def config(self) -> AvoidanceConfig:
-        return AvoidanceConfig(mount=self.mount(), tau_z=self.tau_z_m,
+        return AvoidanceConfig(mount=self.camera, tau_z=self.tau_z_m,
                                bin_count=self.default_bin_count)
 
 
 PLATFORMS = {
     "locobot": PlatformSpec(
-        name="locobot", tau_z_m=1.0, depth_offset_m=0.05,
-        image_width=320, image_height=240,
+        name="locobot", tau_z_m=1.0, image_width=320, image_height=240,
         length_m=0.341, width_m=0.339,
-        camera_height_m=0.340, camera_x_offset_m=0.010, fov_deg=170.0,
+        camera=CameraMount(height_m=0.340, x_offset_m=0.010, fov_deg=170.0,
+                           depth_offset_m=0.05),
     ),
     "turtlebot4": PlatformSpec(
-        name="turtlebot4", tau_z_m=1.2, depth_offset_m=0.2,
-        image_width=320, image_height=200,
+        name="turtlebot4", tau_z_m=1.2, image_width=320, image_height=200,
         length_m=0.341, width_m=0.339,
-        camera_height_m=0.245, camera_x_offset_m=-0.060, fov_deg=89.5,
+        camera=CameraMount(height_m=0.245, x_offset_m=-0.060, fov_deg=89.5,
+                           depth_offset_m=0.2),
     ),
     "robomaster": PlatformSpec(
-        name="robomaster", tau_z_m=1.0, depth_offset_m=-0.1,
-        image_width=640, image_height=360,
+        name="robomaster", tau_z_m=1.0, image_width=640, image_height=360,
         length_m=0.320, width_m=0.240,
-        camera_height_m=0.240, camera_x_offset_m=0.070, fov_deg=120.0,
+        camera=CameraMount(height_m=0.240, x_offset_m=0.070, fov_deg=120.0,
+                           depth_offset_m=-0.1),
     ),
 }
 

@@ -6,8 +6,9 @@ Conventions used throughout:
 * Robot frame: x forward, y left, origin at the robot center (meters).
 * A depth value of exactly 0 marks an invalid pixel and produces no point.
 
-The obstacle map summarizes the scene as at most one point per angular bin,
-keeping the nearest return in each bin after range and height filtering.
+The obstacle map summarizes the scene as at most one point per lateral bin
+(uniform in camera X), keeping the nearest return in each bin after range
+and height filtering.
 """
 
 from __future__ import annotations
@@ -15,14 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .config import AvoidanceConfig, CameraMount
 from .errors import InputFormatError
-
-if TYPE_CHECKING:
-    from .config import AvoidanceConfig
 
 
 @dataclass(frozen=True)
@@ -60,30 +58,6 @@ def intrinsics_for_fov(width: int, height: int, fov_deg: float) -> CameraIntrins
     f = ((width - 1) / 2.0) / math.tan(half)
     return CameraIntrinsics(fx=f, fy=f, cx=(width - 1) / 2.0, cy=(height - 1) / 2.0,
                             width=width, height=height)
-
-
-@dataclass(frozen=True)
-class CameraMount:
-    """Where the depth camera sits on the robot and how it reports range.
-
-    depth_offset_m is a per-sensor calibration bias: it is subtracted from
-    raw Z before any range filtering. x_offset_m is the camera position
-    ahead (+) or behind (-) the robot center along the forward axis.
-    """
-
-    height_m: float
-    x_offset_m: float = 0.0
-    fov_deg: float = 90.0
-    depth_offset_m: float = 0.0
-
-    def __post_init__(self):
-        if not 0 < self.height_m < math.inf:
-            raise ValueError(f"height_m must be finite and positive, got {self.height_m}")
-        for name in ("x_offset_m", "depth_offset_m"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not (0 < self.fov_deg <= 180):
-            raise ValueError(f"fov_deg must be in (0, 180], got {self.fov_deg}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,14 +150,14 @@ def back_project(frame: DepthFrame) -> PointCloud:
     return PointCloud(np.column_stack((x, y, depth)))
 
 
-def bin_half_range(cfg: "AvoidanceConfig") -> float:
+def bin_half_range(cfg: AvoidanceConfig) -> float:
     """Lateral half-extent of the binning window, in camera X meters."""
     if cfg.x_half_range_m is not None:
         return cfg.x_half_range_m
     return math.tan(math.radians(cfg.mount.fov_deg) / 2.0) * cfg.tau_z
 
 
-def construct_obstacle_map(cloud: PointCloud, cfg: "AvoidanceConfig") -> ObstacleMap:
+def construct_obstacle_map(cloud: PointCloud, cfg: AvoidanceConfig) -> ObstacleMap:
     """Reduce a camera-frame cloud to per-bin nearest ground obstacles.
 
     Steps, in order:
@@ -211,10 +185,6 @@ def construct_obstacle_map(cloud: PointCloud, cfg: "AvoidanceConfig") -> Obstacl
     half = bin_half_range(cfg)
     bin_count = cfg.bin_count
 
-    empty = ObstacleMap(np.empty((0, 2)), np.empty(0, dtype=np.int64), bin_count)
-    if pts.shape[0] == 0:
-        return empty
-
     z = pts[:, 2] - m.depth_offset_m
     keep = (z > 0) & (z <= tau) & (pts[:, 1] >= -cfg.epsilon)
     x = pts[keep, 0]
@@ -222,8 +192,6 @@ def construct_obstacle_map(cloud: PointCloud, cfg: "AvoidanceConfig") -> Obstacl
     inside = (x >= -half) & (x <= half)
     x = x[inside]
     z = z[inside]
-    if x.size == 0:
-        return empty
 
     width = 2.0 * half / bin_count
     bins = np.minimum((np.floor((x + half) / width)).astype(np.int64), bin_count - 1)
@@ -232,7 +200,7 @@ def construct_obstacle_map(cloud: PointCloud, cfg: "AvoidanceConfig") -> Obstacl
     # group is exactly the linear-scan winner including the index tie-break.
     order = np.lexsort((z, bins))
     sorted_bins = bins[order]
-    first = np.concatenate(([0], np.nonzero(np.diff(sorted_bins))[0] + 1))
+    first = np.flatnonzero(np.diff(sorted_bins, prepend=-1))
     sel = order[first]
 
     robot_x = z[sel] + m.x_offset_m

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..projection import CameraIntrinsics, CameraMount, DepthFrame
+from ..config import CameraMount
+from ..projection import CameraIntrinsics, DepthFrame
 from .kinematics import RobotState
 from .world import WorldModel
 

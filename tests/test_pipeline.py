@@ -14,7 +14,8 @@ from repshield import (AvoidanceConfig, CameraMount, DepthFrame, InputFormatErro
                        estimate_repulsive_direction, gate_command,
                        intrinsics_for_fov, load_config, rotate_trajectory,
                        save_config)
-from repshield.pipeline import CONFIG_KEYS, DECISION_LOG_HEADER
+from repshield.config import CONFIG_KEYS
+from repshield.pipeline import DECISION_LOG_HEADER
 from repshield.platforms import get_platform
 from repshield.safety import compute_desired_heading
 

@@ -203,6 +203,68 @@ def test_property_oracle_equivalence():
         np.testing.assert_array_equal(omap.points, ref_pts)
 
 
+def _loop_back_project(frame: DepthFrame) -> np.ndarray:
+    """Plain pixel-loop pinhole back-projection, in row-major order."""
+    intr = frame.intrinsics
+    rows = []
+    for v in range(intr.height):
+        for u in range(intr.width):
+            d = float(frame.depths[v, u])
+            if d > 0:
+                rows.append(((u - intr.cx) * d / intr.fx, (v - intr.cy) * d / intr.fy, d))
+    return np.array(rows, dtype=np.float64).reshape(len(rows), 3)
+
+
+def _assert_map_matches_oracle(frame: DepthFrame, cfg: AvoidanceConfig):
+    omap = construct_obstacle_map(back_project(frame), cfg)
+    ref_pts, ref_bins = oracle_obstacle_map(_loop_back_project(frame), cfg)
+    assert omap.bins.tolist() == ref_bins.tolist()
+    np.testing.assert_array_equal(omap.points, ref_pts)
+    return omap
+
+
+def test_property_depth_frame_oracle_equivalence():
+    # The DepthFrame path: back_project then construct_obstacle_map must
+    # equal the binning oracle fed by a pixel loop, exactly.
+    rng = np.random.default_rng(11)
+    for case in range(150):
+        width, height = int(rng.integers(2, 48)), int(rng.integers(2, 12))
+        mount = CameraMount(height_m=0.3,
+                            x_offset_m=float(rng.uniform(-0.1, 0.1)),
+                            fov_deg=float(rng.uniform(20.0, 175.0)),
+                            depth_offset_m=float(rng.uniform(-0.2, 0.2)))
+        cfg = _cfg(mount=mount, tau_z=float(rng.uniform(0.5, 2.0)),
+                   epsilon=float(rng.uniform(-0.2, 0.2)),
+                   bin_count=int(rng.integers(1, 40)),
+                   x_half_range_m=(float(rng.uniform(0.1, 2.0)) if case % 2 else None))
+        depths = rng.uniform(0.0, 1.5 * cfg.tau_z, size=(height, width)) + mount.depth_offset_m
+        depths = np.maximum(depths, 0.0)
+        depths[rng.random((height, width)) < 0.2] = 0.0
+        # Neighbouring columns with equal depths give equal-Z returns at
+        # different X in one bin, so the lowest-index tie-break decides.
+        k = int(rng.integers(0, width - 1))
+        depths[:, k + 1] = depths[:, k]
+        frame = DepthFrame(depths, intrinsics_for_fov(width, height, mount.fov_deg), mount)
+        _assert_map_matches_oracle(frame, cfg)
+
+
+def test_depth_frames_with_empty_maps():
+    mount = CameraMount(height_m=0.3, fov_deg=90.0)
+    intr = intrinsics_for_fov(8, 6, 90.0)
+    cases = [
+        (np.zeros((6, 8)), _cfg(mount=mount)),
+        (np.full((6, 8), 1.5), _cfg(mount=mount, tau_z=1.0)),
+        # Even width: no column center sits on the axis, so every return
+        # lies at |X| >= 0.5 * 0.5 / fx, outside the pinned window.
+        (np.full((6, 8), 0.5), _cfg(mount=mount, x_half_range_m=1e-3)),
+    ]
+    for depths, cfg in cases:
+        omap = _assert_map_matches_oracle(DepthFrame(depths, intr, mount), cfg)
+        assert omap.points.shape == (0, 2)
+        assert omap.points.dtype == np.float64
+        assert omap.bins.dtype == np.int64
+
+
 def test_property_mask_survivors_reproduce_the_map():
     # Filtering is idempotent: dropping the masked-out points and
     # rebuilding yields the identical map, and the survivor set of the
