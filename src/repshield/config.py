@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from numbers import Integral
 from pathlib import Path
 
 from .errors import InputFormatError
@@ -31,8 +32,8 @@ class CameraMount:
         for name in ("x_offset_m", "depth_offset_m"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not (0 < self.fov_deg <= 180):
-            raise ValueError(f"fov_deg must be in (0, 180], got {self.fov_deg}")
+        if not (0 < self.fov_deg < 180):
+            raise ValueError(f"fov_deg must be in (0, 180), got {self.fov_deg}")
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,8 @@ class AvoidanceConfig:
             raise ValueError(f"tau_z must be finite and positive, got {self.tau_z}")
         if not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon}")
+        if isinstance(self.bin_count, bool) or not isinstance(self.bin_count, Integral):
+            raise ValueError(f"bin_count must be an integer, got {self.bin_count!r}")
         if self.bin_count < 1:
             raise ValueError(f"bin_count must be at least 1, got {self.bin_count}")
         if not (0 < self.theta_clip <= math.pi):

@@ -82,7 +82,8 @@ class DepthFrame:
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:
-    """Points in the camera frame, shape (N, 3), columns X, Y, Z."""
+    """Points in the camera frame, shape (N, 3), columns X, Y, Z; ``points``
+    may be a column-major view, as ``back_project`` returns."""
 
     points: np.ndarray
 
@@ -143,11 +144,18 @@ def back_project(frame: DepthFrame) -> PointCloud:
     """
     intr = frame.intrinsics
     d = frame.depths
-    v, u = np.nonzero(d > 0)
-    depth = d[v, u]
-    x = (u - intr.cx) * depth / intr.fx
-    y = (v - intr.cy) * depth / intr.fy
-    return PointCloud(np.column_stack((x, y, depth)))
+    valid = np.flatnonzero(d > 0)
+    pts = np.empty((3, valid.size))
+    # ((u - cx) * d) / fx on the full grid, gathered into a row of pts; the
+    # indices are in range, and mode="clip" spares take a copy of ``out``.
+    grid = np.multiply(np.arange(intr.width) - intr.cx, d)
+    grid /= intr.fx
+    np.take(grid, valid, out=pts[0], mode="clip")
+    np.multiply((np.arange(intr.height) - intr.cy)[:, None], d, out=grid)
+    grid /= intr.fy
+    np.take(grid, valid, out=pts[1], mode="clip")
+    np.take(d, valid, out=pts[2], mode="clip")
+    return PointCloud(pts.T)
 
 
 def bin_half_range(cfg: AvoidanceConfig) -> float:
@@ -187,7 +195,7 @@ def construct_obstacle_map(cloud: PointCloud, cfg: AvoidanceConfig) -> ObstacleM
 
     z = pts[:, 2] - m.depth_offset_m
     keep = (z > 0) & (z <= tau) & (pts[:, 1] >= -cfg.epsilon)
-    x = pts[keep, 0]
+    x = pts[:, 0][keep]
     z = z[keep]
     inside = (x >= -half) & (x <= half)
     x = x[inside]
@@ -196,16 +204,18 @@ def construct_obstacle_map(cloud: PointCloud, cfg: AvoidanceConfig) -> ObstacleM
     width = 2.0 * half / bin_count
     bins = np.minimum((np.floor((x + half) / width)).astype(np.int64), bin_count - 1)
 
-    # Sort by (bin, z); np.lexsort is stable, so the first row of each bin
-    # group is exactly the linear-scan winner including the index tie-break.
-    order = np.lexsort((z, bins))
-    sorted_bins = bins[order]
-    first = np.flatnonzero(np.diff(sorted_bins, prepend=-1))
-    sel = order[first]
+    # Nearest z per bin, then the lowest index reaching it: the scan winner.
+    best = np.full(bin_count, np.inf)
+    np.minimum.at(best, bins, z)
+    tied = np.flatnonzero(z == best[bins])
+    first = np.full(bin_count, z.size)
+    np.minimum.at(first, bins[tied], tied)
+    occupied = np.flatnonzero(first < z.size)
+    sel = first[occupied]
 
     robot_x = z[sel] + m.x_offset_m
     robot_y = -x[sel]
-    return ObstacleMap(np.column_stack((robot_x, robot_y)), sorted_bins[first], bin_count)
+    return ObstacleMap(np.column_stack((robot_x, robot_y)), occupied, bin_count)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Shared helpers: independent oracles and random-input builders.
 
-The oracles here are written as plain linear scans, deliberately not
-sharing any code path with the package: the binning oracle walks points
-one by one with a dict, the force oracle sums per-obstacle contributions
-with scalar math and picks the argmax by exhaustive comparison, and the
-collision oracle tests each circle, polygon and agent in its own loop.
+The oracles here are plain linear scans or kept copies of the code an
+array version replaced, deliberately not sharing any code path with the
+package: the back-projection oracle gathers valid pixels by index, the
+binning oracle walks points one by one with a dict, the force oracle sums
+per-obstacle contributions with scalar math and picks the argmax by
+exhaustive comparison, and the collision oracle tests each circle, polygon
+and agent in its own loop.
 """
 
 from __future__ import annotations
@@ -15,6 +17,23 @@ import numpy as np
 
 from repshield import AvoidanceConfig
 from repshield.projection import bin_half_range
+
+
+# ---------------------------------------------------------------------------
+# Back-projection oracle
+# ---------------------------------------------------------------------------
+# The index-gather back-projection the full-grid version replaced, kept with
+# its exact arithmetic: the contract is bitwise agreement, not closeness.
+
+def oracle_back_project(frame) -> np.ndarray:
+    """Reference pinhole back-projection; (N, 3) points in row-major pixel order."""
+    intr = frame.intrinsics
+    d = frame.depths
+    v, u = np.nonzero(d > 0)
+    depth = d[v, u]
+    x = (u - intr.cx) * depth / intr.fx
+    y = (v - intr.cy) * depth / intr.fy
+    return np.column_stack((x, y, depth))
 
 
 # ---------------------------------------------------------------------------

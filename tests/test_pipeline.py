@@ -307,6 +307,23 @@ def test_config_records_reject_non_finite(field, value):
         _RECORD_FLOAT_FIELDS[field](value)
 
 
+@pytest.mark.parametrize("fov", [180.0, 180.5])
+def test_camera_mount_rejects_fov_of_180_or_more(fov):
+    # A pinhole camera cannot span 180 degrees: at 180, fx is about 1e-15
+    # and a wall 0.5 m ahead would map about 8e15 m to the side.
+    with pytest.raises(ValueError, match=r"^fov_deg must be in \(0, 180\)"):
+        CameraMount(height_m=0.3, fov_deg=fov)
+    assert CameraMount(height_m=0.3, fov_deg=179.9).fov_deg == 179.9
+
+
+@pytest.mark.parametrize("value", [2.5, 32.0, True, "32"])
+def test_config_rejects_non_integer_bin_count(value):
+    with pytest.raises(ValueError, match=r"^bin_count must be an integer"):
+        _cfg(bin_count=value)
+    # numpy integers are integers.
+    assert _cfg(bin_count=np.int64(7)).bin_count == 7
+
+
 def test_config_comments_and_blanks(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("# comment\n\ntau_z = 0.8  # trailing\n")

@@ -15,12 +15,15 @@ import re
 import numpy as np
 import pytest
 
-from conftest import oracle_obstacle_map, random_cloud
+from conftest import oracle_back_project, oracle_obstacle_map, random_cloud
 from repshield import (AvoidanceConfig, CameraIntrinsics, CameraMount, DepthFrame,
                        InputFormatError, PointCloud, back_project,
                        construct_obstacle_map, intrinsics_for_fov,
                        load_depth_frame, save_depth_frame)
+from repshield.harness import resolve_world
+from repshield.platforms import PLATFORMS
 from repshield.projection import bin_half_range
+from repshield.sim import RobotState, raycast_depth
 
 
 def _cfg(**overrides) -> AvoidanceConfig:
@@ -93,6 +96,43 @@ def test_back_project_row_major_order():
     ys = cloud.points[:, 1]
     assert np.all(np.diff(ys) >= -1e-15)
     assert len(cloud) == 9
+
+
+def _assert_back_project_matches_oracle(frame: DepthFrame):
+    points = back_project(frame).points
+    ref = oracle_back_project(frame)
+    assert points.shape == ref.shape
+    assert points.tobytes() == ref.tobytes()
+
+
+def test_property_back_project_matches_oracle_bitwise():
+    rng = np.random.default_rng(12)
+    mount = CameraMount(height_m=0.3)
+    shapes = [(1, 1), (1, 23), (17, 1)] + [
+        (int(rng.integers(1, 40)), int(rng.integers(1, 60))) for _ in range(80)]
+    for height, width in shapes:
+        # Off-centre principal point and fx != fy.
+        intr = CameraIntrinsics(fx=float(rng.uniform(0.5, 500.0)),
+                                fy=float(rng.uniform(0.5, 500.0)),
+                                cx=float(rng.uniform(0.0, width)),
+                                cy=float(rng.uniform(0.0, height)),
+                                width=width, height=height)
+        depths = rng.uniform(0.0, 5.0, size=(height, width))
+        depths[rng.random((height, width)) < 0.2] = 0.0
+        _assert_back_project_matches_oracle(DepthFrame(depths, intr, mount))
+        # A column-major depth grid still yields row-major pixel order.
+        _assert_back_project_matches_oracle(DepthFrame(np.asfortranarray(depths), intr, mount))
+    zeros = DepthFrame(np.zeros((6, 9)), intrinsics_for_fov(9, 6, 90.0), mount)
+    _assert_back_project_matches_oracle(zeros)
+    assert len(back_project(zeros)) == 0
+
+
+def test_back_project_native_frames_match_oracle_bitwise():
+    world = resolve_world("corridor_03")
+    for plat in PLATFORMS.values():
+        frame = raycast_depth(world, RobotState(1.0, 1.0, 0.3), plat.intrinsics(), plat.mount())
+        assert frame.depths.shape == (plat.image_height, plat.image_width)
+        _assert_back_project_matches_oracle(frame)
 
 
 def test_depth_frame_validation():
@@ -246,6 +286,29 @@ def test_property_depth_frame_oracle_equivalence():
         depths[:, k + 1] = depths[:, k]
         frame = DepthFrame(depths, intrinsics_for_fov(width, height, mount.fov_deg), mount)
         _assert_map_matches_oracle(frame, cfg)
+
+
+def test_tiled_frame_ties_resolve_to_lowest_index():
+    # The simulator tiles one depth down each column. When runs of columns
+    # share a depth inside one bin, hundreds of points tie on Z there; the
+    # lowest point index (first kept row of the leftmost tied column) wins.
+    mount = CameraMount(height_m=0.3, fov_deg=90.0)
+    intr = intrinsics_for_fov(64, 48, 90.0)
+    box = np.full(64, 0.9)
+    box[20:44] = 0.45  # a nearer box in front of a wall
+    for cols in (np.full(64, 0.6), box):
+        frame = DepthFrame(np.tile(cols, (48, 1)), intr, mount)
+        cfg = _cfg(mount=mount, bin_count=4)
+        omap = _assert_map_matches_oracle(frame, cfg)
+        assert omap.bins.tolist() == [0, 1, 2, 3]
+        # Every Z is within tau_z and the mount has no offsets, so a bin's
+        # winning Z is its map entry's x.
+        cloud = back_project(frame).points
+        kept = cloud[cloud[:, 1] >= -cfg.epsilon]
+        half = bin_half_range(cfg)
+        bins = np.minimum(np.floor((kept[:, 0] + half) / (half / 2)), 3)
+        for b, x in zip(omap.bins, omap.points[:, 0]):
+            assert np.count_nonzero((bins == b) & (kept[:, 2] == x)) >= 100
 
 
 def test_depth_frames_with_empty_maps():
