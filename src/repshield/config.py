@@ -9,7 +9,13 @@ from pathlib import Path
 
 from .errors import InputFormatError
 
-DIRECTION_MODES = ("repel", "attract")
+
+def require_int(name: str, value, minimum: int) -> None:
+    """Reject a non-integer (``bool`` included) or a value below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -66,11 +72,6 @@ class SafetyParams:
 class AvoidanceConfig:
     """Everything the per-frame avoidance step needs besides its inputs.
 
-    direction_mode selects the sign convention of the obstacle force:
-    ``repel`` pushes waypoints away from obstacles; ``attract`` keeps the
-    raw negative-sign convention of classical potential fields, in which
-    the summed vector points from the waypoint toward the obstacles.
-
     x_half_range_m optionally pins the lateral binning window; when None it
     is derived as tan(fov/2) * tau_z.
     """
@@ -80,7 +81,6 @@ class AvoidanceConfig:
     epsilon: float = -0.05
     bin_count: int = 32
     theta_clip: float = math.pi / 4
-    direction_mode: str = "repel"
     safety: SafetyParams = field(default_factory=SafetyParams)
     x_half_range_m: float | None = None
 
@@ -89,16 +89,9 @@ class AvoidanceConfig:
             raise ValueError(f"tau_z must be finite and positive, got {self.tau_z}")
         if not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon}")
-        if isinstance(self.bin_count, bool) or not isinstance(self.bin_count, Integral):
-            raise ValueError(f"bin_count must be an integer, got {self.bin_count!r}")
-        if self.bin_count < 1:
-            raise ValueError(f"bin_count must be at least 1, got {self.bin_count}")
+        require_int("bin_count", self.bin_count, 1)
         if not (0 < self.theta_clip <= math.pi):
             raise ValueError(f"theta_clip must be in (0, pi], got {self.theta_clip}")
-        if self.direction_mode not in DIRECTION_MODES:
-            raise ValueError(
-                f"direction_mode must be one of {DIRECTION_MODES}, got {self.direction_mode!r}"
-            )
         if self.x_half_range_m is not None and not 0 < self.x_half_range_m < math.inf:
             raise ValueError(
                 f"x_half_range_m must be finite and positive, got {self.x_half_range_m}")
@@ -124,7 +117,7 @@ def save_config(cfg: AvoidanceConfig, path: str | Path) -> None:
     for key, (record, _) in _FIELDS.items():
         value = getattr(getattr(cfg, record) if record else cfg, key)
         if value is not None:
-            lines.append(f"{key} = {value}" if isinstance(value, str) else f"{key} = {value!r}")
+            lines.append(f"{key} = {value!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -148,10 +141,10 @@ def load_config(path: str | Path, base: AvoidanceConfig) -> AvoidanceConfig:
         if key in values[record]:
             raise InputFormatError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
-            parsed = {"int": int, "str": str}.get(type_name, float)(value)
+            parsed = (int if type_name == "int" else float)(value)
         except ValueError as exc:
             raise InputFormatError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-        if isinstance(parsed, float) and not math.isfinite(parsed):
+        if not math.isfinite(parsed):
             raise InputFormatError(f"{path}:{lineno}: {key} must be finite, got {value}")
         values[record][key] = parsed
     try:

@@ -19,7 +19,7 @@ from ..errors import InputFormatError
 from ..platforms import PlatformSpec, get_platform
 from ..sim import RobotState, WorldModel, check_collision, load_world, perturb_agent
 from ..sim.policies import GoalSeeker, Wanderer
-from ..worldgen import BUNDLED_WORLDS, bundled_world_path
+from ..worldgen import BUNDLED_WORLDS
 from .episodes import CONTROL_PERIOD_S, EpisodeResult, run_episode
 
 TASKS = ("exploration", "goal_conditioned", "dynamic_obstacle")
@@ -100,7 +100,7 @@ def resolve_world(world: str | Path | WorldModel) -> WorldModel:
         raise InputFormatError("no world given")
     name = str(world)
     if name in BUNDLED_WORLDS:
-        return load_world(bundled_world_path(name))
+        return BUNDLED_WORLDS[name]()
     path = Path(world)
     if not path.exists():
         raise InputFormatError(f"world {name!r} is neither a bundled name nor a file")

@@ -9,13 +9,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import AvoidanceConfig, CameraMount
+from .config import AvoidanceConfig, CameraMount, require_int
 from .projection import CameraIntrinsics, intrinsics_for_fov
 
 # The simulated world is planar, so image rows carry no extra geometry
 # and the obstacle map is identical for two or more rows (one row would
-# give fy = 0, which CameraIntrinsics rejects); frames are rendered with
-# this many rows by default to keep episodes fast.
+# give fy = 0, so PlatformSpec.intrinsics requires two); frames are
+# rendered with this many rows by default to keep episodes fast.
 SIM_FRAME_ROWS = 8
 
 
@@ -53,6 +53,8 @@ class PlatformSpec:
         hide obstacles close to the camera.
         """
         native = intrinsics_for_fov(self.image_width, self.image_height, self.camera.fov_deg)
+        if rows is not None:
+            require_int("rows", rows, 2)
         if rows is None or rows == self.image_height:
             return native
         tan_half_v = ((self.image_height - 1) / 2.0) / native.fy

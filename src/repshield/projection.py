@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import AvoidanceConfig, CameraMount
+from .config import AvoidanceConfig, CameraMount, require_int
 from .errors import InputFormatError
 
 
@@ -39,8 +39,8 @@ class CameraIntrinsics:
             raise ValueError(
                 f"focal lengths must be finite and positive, got fx={self.fx} fy={self.fy}"
             )
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"image size must be at least 1x1, got {self.width}x{self.height}")
+        require_int("width", self.width, 1)
+        require_int("height", self.height, 1)
         if not (0 <= self.cx < self.width) or not (0 <= self.cy < self.height):
             raise ValueError(
                 f"principal point ({self.cx}, {self.cy}) outside image {self.width}x{self.height}"
@@ -52,8 +52,12 @@ def intrinsics_for_fov(width: int, height: int, fov_deg: float) -> CameraIntrins
 
     The principal point sits at the grid center ((width-1)/2, (height-1)/2),
     and fx is chosen so the leftmost and rightmost pixel centers subtend
-    exactly fov_deg/2 on each side of the optical axis.
+    exactly fov_deg/2 on each side of the optical axis (so width >= 2).
     """
+    require_int("width", width, 2)
+    require_int("height", height, 1)
+    if not (0 < fov_deg < 180):
+        raise ValueError(f"fov_deg must be in (0, 180), got {fov_deg}")
     half = math.radians(fov_deg) / 2.0
     f = ((width - 1) / 2.0) / math.tan(half)
     return CameraIntrinsics(fx=f, fy=f, cx=(width - 1) / 2.0, cy=(height - 1) / 2.0,

@@ -65,13 +65,11 @@ def _obstacle_points(obstacles: ObstacleMap | np.ndarray) -> np.ndarray:
     return pts
 
 
-def repulsive_force(waypoint: np.ndarray, obstacles: ObstacleMap | np.ndarray,
-                    direction_mode: str = "repel") -> np.ndarray:
+def repulsive_force(waypoint: np.ndarray, obstacles: ObstacleMap | np.ndarray) -> np.ndarray:
     """Summed obstacle force on one waypoint, shape (2,), or on K, shape (K, 2).
 
-    Each obstacle at distance d contributes magnitude 1/d^3 along the
-    waypoint-obstacle axis; ``repel`` points away from the obstacle,
-    ``attract`` toward it. Components are accumulated with math.fsum so the
+    Each obstacle at distance d pushes the waypoint directly away from it
+    with magnitude 1/d^3. Components are accumulated with math.fsum so the
     result does not depend on summation blocking.
 
     Raises:
@@ -86,9 +84,7 @@ def repulsive_force(waypoint: np.ndarray, obstacles: ObstacleMap | np.ndarray,
     if zero.size:
         raise SingularityError(int(zero[0]))
     units = diffs / dists[..., None]
-    scale = -1.0 / np.maximum(dists, MIN_OBSTACLE_DISTANCE_M)**3
-    if direction_mode == "repel":
-        scale = -scale
+    scale = 1.0 / np.maximum(dists, MIN_OBSTACLE_DISTANCE_M)**3
     contrib = scale[..., None] * units
     return np.array([[math.fsum(xs), math.fsum(ys)]
                      for xs, ys in contrib.transpose(0, 2, 1).tolist()]).reshape(p.shape)
@@ -102,7 +98,7 @@ def estimate_repulsive_direction(traj: Trajectory, obstacles: ObstacleMap | np.n
     smallest index, which also covers the all-zero case of an empty
     obstacle set.
     """
-    forces = repulsive_force(traj.waypoints, obstacles, cfg.direction_mode)
+    forces = repulsive_force(traj.waypoints, obstacles)
     magnitudes = np.hypot(forces[:, 0], forces[:, 1])
     k = int(np.argmax(magnitudes))
     fx, fy = forces[k]

@@ -1,14 +1,10 @@
-"""Generators for the bundled benchmark worlds.
+"""Generators for the bundled benchmark worlds, their only source.
 
-The worlds ship as files under ``repshield/worlds`` so they are stable
-artifacts; these functions are their single source. A regeneration check in
-the test suite keeps the files and the generators in sync.
+``BUNDLED_WORLDS`` maps each name to its builder; fixed seeds make every
+build bitwise identical, and ``save_world`` writes one to a file.
 """
 
 from __future__ import annotations
-
-from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -29,22 +25,21 @@ _ARENA_BOX_SITES = (
 )
 
 
-def exploration_world(seed: int = 11) -> WorldModel:
+def exploration_world() -> WorldModel:
     """A 3.5 x 2.8 m walled arena with 10 boxes banked at the short ends.
 
-    Each end holds a broken wall of five boxes whose gaps are narrower
-    than the robot, so the open middle strip is the only survivable
-    region. A depth-gated controller can pace the strip indefinitely,
-    while a blind policy reliably drifts into a box bank or a wall.
+    Each end holds a broken wall of five boxes with 0.33 m gaps (0.27-0.39
+    m after jitter), about the robot's 0.34 m footprint, so the open middle
+    strip is the only roomy region. A depth-gated controller can pace the
+    strip indefinitely, while a blind policy reliably drifts into a box
+    bank or a wall.
     """
-    rng = np.random.default_rng(seed)
-    bounds = (0.0, 0.0, 3.5, 2.8)
-    side = 0.22
+    rng = np.random.default_rng(11)
     boxes = []
     for cx, cy in _ARENA_BOX_SITES:
         jx, jy = rng.uniform(-0.03, 0.03, size=2)
-        boxes.append(_box(cx + jx, cy + jy, side))
-    return WorldModel(bounds=bounds, polygons=tuple(boxes), bounds_solid=True)
+        boxes.append(_box(cx + jx, cy + jy, 0.22))
+    return WorldModel(bounds=(0.0, 0.0, 3.5, 2.8), polygons=tuple(boxes), bounds_solid=True)
 
 
 _CORRIDOR_BOUNDS = (0.0, -1.2, 24.0, 1.2)
@@ -161,22 +156,3 @@ BUNDLED_WORLDS = {
        for name in DYNAMIC_SCENARIOS},
 }
 
-
-def bundled_world_path(name: str) -> Path:
-    """Filesystem path of a bundled world file."""
-    if name not in BUNDLED_WORLDS:
-        raise ValueError(f"unknown bundled world {name!r}")
-    return Path(resources.files("repshield") / "worlds" / f"{name}.world")
-
-
-def write_bundled_worlds(directory: str | Path) -> list[Path]:
-    """Regenerate every bundled world file into ``directory``."""
-    from .sim.world import save_world
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, build in BUNDLED_WORLDS.items():
-        path = directory / f"{name}.world"
-        save_world(build(), path)
-        written.append(path)
-    return written

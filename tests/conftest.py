@@ -87,7 +87,7 @@ def random_cloud(rng: np.random.Generator, n: int, cfg: AvoidanceConfig) -> np.n
 # Force oracle
 # ---------------------------------------------------------------------------
 
-def oracle_force(waypoint, obstacles, direction_mode: str = "repel"):
+def oracle_force(waypoint, obstacles):
     """Scalar-loop force sum for one waypoint."""
     fx_terms, fy_terms = [], []
     px, py = float(waypoint[0]), float(waypoint[1])
@@ -95,20 +95,18 @@ def oracle_force(waypoint, obstacles, direction_mode: str = "repel"):
         dx, dy = px - ox, py - oy
         d = math.hypot(dx, dy)
         mag = 1.0 / max(d, 1e-6) ** 3
-        if direction_mode != "repel":
-            mag = -mag
         fx_terms.append(mag * dx / d)
         fy_terms.append(mag * dy / d)
     return np.array([math.fsum(fx_terms), math.fsum(fy_terms)])
 
 
-def oracle_dominant(waypoints, obstacles, direction_mode: str = "repel"):
+def oracle_dominant(waypoints, obstacles):
     """Exhaustive argmax over per-waypoint force magnitudes.
 
     Strictly-greater comparison keeps the earliest maximum, which is the
     lowest-index tie rule.
     """
-    forces = [oracle_force(wp, obstacles, direction_mode) for wp in waypoints]
+    forces = [oracle_force(wp, obstacles) for wp in waypoints]
     best, best_mag = 0, -1.0
     for k, f in enumerate(forces):
         mag = math.hypot(f[0], f[1])

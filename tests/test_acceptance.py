@@ -107,7 +107,6 @@ _INVARIANT_TESTS = {
         "test_property_force_strictly_decreases_with_distance",
         "test_property_superposition",
         "test_property_rotation_equivariance",
-        "test_property_attract_is_exact_negation",
         "test_property_oracle_equivalence_small",
         "test_property_argmax_invariant_under_uniform_scaling",
         "test_property_theta_rot_clipped",

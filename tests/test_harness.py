@@ -13,9 +13,8 @@ from repshield.errors import InputFormatError
 from repshield.harness import (CONTROL_PERIOD_S, ExperimentSpec, per_trial_csv,
                                report_csv, resolve_world, run_dynamic, run_exploration,
                                run_goal_conditioned)
-from repshield.sim import WorldModel, load_world
-from repshield.worldgen import (BUNDLED_WORLDS, bundled_world_path,
-                                write_bundled_worlds)
+from repshield.sim import WorldModel, load_world, save_world
+from repshield.worldgen import BUNDLED_WORLDS
 
 _EMPTY_ARENA = WorldModel(bounds=(0.0, 0.0, 4.0, 4.0), bounds_solid=False,
                           start=(2.0, 2.0, 0.0))
@@ -192,7 +191,7 @@ def test_single_trial_std_is_zero():
 
 
 # ---------------------------------------------------------------------------
-# World resolution and bundled files
+# World resolution and bundled worlds
 # ---------------------------------------------------------------------------
 
 def test_resolve_world_accepts_model_name_and_path(tmp_path):
@@ -200,7 +199,7 @@ def test_resolve_world_accepts_model_name_and_path(tmp_path):
     bundled = resolve_world("corridor_empty")
     assert bundled.goals.shape[0] > 0
     copy = tmp_path / "c.world"
-    copy.write_bytes(bundled_world_path("corridor_empty").read_bytes())
+    save_world(bundled, copy)
     from_path = resolve_world(copy)
     assert from_path.bounds == bundled.bounds
 
@@ -212,18 +211,28 @@ def test_resolve_world_errors():
         resolve_world("no_such_world")
 
 
-def test_bundled_worlds_match_generators(tmp_path):
-    write_bundled_worlds(tmp_path)
-    for name in BUNDLED_WORLDS:
-        packaged = bundled_world_path(name).read_bytes()
-        regenerated = (tmp_path / f"{name}.world").read_bytes()
-        assert packaged == regenerated, name
+def test_bundled_worlds_all_load(tmp_path):
+    # Every built world survives a save/load round trip unchanged.
+    for name, build in BUNDLED_WORLDS.items():
+        world = build()
+        path = tmp_path / f"{name}.world"
+        save_world(world, path)
+        loaded = load_world(path)
+        assert loaded.bounds == world.bounds, name
+        assert loaded.start == world.start, name
+        assert loaded.static_segments.tobytes() == world.static_segments.tobytes(), name
+        assert loaded.goals.tobytes() == world.goals.tobytes(), name
 
 
-def test_bundled_worlds_all_load():
-    for name in BUNDLED_WORLDS:
-        world = load_world(bundled_world_path(name))
-        assert world.bounds[2] > world.bounds[0]
+def test_corridor_boxes_stay_clear_of_goal_x():
+    # corridor_world promises every box at least ~0.5 m clear of each
+    # goal's x position, so no goal lies buried inside a cluster.
+    for i in range(1, 11):
+        world = BUNDLED_WORLDS[f"corridor_{i:02d}"]()
+        for poly in world.polygons:
+            lo, hi = poly.vertices[:, 0].min(), poly.vertices[:, 0].max()
+            clearance = np.maximum(lo - world.goals[:, 0], world.goals[:, 0] - hi)
+            assert clearance.min() >= 0.5, (i, lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -233,7 +233,6 @@ def test_config_round_trip(tmp_path):
     cfg = _cfg(mount=CameraMount(height_m=0.34, x_offset_m=0.01,
                                  fov_deg=170.0, depth_offset_m=0.05),
                tau_z=1.0, bin_count=32, theta_clip=math.pi / 4,
-               direction_mode="repel",
                safety=SafetyParams(theta_thres=math.pi / 6, v_fwd=0.2,
                                    omega_max=0.8, k_omega=2.0),
                x_half_range_m=0.9)
@@ -269,12 +268,15 @@ def test_config_errors(tmp_path):
     path.write_text("tau_z = banana\n")
     with pytest.raises(InputFormatError):
         load_config(path, base=_cfg())
-    path.write_text("v_max = 0.2\n")
-    with pytest.raises(InputFormatError, match=f"{re.escape(str(path))}:1: unknown key 'v_max'"):
-        load_config(path, base=_cfg())
+    # Keys of deleted settings are unknown, not silently ignored.
+    for key, value in (("v_max", "0.2"), ("direction_mode", "attract")):
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(InputFormatError,
+                           match=f"{re.escape(str(path))}:1: unknown key '{key}'"):
+            load_config(path, base=_cfg())
 
 
-_FLOAT_CONFIG_KEYS = [k for k in CONFIG_KEYS if k not in ("bin_count", "direction_mode")]
+_FLOAT_CONFIG_KEYS = [k for k in CONFIG_KEYS if k != "bin_count"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

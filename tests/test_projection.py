@@ -63,6 +63,34 @@ def test_intrinsics_validation():
         CameraMount(height_m=0.3, fov_deg=200.0)
 
 
+_LOCOBOT = PLATFORMS["locobot"]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _LOCOBOT.intrinsics(1), "rows must be at least 2, got 1"),
+    (lambda: _LOCOBOT.intrinsics(2.5), "rows must be an integer, got 2.5"),
+    (lambda: _LOCOBOT.intrinsics(True), "rows must be an integer, got True"),
+    (lambda: intrinsics_for_fov(1, 8, 90.0), "width must be at least 2, got 1"),
+    (lambda: intrinsics_for_fov(8.0, 8, 90.0), "width must be an integer, got 8.0"),
+    (lambda: intrinsics_for_fov(8, 0, 90.0), "height must be at least 1, got 0"),
+    (lambda: intrinsics_for_fov(8, 8, 180.0), "fov_deg must be in (0, 180), got 180.0"),
+    (lambda: intrinsics_for_fov(8, 8, 0.0), "fov_deg must be in (0, 180), got 0.0"),
+    (lambda: intrinsics_for_fov(8, 8, -10.0), "fov_deg must be in (0, 180), got -10.0"),
+    (lambda: CameraIntrinsics(1.0, 1.0, 0.0, 0.0, width=2.0, height=2),
+     "width must be an integer, got 2.0"),
+    (lambda: CameraIntrinsics(1.0, 1.0, 0.0, 0.0, width=2, height=True),
+     "height must be an integer, got True"),
+], ids=["rows_1", "rows_float", "rows_bool", "width_1", "width_float", "height_0",
+        "fov_180", "fov_0", "fov_negative", "intrinsics_width_float",
+        "intrinsics_height_bool"])
+def test_intrinsics_check_their_own_arguments(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+    # numpy integers are integers.
+    assert intrinsics_for_fov(np.int64(2), np.int32(1), 90.0).width == 2
+    assert _LOCOBOT.intrinsics(np.int64(2)).height == 2
+
+
 # ---------------------------------------------------------------------------
 # Back-projection
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Tests for the repulsive-force model and trajectory rotation.
 
 Single-obstacle hand values: an obstacle at distance d exerts magnitude
-exactly d^-3 on the waypoint, pointing away from the obstacle in the
-default mode and toward it in ``attract`` mode.
+exactly d^-3 on the waypoint, pointing away from the obstacle.
 """
 
 from __future__ import annotations
@@ -36,12 +35,10 @@ def _rand_instance(rng, max_obstacles=64):
 # ---------------------------------------------------------------------------
 
 def test_force_single_obstacle_hand_computed():
-    # Obstacle at (1, 0), waypoint at origin, d = 1: repel's force is
-    # exactly (-1, 0); attract flips it.
+    # Obstacle at (1, 0), waypoint at origin, d = 1: the force is exactly
+    # (-1, 0).
     f = repulsive_force(np.zeros(2), np.array([[1.0, 0.0]]))
     np.testing.assert_array_equal(f, [-1.0, 0.0])
-    f = repulsive_force(np.zeros(2), np.array([[1.0, 0.0]]), "attract")
-    np.testing.assert_array_equal(f, [1.0, 0.0])
 
 
 def test_force_magnitude_is_inverse_cube():
@@ -120,21 +117,6 @@ def test_property_rotation_equivariance():
         f = repulsive_force(wp, obs)
         f_rot = repulsive_force(rot @ wp, obs @ rot.T)
         np.testing.assert_allclose(f_rot, rot @ f, rtol=0, atol=1e-9)
-
-
-def test_property_attract_is_exact_negation():
-    rng = np.random.default_rng(24)
-    for _ in range(150):
-        wp = rng.uniform(-2, 2, size=2)
-        obs = rng.uniform(-2, 2, size=(int(rng.integers(1, 30)), 2))
-        f_rep = repulsive_force(wp, obs, "repel")
-        f_att = repulsive_force(wp, obs, "attract")
-        np.testing.assert_array_equal(f_att, -f_rep)
-        if np.any(f_rep != 0.0):
-            # The two headings differ by exactly pi modulo 2*pi.
-            d = math.atan2(f_att[1], f_att[0]) - math.atan2(f_rep[1], f_rep[0])
-            wrapped = (d + math.pi) % (2 * math.pi) - math.pi
-            assert abs(abs(wrapped) - math.pi) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from repshield.sim import (FAR_LIMIT_M, AgentTrack, Circle, GoalSeeker, Polygon,
                            load_world, perturb_agent, raycast_depth,
                            save_world, step_kinematics)
 from repshield.harness import GOAL_RADIUS_M, run_episode
-from repshield.worldgen import BUNDLED_WORLDS, bundled_world_path
+from repshield.worldgen import BUNDLED_WORLDS
 
 from conftest import oracle_collision
 
@@ -180,7 +180,7 @@ def _tangent_poses(world, r, t):
 
 def test_property_collision_oracle_equivalence():
     rng = np.random.default_rng(54)
-    worlds = [load_world(bundled_world_path(name)) for name in BUNDLED_WORLDS]
+    worlds = [build() for build in BUNDLED_WORLDS.values()]
     for world in worlds + [_mixed_world()]:
         xmin, ymin, xmax, ymax = world.bounds
         for k in range(100):
