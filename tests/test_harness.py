@@ -11,8 +11,8 @@ import pytest
 
 from repshield.errors import InputFormatError
 from repshield.harness import (CONTROL_PERIOD_S, ExperimentSpec, per_trial_csv,
-                               report_csv, resolve_world, run_dynamic, run_exploration,
-                               run_goal_conditioned)
+                               report_csv, resolve_world, run_dynamic, run_experiment,
+                               run_exploration, run_goal_conditioned)
 from repshield.sim import WorldModel, load_world, save_world
 from repshield.worldgen import BUNDLED_WORLDS
 
@@ -91,17 +91,51 @@ _EXPLORATION_PIN = {
 }
 
 
-@pytest.mark.parametrize("shield", [True, False])
-def test_exploration_bytes_match_pinned_digests(shield):
-    rep = run_exploration(ExperimentSpec(task="exploration", world="exploration_boxes",
-                                         trials=3, seed=0, max_time_s=20.0, shield=shield))
+def _artifact_digests(rep) -> dict[str, str]:
+    """sha256 of every file ``--out`` would write for this report."""
     texts = {"report.csv": report_csv(rep), "trials.csv": per_trial_csv(rep)}
     for trial, r in enumerate(rep.per_trial):
         texts[f"trial_{trial:03d}.traj.csv"] = r.trajectory_log
         if r.decision_log is not None:
             texts[f"trial_{trial:03d}.dec.csv"] = r.decision_log
-    digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
-    assert digests == _EXPLORATION_PIN[shield]
+    return {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
+
+
+@pytest.mark.parametrize("shield", [True, False])
+def test_exploration_bytes_match_pinned_digests(shield):
+    rep = run_exploration(ExperimentSpec(task="exploration", world="exploration_boxes",
+                                         trials=3, seed=0, max_time_s=20.0, shield=shield))
+    assert _artifact_digests(rep) == _EXPLORATION_PIN[shield]
+
+
+# Shield-off goal and dynamic runs, seed 0, recorded at 842f93c. Every
+# trial collides once and then arrives, so these pin goal arrival, the
+# completion time and the unshielded command path.
+_CORRIDOR_03_NO_SHIELD = ExperimentSpec(task="goal_conditioned", world="corridor_03",
+                                        trials=1, max_time_s=900.0, max_distance_m=60.0,
+                                        shield=False)
+_ARRIVAL_PIN = [
+    (_CORRIDOR_03_NO_SHIELD, {
+        "report.csv": "d70629ed1be5fefc25215862e3f8bbbd195d808276ed3cdd260bd041c67d10d9",
+        "trials.csv": "7e9d6a7e5abcbd6f57d79cec24cea25503e812a04a8f1ffe6ddc1143b812c4e8",
+        "trial_000.traj.csv": "985b5e040f9887cc9aec86e85fc97595fd681820096cdda12d01601c31eb661d",
+    }),
+    (ExperimentSpec(task="dynamic_obstacle", world="dynamic_side_appear", trials=3,
+                    max_time_s=120.0, shield=False), {
+        "report.csv": "ed00b9b2e7801f07a264fee48c5b8ab3e51ea1efc55bf28c17b00318d5454b28",
+        "trials.csv": "28e2bc24544e0345704601c5a46330e3b40de2fd7f3ac59a15ecbaad65e0533c",
+        "trial_000.traj.csv": "ff550471bb3c07616356921d3adcc048970f1316f0324a290a16dd6d9b7d56fb",
+        "trial_001.traj.csv": "ed1a1749b7cac6917ec86549994619fb57d7d243b7efe75de7e6768042dd04f7",
+        "trial_002.traj.csv": "359af776821e8d75b7b23a597a7e61ce794efca71eb05072a4ed47436a59c234",
+    }),
+]
+
+
+@pytest.mark.parametrize("spec, pin", _ARRIVAL_PIN, ids=["corridor_03", "side_appear"])
+def test_unshielded_arrival_bytes_match_pinned_digests(spec, pin):
+    rep = run_experiment(spec)
+    assert rep.arrival_rate == 1.0 and rep.collision_trials == rep.trials
+    assert _artifact_digests(rep) == pin
 
 
 def test_seed_changes_exploration_outcome():
