@@ -114,10 +114,11 @@ CONFIG_KEYS = tuple(_FIELDS)
 def save_config(cfg: AvoidanceConfig, path: str | Path) -> None:
     """Write the flat key = value form; x_half_range_m is omitted when unset."""
     lines = []
-    for key, (record, _) in _FIELDS.items():
+    for key, (record, type_name) in _FIELDS.items():
         value = getattr(getattr(cfg, record) if record else cfg, key)
+        # By declared type: the repr of a numpy scalar would not load back.
         if value is not None:
-            lines.append(f"{key} = {value!r}")
+            lines.append(f"{key} = {int(value) if type_name == 'int' else repr(float(value))}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

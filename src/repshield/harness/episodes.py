@@ -1,20 +1,26 @@
 """Closed-loop episode execution with full-precision logging.
 
 One episode couples a stub policy, optionally wrapped in the avoidance
-shield, to the simulator at a fixed control rate. Collisions never stop
-the robot physically (there is no contact response); they are recorded,
-and optionally end the episode when the caller asks for that.
+shield, to the simulator at a fixed control rate. ``episode_ticks`` is the
+simulation: it yields one ``Tick`` per control period. ``run_episode``
+folds that stream into metrics and logs. Collisions never stop the robot
+physically (there is no contact response); they are recorded, and
+optionally end the episode when the caller asks for that.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 # avoidance_step is unused here, but a benchmark's tracer looks it up on this module.
-from ..pipeline import DECISION_LOG_HEADER, Shield, avoidance_step, decision_log_row  # noqa: F401
+from ..pipeline import (DECISION_LOG_HEADER, AvoidanceDecision, Shield,  # noqa: F401
+                        avoidance_step, decision_log_row)
 from ..platforms import SIM_FRAME_ROWS, PlatformSpec
 from ..repulsion import Trajectory
 from ..safety import ControlCommand, turn_rate
@@ -39,6 +45,18 @@ class EpisodeResult:
     decision_log: str | None
 
 
+class Tick(NamedTuple):
+    """One control period: its start time, the shield's decision (None
+    without the shield), the executed command, the pose after the step,
+    and whether that pose is in contact."""
+
+    t: float
+    decision: AvoidanceDecision | None
+    command: ControlCommand
+    state: RobotState
+    collided: bool
+
+
 def follow_waypoint_command(traj: Trajectory, safety) -> ControlCommand:
     """Baseline control without the shield: chase the second waypoint.
 
@@ -53,84 +71,82 @@ def follow_waypoint_command(traj: Trajectory, safety) -> ControlCommand:
     return ControlCommand(safety.v_fwd, turn_rate(theta, safety))
 
 
-def run_episode(world: WorldModel, policy, *, platform: PlatformSpec,
-                shield: bool, start: RobotState, goals: np.ndarray | None = None,
-                max_distance_m: float = math.inf, max_time_s: float = 300.0,
-                stop_on_collision: bool = False) -> EpisodeResult:
-    """Run one episode at the platform's default config; return metrics and logs.
+def episode_ticks(world: WorldModel, policy, *, platform: PlatformSpec, shield: bool,
+                  start: RobotState, goals: np.ndarray | None = None) -> Iterator[Tick]:
+    """Simulate the closed loop at the platform's default config, one tick per period.
 
     Ticks are ``CONTROL_PERIOD_S`` apart. Goals are visited in order; a goal
-    within ``GOAL_RADIUS_M`` is consumed at the start of a tick, and consuming
-    the last one ends the episode as an arrival. Collisions do not block
-    arrival. Distance is the commanded odometer (sum of v * dt), which for
-    arc integration equals true path length.
+    within ``GOAL_RADIUS_M`` is consumed at the start of a tick, and
+    consuming the last one ends the stream. Without goals it never ends.
     """
     cfg = platform.config()
     intr = platform.intrinsics(SIM_FRAME_ROWS)
-    mount = cfg.mount
-    dt = CONTROL_PERIOD_S
-
     goal_list = [np.asarray(g, dtype=np.float64) for g in (goals if goals is not None else [])]
     gi = 0
-
     state = start
-    traj_rows = [TRAJECTORY_LOG_HEADER]
-    dec_rows = [DECISION_LOG_HEADER] if shield else None
     avoider = Shield(cfg)
-
-    distance = 0.0
-    collisions = 0
-    collided_prev = False
-    first_collision_distance = None
-    arrived = False
-    completion_time = math.nan
-
-    max_ticks = int(round(max_time_s / dt))
-    for k in range(max_ticks):
-        t = k * dt
+    decision = None
+    for k in itertools.count():
+        t = k * CONTROL_PERIOD_S
         while gi < len(goal_list) and math.hypot(state.x - goal_list[gi][0],
                                                  state.y - goal_list[gi][1]) <= GOAL_RADIUS_M:
             gi += 1
         if goal_list and gi == len(goal_list):
-            arrived = True
-            completion_time = t
-            break
-
-        goal = goal_list[gi] if goal_list else None
+            return
         # Looked up per tick on this module: a benchmark stamps ticks by patching it.
-        traj = policy_trajectory(policy, state, goal)
+        traj = policy_trajectory(policy, state, goal_list[gi] if goal_list else None)
         if shield:
-            frame = raycast_depth(world, state, intr, mount, t=t)
+            frame = raycast_depth(world, state, intr, cfg.mount, t=t)
             decision, cmd = avoider.step(frame, traj)
-            dec_rows.append(decision_log_row(t, decision, cmd))
         else:
             cmd = follow_waypoint_command(traj, cfg.safety)
+        state = step_kinematics(state, cmd, CONTROL_PERIOD_S)
+        yield Tick(t, decision, cmd, state,
+                   check_collision(world, state, t=t + CONTROL_PERIOD_S))
 
-        state = step_kinematics(state, cmd, dt)
-        sim_time = t + dt
-        distance += cmd.v * dt
-        collided = check_collision(world, state, t=sim_time)
-        if collided and not collided_prev:
+
+def run_episode(world: WorldModel, policy, *, platform: PlatformSpec,
+                shield: bool, start: RobotState, goals: np.ndarray | None = None,
+                max_distance_m: float = math.inf, max_time_s: float = 300.0,
+                stop_on_collision: bool = False) -> EpisodeResult:
+    """Fold the ticks of one episode into its metrics and logs.
+
+    The episode ends at arrival (``episode_ticks`` runs out), after the
+    tick that reaches the time or distance cap, or, with
+    ``stop_on_collision``, after the first colliding tick; it runs at
+    least one tick unless it starts at its last goal. Collisions do not
+    block arrival. Distance is the commanded odometer (sum of v * dt),
+    which for arc integration equals true path length.
+    """
+    max_ticks = int(round(max_time_s / CONTROL_PERIOD_S))
+    traj_rows = [TRAJECTORY_LOG_HEADER]
+    dec_rows = [DECISION_LOG_HEADER] if shield else None
+    state = start
+    distance = clear_distance = 0.0
+    collisions, collided_prev = 0, False
+    arrived, completion_time = False, math.nan
+    ticks = episode_ticks(world, policy, platform=platform, shield=shield,
+                          start=start, goals=goals)
+    for k, tick in enumerate(ticks, start=1):
+        # Formatted inside the tick, so a per-tick clock charges each row to its own tick.
+        if dec_rows is not None:
+            dec_rows.append(decision_log_row(tick.t, tick.decision, tick.command))
+        state, cmd = tick.state, tick.command
+        traj_rows.append(f"{tick.t + CONTROL_PERIOD_S!r},{state.x!r},{state.y!r},"
+                         f"{state.heading!r},{cmd.v!r},{cmd.omega!r},{int(tick.collided)}")
+        distance += cmd.v * CONTROL_PERIOD_S
+        if not collisions:
+            clear_distance = distance
+        if tick.collided and not collided_prev:
             collisions += 1
-            if first_collision_distance is None:
-                first_collision_distance = distance
-        collided_prev = collided
-        traj_rows.append(f"{sim_time!r},{state.x!r},{state.y!r},{state.heading!r},"
-                         f"{cmd.v!r},{cmd.omega!r},{int(collided)}")
-
-        if stop_on_collision and collided:
+        collided_prev = tick.collided
+        if k >= max_ticks or distance >= max_distance_m or (stop_on_collision and tick.collided):
             break
-        if distance >= max_distance_m:
-            break
+    else:
+        arrived, completion_time = True, (len(traj_rows) - 1) * CONTROL_PERIOD_S
 
     return EpisodeResult(
-        arrived=arrived,
-        completion_time_s=completion_time,
-        distance_m=distance,
-        distance_before_collision_m=(first_collision_distance
-                                     if first_collision_distance is not None else distance),
-        collisions=collisions,
-        final_state=state,
+        arrived=arrived, completion_time_s=completion_time, distance_m=distance,
+        distance_before_collision_m=clear_distance, collisions=collisions, final_state=state,
         trajectory_log="\n".join(traj_rows) + "\n",
-        decision_log="\n".join(dec_rows) + "\n" if dec_rows is not None else None,
-    )
+        decision_log="\n".join(dec_rows) + "\n" if dec_rows is not None else None)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..config import require_int
 from ..errors import InputFormatError
 from ..platforms import PlatformSpec, get_platform
 from ..sim import RobotState, WorldModel, check_collision, load_world, perturb_agent
@@ -49,10 +50,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        require_int("trials", self.trials, 1)
+        require_int("seed", self.seed, 0)
         if not (math.isfinite(self.max_time_s) and self.max_time_s >= CONTROL_PERIOD_S):
             raise ValueError(f"max_time_s must be finite and at least {CONTROL_PERIOD_S}, "
                              f"got {self.max_time_s}")

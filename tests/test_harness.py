@@ -4,16 +4,21 @@ bookkeeping, bundled worlds, and report serialization."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from repshield.errors import InputFormatError
-from repshield.harness import (CONTROL_PERIOD_S, ExperimentSpec, per_trial_csv,
-                               report_csv, resolve_world, run_dynamic, run_experiment,
-                               run_exploration, run_goal_conditioned)
-from repshield.sim import WorldModel, load_world, save_world
+from repshield.harness import (CONTROL_PERIOD_S, GOAL_RADIUS_M, ExperimentSpec, Tick,
+                               episode_ticks, per_trial_csv, report_csv, resolve_world,
+                               run_dynamic, run_episode, run_experiment, run_exploration,
+                               run_goal_conditioned)
+from repshield.pipeline import decision_log_row
+from repshield.platforms import get_platform
+from repshield.sim import RobotState, WorldModel, load_world, save_world
+from repshield.sim.policies import GoalSeeker, Wanderer
 from repshield.worldgen import BUNDLED_WORLDS
 
 _EMPTY_ARENA = WorldModel(bounds=(0.0, 0.0, 4.0, 4.0), bounds_solid=False,
@@ -185,30 +190,88 @@ def test_trials_have_distinct_starts():
 
 
 # ---------------------------------------------------------------------------
+# The tick stream
+# ---------------------------------------------------------------------------
+
+def _arena_episode(shield: bool = True, goals=None) -> dict:
+    platform = get_platform("locobot")
+    x, y, h = _GOAL_ARENA.start
+    return dict(world=_GOAL_ARENA, platform=platform, shield=shield, goals=goals,
+                start=RobotState(x, y, h, platform.footprint_radius_m, platform.name))
+
+
+def _trajectory_row(tick: Tick) -> str:
+    s, cmd = tick.state, tick.command
+    return (f"{tick.t + CONTROL_PERIOD_S!r},{s.x!r},{s.y!r},{s.heading!r},"
+            f"{cmd.v!r},{cmd.omega!r},{int(tick.collided)}")
+
+
+@pytest.mark.parametrize("shield", [True, False])
+def test_each_tick_is_one_row_of_each_log_and_the_stream_ends_at_arrival(shield):
+    episode = _arena_episode(shield, goals=_GOAL_ARENA.goals)
+    ticks = list(episode_ticks(policy=GoalSeeker(), **episode))
+    rec = run_episode(policy=GoalSeeker(), max_time_s=60.0, **episode)
+    assert rec.arrived and len(ticks) * CONTROL_PERIOD_S == rec.completion_time_s
+    assert rec.trajectory_log.splitlines()[1:] == [_trajectory_row(t) for t in ticks]
+    if shield:
+        assert rec.decision_log.splitlines()[1:] == [
+            decision_log_row(t.t, t.decision, t.command) for t in ticks]
+    else:
+        assert rec.decision_log is None and all(t.decision is None for t in ticks)
+    # Only the last tick's pose reaches the goal, which ends the stream.
+    gx, gy = _GOAL_ARENA.goals[0]
+    reached = [math.hypot(t.state.x - gx, t.state.y - gy) <= GOAL_RADIUS_M for t in ticks]
+    assert reached[-1] and not any(reached[:-1])
+    with pytest.raises(AttributeError):
+        ticks[0].t = 1.0
+
+
+def test_tick_stream_without_goals_runs_past_the_time_cap():
+    episode = _arena_episode()
+    rec = run_episode(policy=Wanderer(seed=4), max_time_s=1.0, **episode)
+    ticks = list(itertools.islice(episode_ticks(policy=Wanderer(seed=4), **episode), 15))
+    assert not rec.arrived
+    assert [t.t for t in ticks] == [k * CONTROL_PERIOD_S for k in range(15)]
+    assert rec.trajectory_log.splitlines()[1:] == [_trajectory_row(t) for t in ticks[:10]]
+
+
+# ---------------------------------------------------------------------------
 # Metrics from logs
 # ---------------------------------------------------------------------------
 
+def _assert_metrics_match_trajectory_log(rec) -> None:
+    rows = [line.split(",") for line in rec.trajectory_log.splitlines()[1:]]
+    # Same accumulation order as the runner, so the sums match bitwise.
+    distance = clear_distance = 0.0
+    collisions = 0
+    prev = False
+    for row in rows:
+        distance += float(row[4]) * CONTROL_PERIOD_S
+        if not collisions:
+            clear_distance = distance
+        hit = row[6] == "1"
+        if hit and not prev:
+            collisions += 1
+        prev = hit
+    assert distance == rec.distance_m
+    assert clear_distance == rec.distance_before_collision_m
+    assert collisions == rec.collisions
+    # Arrival itself needs the goals; its time is the tick count times the
+    # period, which the last row's stamp matches up to rounding.
+    assert len(rows) * CONTROL_PERIOD_S == rec.completion_time_s
+    assert float(rows[-1][0]) == pytest.approx(rec.completion_time_s)
+
+
 def test_metrics_recomputable_from_trajectory_logs():
-    spec = ExperimentSpec(task="goal_conditioned", world=_GOAL_ARENA,
-                          trials=2, seed=1, max_time_s=20.0)
-    rep = run_goal_conditioned(spec)
-    assert rep.arrival_rate == 1.0
-    for rec in rep.per_trial:
-        rows = [line.split(",") for line in rec.trajectory_log.splitlines()[1:]]
-        # Same accumulation order as the runner, so the sums match bitwise.
-        distance = 0.0
-        collisions = 0
-        prev = False
-        for row in rows:
-            distance += float(row[4]) * CONTROL_PERIOD_S
-            hit = row[6] == "1"
-            if hit and not prev:
-                collisions += 1
-            prev = hit
-        assert distance == rec.distance_m
-        assert collisions == rec.collisions
-        if rec.arrived:
-            assert float(rows[-1][0]) == rec.completion_time_s
+    arena = ExperimentSpec(task="goal_conditioned", world=_GOAL_ARENA,
+                           trials=2, seed=1, max_time_s=20.0)
+    # The wall-free arena never collides; shield-off corridor_03 collides once.
+    for spec, collision_trials in ((arena, 0), (_CORRIDOR_03_NO_SHIELD, 1)):
+        rep = run_goal_conditioned(spec)
+        assert rep.arrival_rate == 1.0
+        assert rep.collision_trials == collision_trials
+        for rec in rep.per_trial:
+            _assert_metrics_match_trajectory_log(rec)
 
 
 def test_exploration_without_goals_reports_nan_times():
@@ -284,7 +347,8 @@ def test_spec_validation():
     {"max_time_s": -1.0}, {"max_time_s": 0.0}, {"max_time_s": 0.05},
     {"max_time_s": math.nan}, {"max_time_s": math.inf},
     {"max_distance_m": 0.0}, {"max_distance_m": -1.0}, {"max_distance_m": math.nan},
-    {"seed": -1},
+    {"seed": -1}, {"seed": 1.5}, {"seed": True},
+    {"trials": 2.5}, {"trials": True},
 ])
 def test_spec_rejects_bad_caps(caps):
     with pytest.raises(ValueError):

@@ -243,6 +243,18 @@ def test_config_round_trip(tmp_path):
     assert load_config(path, base=get_platform("robomaster").config()) == cfg
 
 
+def test_config_round_trip_with_numpy_scalars(tmp_path):
+    # Values are written by declared type, not by repr, which for a numpy
+    # scalar reads "np.int64(7)" and would not load back.
+    cfg = _cfg(mount=CameraMount(height_m=np.float64(0.3), fov_deg=np.float32(90.0)),
+               bin_count=np.int64(7), tau_z=np.float64(1.25), x_half_range_m=np.float64(0.7))
+    path = tmp_path / "cfg.txt"
+    save_config(cfg, path)
+    assert "bin_count = 7\n" in path.read_text()
+    assert "height_m = 0.3\n" in path.read_text()
+    assert load_config(path, base=_cfg()) == cfg
+
+
 def test_config_partial_override(tmp_path):
     base = _cfg()
     path = tmp_path / "cfg.txt"
