@@ -8,7 +8,7 @@ supported evaluation protocols at desk scale.
 """
 
 from .config import AvoidanceConfig, CameraMount, SafetyParams, load_config, save_config
-from .errors import DegenerateHeadingError, InputFormatError, SingularityError
+from .errors import InputFormatError, SingularityError
 from .pipeline import AvoidanceDecision, Shield, avoidance_step, decision_log_row
 from .platforms import PLATFORMS, PlatformSpec, get_platform
 from .projection import (CameraIntrinsics, DepthFrame, ObstacleMap, PointCloud,
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AvoidanceConfig", "SafetyParams",
-    "InputFormatError", "SingularityError", "DegenerateHeadingError",
+    "InputFormatError", "SingularityError",
     "AvoidanceDecision", "Shield", "avoidance_step", "decision_log_row",
     "load_config", "save_config",
     "PLATFORMS", "PlatformSpec", "get_platform",

@@ -15,7 +15,3 @@ class SingularityError(ValueError):
     def __init__(self, obstacle_index: int):
         super().__init__(f"waypoint coincides with obstacle {obstacle_index}")
         self.obstacle_index = obstacle_index
-
-
-class DegenerateHeadingError(ValueError):
-    """The control waypoint sits at the origin, so no heading is defined."""

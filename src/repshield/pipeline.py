@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import AvoidanceConfig
-from .errors import DegenerateHeadingError, InputFormatError
+from .errors import InputFormatError
 from .projection import (DepthFrame, ObstacleMap, PointCloud, back_project,
                          construct_obstacle_map)
 from .repulsion import (RepulsiveResult, Trajectory, estimate_repulsive_direction,
@@ -31,9 +31,12 @@ class AvoidanceDecision:
     command: ControlCommand
     obstacle_map: ObstacleMap
     repulsive: RepulsiveResult | None
-    passthrough: bool
     theta_des: float
     degenerate: bool = False
+
+    @property
+    def passthrough(self) -> bool:
+        return self.obstacle_map.empty
 
 
 def avoidance_step(observation: DepthFrame | PointCloud, traj: Trajectory,
@@ -66,20 +69,17 @@ def avoidance_step(observation: DepthFrame | PointCloud, traj: Trajectory,
         adjusted = traj
         repulsive = None
         dominant = 0
-        passthrough = True
     else:
-        repulsive = estimate_repulsive_direction(traj, omap, cfg)
+        repulsive = estimate_repulsive_direction(traj, omap.points, cfg)
         adjusted = rotate_trajectory(traj, repulsive.theta_rot)
         dominant = repulsive.dominant_index
-        passthrough = False
 
-    try:
-        theta_des = compute_desired_heading(adjusted, dominant)
-    except DegenerateHeadingError:
+    theta_des = compute_desired_heading(adjusted, dominant)
+    if theta_des is None:
         return AvoidanceDecision(adjusted, ControlCommand(0.0, 0.0), omap, repulsive,
-                                 passthrough, theta_des=0.0, degenerate=True)
+                                 theta_des=0.0, degenerate=True)
     command = gate_command(theta_des, cfg.safety)
-    return AvoidanceDecision(adjusted, command, omap, repulsive, passthrough, theta_des)
+    return AvoidanceDecision(adjusted, command, omap, repulsive, theta_des)
 
 
 class Shield:

@@ -109,27 +109,13 @@ class PointCloud:
 class ObstacleMap:
     """Per-bin nearest obstacle points in the robot frame (x forward, y left).
 
-    ``points`` has shape (B, 2) with B <= bin_count; ``bins`` holds the
-    strictly increasing bin index of each entry.
+    Only ``construct_obstacle_map`` builds one, and it guarantees that
+    ``points`` is (B, 2) float64 with B <= the config's ``bin_count`` and
+    that ``bins`` holds the strictly increasing int64 bin index of each entry.
     """
 
     points: np.ndarray
     bins: np.ndarray
-    bin_count: int
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.size == 0:
-            pts = pts.reshape(0, 2)
-        bins = np.asarray(self.bins, dtype=np.int64)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "bins", bins)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError(f"obstacle points must have shape (B, 2), got {pts.shape}")
-        if bins.shape != (pts.shape[0],):
-            raise ValueError("bins must have one index per obstacle point")
-        if pts.shape[0] > self.bin_count:
-            raise ValueError("more obstacle entries than bins")
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -219,7 +205,7 @@ def construct_obstacle_map(cloud: PointCloud, cfg: AvoidanceConfig) -> ObstacleM
 
     robot_x = z[sel] + m.x_offset_m
     robot_y = -x[sel]
-    return ObstacleMap(np.column_stack((robot_x, robot_y)), occupied, bin_count)
+    return ObstacleMap(np.column_stack((robot_x, robot_y)), occupied)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import AvoidanceConfig
 from .errors import InputFormatError, SingularityError
-from .projection import ObstacleMap, _read_tagged
+from .projection import _read_tagged
 
 # Distances below this are clamped before cubing so a near-contact point
 # produces a large but finite force.
@@ -56,27 +56,21 @@ class RepulsiveResult:
     theta_rot: float
 
 
-def _obstacle_points(obstacles: ObstacleMap | np.ndarray) -> np.ndarray:
-    if isinstance(obstacles, ObstacleMap):
-        return obstacles.points
-    pts = np.asarray(obstacles, dtype=np.float64)
-    if pts.size == 0:
-        return pts.reshape(0, 2)
-    return pts
-
-
-def repulsive_force(waypoint: np.ndarray, obstacles: ObstacleMap | np.ndarray) -> np.ndarray:
+def repulsive_force(waypoint: np.ndarray, obstacles: np.ndarray) -> np.ndarray:
     """Summed obstacle force on one waypoint, shape (2,), or on K, shape (K, 2).
 
-    Each obstacle at distance d pushes the waypoint directly away from it
-    with magnitude 1/d^3. Components are accumulated with math.fsum so the
-    result does not depend on summation blocking.
+    ``obstacles`` is a (B, 2) array of points. Each obstacle at distance d
+    pushes the waypoint directly away from it with magnitude 1/d^3.
+    Components are accumulated with math.fsum so the result does not depend
+    on summation blocking.
 
     Raises:
         SingularityError: a waypoint coincides exactly with an obstacle;
             the first such waypoint reports its lowest obstacle index.
     """
-    pts = _obstacle_points(obstacles)
+    pts = np.asarray(obstacles, dtype=np.float64)
+    if pts.size == 0:
+        pts = pts.reshape(0, 2)
     p = np.asarray(waypoint, dtype=np.float64)
     diffs = p.reshape(-1, 1, 2) - pts
     dists = np.hypot(diffs[..., 0], diffs[..., 1])
@@ -90,10 +84,11 @@ def repulsive_force(waypoint: np.ndarray, obstacles: ObstacleMap | np.ndarray) -
                      for xs, ys in contrib.transpose(0, 2, 1).tolist()]).reshape(p.shape)
 
 
-def estimate_repulsive_direction(traj: Trajectory, obstacles: ObstacleMap | np.ndarray,
+def estimate_repulsive_direction(traj: Trajectory, obstacles: np.ndarray,
                                  cfg: AvoidanceConfig) -> RepulsiveResult:
     """Find the dominant waypoint and the clipped rotation it calls for.
 
+    ``obstacles`` is a (B, 2) points array, such as ``ObstacleMap.points``.
     The dominant waypoint maximizes force magnitude; ties resolve to the
     smallest index, which also covers the all-zero case of an empty
     obstacle set.

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 from .config import SafetyParams
-from .errors import DegenerateHeadingError
 from .repulsion import Trajectory
 
 
@@ -24,17 +23,14 @@ class ControlCommand:
             raise ValueError(f"reverse motion is never commanded, got v={self.v}")
 
 
-def compute_desired_heading(adjusted: Trajectory, dominant_index: int) -> float:
-    """Bearing of the dominant adjusted waypoint, in (-pi, pi].
-
-    Raises:
-        DegenerateHeadingError: the waypoint sits exactly at the origin.
-    """
+def compute_desired_heading(adjusted: Trajectory, dominant_index: int) -> float | None:
+    """Bearing of the dominant adjusted waypoint, in (-pi, pi], or None
+    when that waypoint sits exactly at the origin and has no bearing."""
     if not (0 <= dominant_index < len(adjusted)):
         raise IndexError(f"dominant_index {dominant_index} out of range for K={len(adjusted)}")
     x, y = adjusted.waypoints[dominant_index]
     if x == 0.0 and y == 0.0:
-        raise DegenerateHeadingError("dominant waypoint is at the origin")
+        return None
     theta = math.atan2(y, x)
     if theta == -math.pi:
         theta = math.pi

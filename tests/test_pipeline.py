@@ -57,7 +57,7 @@ def test_step_equals_manual_stage_composition():
         if omap.empty:
             assert decision.passthrough
             continue
-        rep = estimate_repulsive_direction(traj, omap, cfg)
+        rep = estimate_repulsive_direction(traj, omap.points, cfg)
         adjusted = rotate_trajectory(traj, rep.theta_rot)
         theta_des = compute_desired_heading(adjusted, rep.dominant_index)
         cmd = gate_command(theta_des, cfg.safety)

@@ -13,8 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from repshield import (ControlCommand, DegenerateHeadingError, SafetyParams,
-                       Trajectory, compute_desired_heading, gate_command)
+from repshield import (ControlCommand, SafetyParams, Trajectory, compute_desired_heading,
+                       gate_command)
 from repshield.safety import RotationLatch
 from repshield.sim import RobotState, step_kinematics
 
@@ -38,10 +38,9 @@ def test_heading_range_is_half_open():
     assert compute_desired_heading(traj, 0) == math.pi
 
 
-def test_heading_origin_waypoint_raises():
+def test_heading_origin_waypoint_is_none():
     traj = Trajectory(np.zeros((2, 2)))
-    with pytest.raises(DegenerateHeadingError):
-        compute_desired_heading(traj, 0)
+    assert compute_desired_heading(traj, 0) is None
 
 
 def test_heading_index_out_of_range():
