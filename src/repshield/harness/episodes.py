@@ -45,6 +45,16 @@ class EpisodeResult:
     decision_log: str | None
 
 
+def check_caps(max_time_s: float, max_distance_m: float) -> None:
+    """Reject an episode time cap below one tick or not finite, and a
+    distance cap that is not positive (inf means no distance cap)."""
+    if not (math.isfinite(max_time_s) and max_time_s >= CONTROL_PERIOD_S):
+        raise ValueError(f"max_time_s must be finite and at least {CONTROL_PERIOD_S}, "
+                         f"got {max_time_s}")
+    if not max_distance_m > 0:
+        raise ValueError(f"max_distance_m must be positive, got {max_distance_m}")
+
+
 class Tick(NamedTuple):
     """One control period: its start time, the shield's decision (None
     without the shield), the executed command, the pose after the step,
@@ -118,6 +128,7 @@ def run_episode(world: WorldModel, policy, *, platform: PlatformSpec,
     block arrival. Distance is the commanded odometer (sum of v * dt),
     which for arc integration equals true path length.
     """
+    check_caps(max_time_s, max_distance_m)
     max_ticks = int(round(max_time_s / CONTROL_PERIOD_S))
     traj_rows = [TRAJECTORY_LOG_HEADER]
     dec_rows = [DECISION_LOG_HEADER] if shield else None

@@ -21,7 +21,7 @@ from ..platforms import PlatformSpec, get_platform
 from ..sim import RobotState, WorldModel, check_collision, load_world, perturb_agent
 from ..sim.policies import GoalSeeker, Wanderer
 from ..worldgen import BUNDLED_WORLDS
-from .episodes import CONTROL_PERIOD_S, EpisodeResult, run_episode
+from .episodes import EpisodeResult, check_caps, run_episode
 
 TASKS = ("exploration", "goal_conditioned", "dynamic_obstacle")
 
@@ -52,11 +52,7 @@ class ExperimentSpec:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
         require_int("trials", self.trials, 1)
         require_int("seed", self.seed, 0)
-        if not (math.isfinite(self.max_time_s) and self.max_time_s >= CONTROL_PERIOD_S):
-            raise ValueError(f"max_time_s must be finite and at least {CONTROL_PERIOD_S}, "
-                             f"got {self.max_time_s}")
-        if not self.max_distance_m > 0:
-            raise ValueError(f"max_distance_m must be positive, got {self.max_distance_m}")
+        check_caps(self.max_time_s, self.max_distance_m)
 
 
 @dataclass

@@ -20,8 +20,9 @@ class RobotState:
     platform: str = "locobot"
 
     def __post_init__(self):
-        if self.footprint_radius <= 0:
-            raise ValueError(f"footprint radius must be positive, got {self.footprint_radius}")
+        if not 0 < self.footprint_radius < math.inf:
+            raise ValueError(f"footprint radius must be finite and positive, "
+                             f"got {self.footprint_radius}")
 
 
 def step_kinematics(robot: RobotState, cmd: ControlCommand, dt: float) -> RobotState:
@@ -32,8 +33,8 @@ def step_kinematics(robot: RobotState, cmd: ControlCommand, dt: float) -> RobotS
     follows a circular arc of radius v / omega. Pure rotation (v = 0)
     leaves the position bit-identical.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     v, w = cmd.v, cmd.omega
     h = robot.heading
     if w == 0.0:

@@ -7,8 +7,11 @@ wrapped around them.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from ..config import require_int
 from ..errors import InputFormatError
 from ..repulsion import Trajectory
 from .kinematics import RobotState
@@ -26,8 +29,9 @@ class GoalSeeker:
     """Straight-line waypoints toward a world goal, saturating at it."""
 
     def __init__(self, waypoint_count: int = 8, step_len_m: float = 0.25):
-        if waypoint_count < 1 or step_len_m <= 0:
-            raise ValueError("need waypoint_count >= 1 and step_len_m > 0")
+        require_int("waypoint_count", waypoint_count, 1)
+        if not 0 < step_len_m < math.inf:
+            raise ValueError(f"step_len_m must be finite and positive, got {step_len_m}")
         self.waypoint_count = waypoint_count
         self.step_len_m = step_len_m
 
@@ -63,8 +67,9 @@ class Wanderer:
     max_bend = 0.7     # clamp on the target's offset from the heading, rad
 
     def __init__(self, waypoint_count: int = 8, step_len_m: float = 0.25, seed: int = 0):
-        if waypoint_count < 1 or step_len_m <= 0:
-            raise ValueError("need waypoint_count >= 1 and step_len_m > 0")
+        require_int("waypoint_count", waypoint_count, 1)
+        if not 0 < step_len_m < math.inf:
+            raise ValueError(f"step_len_m must be finite and positive, got {step_len_m}")
         self.waypoint_count = waypoint_count
         self.step_len_m = step_len_m
         self._rng = np.random.default_rng(seed)

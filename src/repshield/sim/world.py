@@ -29,8 +29,8 @@ class Circle:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=np.float64))
         if self.center.shape != (2,):
             raise ValueError(f"circle center must be 2D, got {self.center.shape}")
-        if self.radius <= 0:
-            raise ValueError(f"circle radius must be positive, got {self.radius}")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"circle radius must be finite and positive, got {self.radius}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,8 +70,8 @@ class AgentTrack:
         points = np.asarray(self.points, dtype=np.float64)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "points", points)
-        if self.radius <= 0:
-            raise ValueError(f"agent radius must be positive, got {self.radius}")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"agent radius must be finite and positive, got {self.radius}")
         if times.ndim != 1 or times.size < 1:
             raise ValueError("agent schedule needs at least one knot")
         if points.shape != (times.size, 2):
@@ -92,8 +92,8 @@ def perturb_agent(track: AgentTrack, delay: float = 0.0, speed_scale: float = 1.
     Used by the benchmark harness to generate per-trial variation from one
     scripted scenario.
     """
-    if speed_scale <= 0:
-        raise ValueError(f"speed_scale must be positive, got {speed_scale}")
+    if not 0 < speed_scale < math.inf:
+        raise ValueError(f"speed_scale must be finite and positive, got {speed_scale}")
     t0 = track.times[0]
     times = t0 + (track.times - t0) / speed_scale + delay
     points = track.points + np.array([0.0, lateral_offset])

@@ -343,16 +343,29 @@ def test_spec_validation():
         ExperimentSpec(task="exploration", trials=0)
 
 
-@pytest.mark.parametrize("caps", [
+_BAD_EPISODE_CAPS = [
     {"max_time_s": -1.0}, {"max_time_s": 0.0}, {"max_time_s": 0.05},
     {"max_time_s": math.nan}, {"max_time_s": math.inf},
     {"max_distance_m": 0.0}, {"max_distance_m": -1.0}, {"max_distance_m": math.nan},
+]
+
+
+@pytest.mark.parametrize("caps", _BAD_EPISODE_CAPS + [
     {"seed": -1}, {"seed": 1.5}, {"seed": True},
     {"trials": 2.5}, {"trials": True},
 ])
 def test_spec_rejects_bad_caps(caps):
     with pytest.raises(ValueError):
         ExperimentSpec(task="goal_conditioned", **caps)
+
+
+@pytest.mark.parametrize("caps", _BAD_EPISODE_CAPS)
+def test_run_episode_rejects_bad_caps(caps):
+    # The same check and message as ExperimentSpec, before any tick runs.
+    with pytest.raises(ValueError, match=r"^max_(time_s must be finite and at least"
+                                         r"|distance_m must be positive)"):
+        run_episode(policy=Wanderer(), **{"max_time_s": 1.0, **caps},
+                    **_arena_episode(shield=False))
 
 
 def test_spec_accepts_one_tick_and_no_odometer_cap():

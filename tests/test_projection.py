@@ -416,7 +416,12 @@ def test_property_emitted_ranges():
                    x_half_range_m=float(rng.uniform(0.3, 2.0)))
         pts = random_cloud(rng, int(rng.integers(0, 300)), cfg)
         omap = construct_obstacle_map(PointCloud(pts), cfg)
+        # The builder's guarantees, which ObstacleMap does not check itself.
+        assert omap.points.shape == (len(omap.bins), 2)
+        assert omap.points.dtype == np.float64 and omap.bins.dtype == np.int64
+        assert np.all((omap.bins >= 0) & (omap.bins < cfg.bin_count))
         if omap.empty:
+            assert omap.points.shape == (0, 2)
             continue
         z = omap.points[:, 0] - mount.x_offset_m
         assert np.all(z > 0) and np.all(z <= cfg.tau_z)

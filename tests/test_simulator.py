@@ -344,6 +344,35 @@ def test_perturb_agent_delay_speed_offset():
         perturb_agent(track, speed_scale=0.0)
 
 
+_TRACK = AgentTrack(0.2, np.array([0.0, 1.0]), np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: RobotState(0.0, 0.0, 0.0, math.nan), "footprint radius must be finite and positive"),
+    (lambda: RobotState(0.0, 0.0, 0.0, math.inf), "footprint radius must be finite and positive"),
+    (lambda: Circle(np.zeros(2), math.nan), "circle radius must be finite and positive"),
+    (lambda: Circle(np.zeros(2), math.inf), "circle radius must be finite and positive"),
+    (lambda: AgentTrack(math.nan, _TRACK.times, _TRACK.points),
+     "agent radius must be finite and positive"),
+    (lambda: perturb_agent(_TRACK, speed_scale=math.nan), "speed_scale must be finite and positive"),
+    (lambda: perturb_agent(_TRACK, speed_scale=math.inf), "speed_scale must be finite and positive"),
+    (lambda: step_kinematics(RobotState(0.0, 0.0, 0.0), ControlCommand(0.5, 0.1), math.nan),
+     "dt must be finite and positive"),
+    (lambda: step_kinematics(RobotState(0.0, 0.0, 0.0), ControlCommand(0.5, 0.1), math.inf),
+     "dt must be finite and positive"),
+    (lambda: Wanderer(8, math.inf), "step_len_m must be finite and positive"),
+    (lambda: GoalSeeker(8, math.nan), "step_len_m must be finite and positive"),
+    (lambda: GoalSeeker(2.5, 0.25), "waypoint_count must be an integer"),
+    (lambda: Wanderer(True), "waypoint_count must be an integer"),
+    (lambda: GoalSeeker(0), "waypoint_count must be at least 1"),
+], ids=["footprint_nan", "footprint_inf", "circle_nan", "circle_inf", "agent_nan",
+        "speed_scale_nan", "speed_scale_inf", "dt_nan", "dt_inf", "wanderer_step_inf",
+        "seeker_step_nan", "seeker_count_float", "wanderer_count_bool", "seeker_count_0"])
+def test_simulator_scalars_reject_nan_inf_and_non_integers(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        build()
+
+
 def test_polygon_rejects_concave():
     with pytest.raises(ValueError):
         Polygon(np.array([[0, 0], [2, 0], [0.2, 0.2], [0, 2]], dtype=float))
