@@ -15,8 +15,8 @@ from .projection import CameraIntrinsics, intrinsics_for_fov
 # The simulated world is planar, so image rows carry no extra geometry
 # and the obstacle map is identical for two or more rows (one row would
 # give fy = 0, so PlatformSpec.intrinsics requires two); frames are
-# rendered with this many rows by default to keep episodes fast.
-SIM_FRAME_ROWS = 8
+# rendered with the minimum two rows to keep episodes fast.
+SIM_FRAME_ROWS = 2
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,8 @@ class RobotState:
     platform: str = "locobot"
 
     def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.heading)):
+            raise ValueError(f"pose must be finite, got ({self.x}, {self.y}, {self.heading})")
         if not 0 < self.footprint_radius < math.inf:
             raise ValueError(f"footprint radius must be finite and positive, "
                              f"got {self.footprint_radius}")

@@ -9,6 +9,8 @@ is what the pinhole back-projection expects.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..config import CameraMount
@@ -18,6 +20,26 @@ from .world import WorldModel
 
 FAR_LIMIT_M = 5.0
 _T_EPS = 1e-9
+# A hit lies between its segment's endpoints, so its exact depth lies
+# between theirs. The cull and the ray test both round, by far less than
+# this margin on worlds of any practical size, so a segment is culled only
+# when every hit it could give is blanked by the far limit or has t < 0.
+_CULL_MARGIN_M = 1e-6
+
+
+@lru_cache(maxsize=16)
+def _column_tables(intrinsics: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-column ``slope``, ``norm`` and ``cos_axis``, read-only and shared."""
+    u = np.arange(intrinsics.width)
+    # Pinhole column geometry: a hit at camera (X, Z) lands on column
+    # u = cx + fx * X / Z, so column u looks along camera X/Z slope
+    # (u - cx) / fx. Positive slope is to the right of the axis.
+    slope = (u - intrinsics.cx) / intrinsics.fx
+    norm = np.hypot(slope, 1.0)
+    cos_axis = 1.0 / norm  # dot(unit ray, forward)
+    for table in (slope, norm, cos_axis):
+        table.setflags(write=False)
+    return slope, norm, cos_axis
 
 
 def column_depths(world: WorldModel, robot: RobotState, intrinsics: CameraIntrinsics,
@@ -32,36 +54,39 @@ def column_depths(world: WorldModel, robot: RobotState, intrinsics: CameraIntrin
     right = np.array([np.sin(heading), -np.cos(heading)])
     origin = np.array([robot.x, robot.y]) + mount.x_offset_m * fwd
 
-    u = np.arange(intrinsics.width)
-    # Pinhole column geometry: a hit at camera (X, Z) lands on column
-    # u = cx + fx * X / Z, so column u looks along camera X/Z slope
-    # (u - cx) / fx. Positive slope is to the right of the axis.
-    slope = (u - intrinsics.cx) / intrinsics.fx
-    norm = np.hypot(slope, 1.0)
-    dirs = (fwd[None, :] + slope[:, None] * right[None, :]) / norm[:, None]
-    cos_axis = 1.0 / norm  # dot(unit ray, forward)
+    slope, norm, cos_axis = _column_tables(intrinsics)
+    # Unit ray of each column, x components in row 0 and y in row 1: (2, W).
+    dirs = (fwd[:, None] + slope[None, :] * right[:, None]) / norm[None, :]
 
     t_best = np.full(intrinsics.width, np.inf)
 
+    # Drop segments wholly beyond FAR_LIMIT_M or wholly behind the camera:
+    # they can only win columns that are blanked anyway.
     segs = world.static_segments
+    z = segs.reshape(-1, 2) @ fwd - origin @ fwd
+    z_a, z_b = z[0::2], z[1::2]
+    keep = np.minimum(z_a, z_b) <= FAR_LIMIT_M + _CULL_MARGIN_M
+    keep &= np.maximum(z_a, z_b) >= -_CULL_MARGIN_M
+    segs = segs[keep]
     if segs.shape[0]:
-        a = segs[:, 0]
+        # Ray-segment tests as (S, W) arrays: one row per segment.
         e = segs[:, 1] - segs[:, 0]
-        ao = a - origin
-        denom = dirs[:, 0][:, None] * e[:, 1] - dirs[:, 1][:, None] * e[:, 0]
+        ao = segs[:, 0] - origin
+        denom = dirs[0] * e[:, 1:] - dirs[1] * e[:, :1]
         t_num = ao[:, 0] * e[:, 1] - ao[:, 1] * e[:, 0]
-        s_num = ao[None, :, 0] * dirs[:, 1][:, None] - ao[None, :, 1] * dirs[:, 0][:, None]
+        s_num = ao[:, :1] * dirs[1] - ao[:, 1:] * dirs[0]
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_hit = t_num[None, :] / denom
+            t_hit = t_num[:, None] / denom
             s_hit = s_num / denom
         ok = (np.abs(denom) > 1e-15) & (t_hit > _T_EPS) & (s_hit >= 0.0) & (s_hit <= 1.0)
-        t_hit = np.where(ok, t_hit, np.inf)
-        t_best = np.minimum(t_best, t_hit.min(axis=1))
+        t_best = np.where(ok, t_hit, np.inf).min(axis=0)
 
     centers, radii = world.discs(t)
     if radii.size:
         oc = centers - origin
-        b = dirs @ oc.T
+        # The product reads a C-order (W, 2) operand, as the pinned outputs
+        # were computed with, so that no BLAS kernel choice can move a bit.
+        b = np.ascontiguousarray(dirs.T) @ oc.T
         c_term = np.einsum("ij,ij->i", oc, oc) - radii ** 2
         disc = b * b - c_term[None, :]
         sqrt_disc = np.sqrt(np.maximum(disc, 0.0))
@@ -72,7 +97,7 @@ def column_depths(world: WorldModel, robot: RobotState, intrinsics: CameraIntrin
         t_best = np.minimum(t_best, t_hit.min(axis=1))
 
     depth = t_best * cos_axis
-    depth = np.where(np.isfinite(depth) & (depth <= FAR_LIMIT_M), depth, 0.0)
+    depth = np.where(depth <= FAR_LIMIT_M, depth, 0.0)  # also blanks inf (no hit)
     # The mount's depth_offset_m models the estimator's systematic bias, and
     # the avoidance pipeline subtracts it. Emitting true + bias here means
     # that correction lands back on the true depth.

@@ -76,6 +76,8 @@ class AgentTrack:
             raise ValueError("agent schedule needs at least one knot")
         if points.shape != (times.size, 2):
             raise ValueError("agent schedule times and points disagree")
+        if not (np.isfinite(times).all() and np.isfinite(points).all()):
+            raise ValueError("agent schedule times and points must be finite")
         if np.any(np.diff(times) <= 0):
             raise ValueError("agent schedule times must be strictly increasing")
 
@@ -94,6 +96,9 @@ def perturb_agent(track: AgentTrack, delay: float = 0.0, speed_scale: float = 1.
     """
     if not 0 < speed_scale < math.inf:
         raise ValueError(f"speed_scale must be finite and positive, got {speed_scale}")
+    for name, value in (("delay", delay), ("lateral_offset", lateral_offset)):
+        if not -math.inf < value < math.inf:
+            raise ValueError(f"{name} must be finite, got {value}")
     t0 = track.times[0]
     times = t0 + (track.times - t0) / speed_scale + delay
     points = track.points + np.array([0.0, lateral_offset])
@@ -158,14 +163,25 @@ class WorldModel:
 
     @cached_property
     def _disc_table(self) -> tuple[np.ndarray, np.ndarray]:
-        return (np.array([c.center for c in self.circles]).reshape(-1, 2),
-                np.array([c.radius for c in self.circles] + [a.radius for a in self.agents]))
+        table = (np.array([c.center for c in self.circles]).reshape(-1, 2),
+                 np.array([c.radius for c in self.circles] + [a.radius for a in self.agents]))
+        for array in table:
+            array.setflags(write=False)
+        return table
 
     def discs(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Centers (K, 2) and radii (K,) of the circles, then of each agent at time t."""
+        """Read-only centers (K, 2) and radii (K,) of the circles, then of each
+        agent at time t. The last result is kept, as a tick checks collision
+        at the time the next tick renders; equal floats place agents identically."""
         centers, radii = self._disc_table
-        if self.agents:
-            centers = np.concatenate((centers, [a.position(t) for a in self.agents]))
+        if not self.agents:
+            return centers, radii
+        last_t, last = self.__dict__.get("_last_discs", (None, None))
+        if t == last_t:
+            return last
+        centers = np.concatenate((centers, [a.position(t) for a in self.agents]))
+        centers.setflags(write=False)
+        self.__dict__["_last_discs"] = (t, (centers, radii))
         return centers, radii
 
 

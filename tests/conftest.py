@@ -5,8 +5,9 @@ array version replaced, deliberately not sharing any code path with the
 package: the back-projection oracle gathers valid pixels by index, the
 binning oracle walks points one by one with a dict, the force oracle sums
 per-obstacle contributions with scalar math and picks the argmax by
-exhaustive comparison, and the collision oracle tests each circle, polygon
-and agent in its own loop.
+exhaustive comparison, the collision oracle tests each circle, polygon
+and agent in its own loop, and the raycast oracle tests every ray against
+every segment and disc, without the cull or the cached column tables.
 """
 
 from __future__ import annotations
@@ -176,3 +177,65 @@ def oracle_collision(world, robot, t: float = 0.0) -> bool:
         if np.hypot(*(p - agent.position(t))) <= agent.radius + r:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Raycast oracle
+# ---------------------------------------------------------------------------
+# The un-culled ray test the package's column_depths refines, kept with its
+# exact arithmetic: the contract is bitwise agreement, not closeness.
+
+_FAR_LIMIT_M = 5.0
+_T_EPS = 1e-9
+
+
+def oracle_column_depths(world, robot, intrinsics, mount, t: float = 0.0) -> np.ndarray:
+    """Planar depth per column from every static segment and every disc."""
+    heading = robot.heading
+    fwd = np.array([np.cos(heading), np.sin(heading)])
+    right = np.array([np.sin(heading), -np.cos(heading)])
+    origin = np.array([robot.x, robot.y]) + mount.x_offset_m * fwd
+
+    u = np.arange(intrinsics.width)
+    slope = (u - intrinsics.cx) / intrinsics.fx
+    norm = np.hypot(slope, 1.0)
+    dirs = (fwd[None, :] + slope[:, None] * right[None, :]) / norm[:, None]
+    cos_axis = 1.0 / norm
+
+    t_best = np.full(intrinsics.width, np.inf)
+
+    segs = world.static_segments
+    if segs.shape[0]:
+        a = segs[:, 0]
+        e = segs[:, 1] - segs[:, 0]
+        ao = a - origin
+        denom = dirs[:, 0][:, None] * e[:, 1] - dirs[:, 1][:, None] * e[:, 0]
+        t_num = ao[:, 0] * e[:, 1] - ao[:, 1] * e[:, 0]
+        s_num = ao[None, :, 0] * dirs[:, 1][:, None] - ao[None, :, 1] * dirs[:, 0][:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_hit = t_num[None, :] / denom
+            s_hit = s_num / denom
+        ok = (np.abs(denom) > 1e-15) & (t_hit > _T_EPS) & (s_hit >= 0.0) & (s_hit <= 1.0)
+        t_hit = np.where(ok, t_hit, np.inf)
+        t_best = np.minimum(t_best, t_hit.min(axis=1))
+
+    centers = [c.center for c in world.circles] + [a.position(t) for a in world.agents]
+    radii = np.array([c.radius for c in world.circles] + [a.radius for a in world.agents])
+    if radii.size:
+        oc = np.array(centers) - origin
+        b = dirs @ oc.T
+        c_term = np.einsum("ij,ij->i", oc, oc) - radii ** 2
+        disc = b * b - c_term[None, :]
+        sqrt_disc = np.sqrt(np.maximum(disc, 0.0))
+        near = b - sqrt_disc
+        far_root = b + sqrt_disc
+        t_hit = np.where(near > _T_EPS, near, np.where(far_root > _T_EPS, far_root, np.inf))
+        t_hit = np.where(disc >= 0.0, t_hit, np.inf)
+        t_best = np.minimum(t_best, t_hit.min(axis=1))
+
+    depth = t_best * cos_axis
+    depth = np.where(np.isfinite(depth) & (depth <= _FAR_LIMIT_M), depth, 0.0)
+    if mount.depth_offset_m != 0.0:
+        depth = np.where(depth > 0.0,
+                         np.maximum(depth + mount.depth_offset_m, _T_EPS), 0.0)
+    return depth

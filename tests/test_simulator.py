@@ -18,7 +18,7 @@ import pytest
 from repshield import (AvoidanceConfig, CameraMount, ControlCommand,
                        construct_obstacle_map, back_project, intrinsics_for_fov)
 from repshield.errors import InputFormatError
-from repshield.platforms import get_platform
+from repshield.platforms import PLATFORMS, SIM_FRAME_ROWS, get_platform
 from repshield.sim import (FAR_LIMIT_M, AgentTrack, Circle, GoalSeeker, Polygon,
                            RobotState, WorldModel, Wanderer, check_collision, column_depths,
                            load_world, perturb_agent, raycast_depth,
@@ -26,7 +26,7 @@ from repshield.sim import (FAR_LIMIT_M, AgentTrack, Circle, GoalSeeker, Polygon,
 from repshield.harness import GOAL_RADIUS_M, run_episode
 from repshield.worldgen import BUNDLED_WORLDS
 
-from conftest import oracle_collision
+from conftest import oracle_collision, oracle_column_depths
 
 
 def _square(cx, cy, side):
@@ -294,23 +294,73 @@ def test_raycast_depth_frame_tiles_rows():
 
 
 def test_reduced_row_frames_give_identical_obstacle_maps():
-    # Rendering at 8 rows preserves the native vertical fov, so the
-    # obstacle map matches the full-resolution render exactly.
-    plat = get_platform("locobot")
-    cfg = plat.config()
+    # Rendering at 2 (the simulator's SIM_FRAME_ROWS) or 8 rows preserves
+    # the native vertical fov, so the obstacle map matches the
+    # full-resolution render exactly. Every platform has a non-zero
+    # depth_offset_m, which the map subtracts from each depth.
     w = WorldModel(bounds=(0, 0, 4, 3), polygons=(_square(2.0, 1.2, 0.25),
                                                   _square(3.1, 2.2, 0.3)),
                    bounds_solid=True)
-    rng = np.random.default_rng(54)
-    for _ in range(10):
-        robot = RobotState(float(rng.uniform(0.5, 3.5)), float(rng.uniform(0.5, 2.5)),
-                           float(rng.uniform(-math.pi, math.pi)))
-        maps = []
-        for rows in (8, plat.image_height):
-            frame = raycast_depth(w, robot, plat.intrinsics(rows), plat.mount())
-            maps.append(construct_obstacle_map(back_project(frame), cfg))
-        assert maps[0].bins.tolist() == maps[1].bins.tolist()
-        np.testing.assert_allclose(maps[0].points, maps[1].points, rtol=0, atol=1e-12)
+    for plat in PLATFORMS.values():
+        cfg = plat.config()
+        rng = np.random.default_rng(54)
+        for _ in range(10):
+            robot = RobotState(float(rng.uniform(0.5, 3.5)), float(rng.uniform(0.5, 2.5)),
+                               float(rng.uniform(-math.pi, math.pi)))
+            maps = []
+            for rows in (2, 8, plat.image_height):
+                frame = raycast_depth(w, robot, plat.intrinsics(rows), plat.mount())
+                maps.append(construct_obstacle_map(back_project(frame), cfg))
+            for reduced in maps[:2]:
+                assert reduced.bins.tolist() == maps[-1].bins.tolist()
+                np.testing.assert_allclose(reduced.points, maps[-1].points,
+                                           rtol=0, atol=1e-12)
+
+
+def _cull_boundary_world(camera_x: float) -> WorldModel:
+    """Triangles at the cull's two boundaries, for a camera at (camera_x, 0)
+    looking along +x: one just beyond FAR_LIMIT_M, one inside the cull
+    margin there, one with an edge exactly at FAR_LIMIT_M, and two with
+    edges ending exactly on the camera plane."""
+    far = camera_x + FAR_LIMIT_M
+    return WorldModel(bounds=(camera_x - 2.0, -3.0, far + 2.0, 3.0), polygons=(
+        Polygon(np.array([[far + 2e-6, -0.5], [far + 2e-6, 0.5], [far + 1.0, 0.0]])),
+        Polygon(np.array([[far + 1e-7, 0.6], [far + 1e-7, 1.6], [far + 1.0, 1.1]])),
+        Polygon(np.array([[far, -2.0], [far, -1.0], [far + 1.0, -1.5]])),
+        Polygon(np.array([[camera_x, 0.5], [camera_x - 1.0, 0.5], [camera_x, 1.5]])),
+        Polygon(np.array([[camera_x, -0.5], [camera_x + 1.0, -0.5], [camera_x, -1.5]])),
+    ), bounds_solid=True)
+
+
+@pytest.mark.parametrize("platform", sorted(PLATFORMS))
+def test_property_raycast_oracle_equivalence(platform):
+    # The cull and the cached column tables must leave every depth bit as
+    # the plain all-segments ray test computes it.
+    plat = get_platform(platform)
+    mount = plat.mount()
+    intrs = (plat.intrinsics(SIM_FRAME_ROWS), plat.intrinsics())
+    rng = np.random.default_rng(55)
+    for build in BUNDLED_WORLDS.values():
+        world = build()
+        xmin, ymin, xmax, ymax = world.bounds
+        for k in range(12):
+            if k % 4 == 3 and world.polygons:
+                poly = world.polygons[int(rng.integers(len(world.polygons)))]
+                x, y = poly.vertices.mean(axis=0)
+            else:
+                x, y = rng.uniform(xmin, xmax), rng.uniform(ymin, ymax)
+            robot = RobotState(float(x), float(y), float(rng.uniform(-math.pi, math.pi)))
+            t = float(rng.uniform(0.0, 20.0))
+            for intr in intrs:
+                np.testing.assert_array_equal(
+                    column_depths(world, robot, intr, mount, t=t),
+                    oracle_column_depths(world, robot, intr, mount, t=t))
+    robot = RobotState(1.0 - mount.x_offset_m, 0.0, 0.0)
+    world = _cull_boundary_world(robot.x + mount.x_offset_m)
+    for intr in intrs:
+        depth = column_depths(world, robot, intr, mount)
+        np.testing.assert_array_equal(depth, oracle_column_depths(world, robot, intr, mount))
+        assert depth.any()
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +421,49 @@ _TRACK = AgentTrack(0.2, np.array([0.0, 1.0]), np.array([[0.0, 0.0], [1.0, 0.0]]
 def test_simulator_scalars_reject_nan_inf_and_non_integers(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         build()
+
+
+@pytest.mark.parametrize("pose", [
+    (math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, -math.inf), (0.0, 0.0, math.nan),
+], ids=["x_nan", "y_inf", "heading_neg_inf", "heading_nan"])
+def test_robot_state_rejects_non_finite_pose(pose):
+    # A nan pose would never collide: every distance test with nan is False.
+    with pytest.raises(ValueError, match="^pose must be finite"):
+        RobotState(*pose)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: AgentTrack(0.2, [0.0, math.nan], _TRACK.points),
+     "agent schedule times and points must be finite"),
+    (lambda: AgentTrack(0.2, [math.inf], [[0.0, 0.0]]),
+     "agent schedule times and points must be finite"),
+    (lambda: AgentTrack(0.2, _TRACK.times, [[0.0, 0.0], [math.inf, 0.0]]),
+     "agent schedule times and points must be finite"),
+    (lambda: AgentTrack(0.2, _TRACK.times, [[0.0, math.nan], [1.0, 0.0]]),
+     "agent schedule times and points must be finite"),
+    (lambda: perturb_agent(_TRACK, delay=math.nan), "delay must be finite"),
+    (lambda: perturb_agent(_TRACK, delay=-math.inf), "delay must be finite"),
+    (lambda: perturb_agent(_TRACK, lateral_offset=math.inf), "lateral_offset must be finite"),
+    (lambda: perturb_agent(_TRACK, lateral_offset=math.nan), "lateral_offset must be finite"),
+], ids=["time_nan", "time_inf", "point_inf", "point_nan", "delay_nan", "delay_neg_inf",
+        "offset_inf", "offset_nan"])
+def test_agent_schedules_reject_non_finite_input(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        build()
+
+
+def test_discs_repeat_a_time_with_the_same_read_only_arrays():
+    track = AgentTrack(0.3, np.array([0.0, 4.0]), np.array([[4.0, 0.0], [2.0, 0.0]]))
+    w = WorldModel(bounds=(-5, -5, 5, 5), circles=(Circle(np.array([1.0, 1.0]), 0.2),),
+                   agents=(track,), bounds_solid=False)
+    centers, radii = w.discs(1.5)
+    np.testing.assert_array_equal(centers, [[1.0, 1.0], track.position(1.5)])
+    assert w.discs(1.5)[0] is centers
+    np.testing.assert_array_equal(w.discs(2.0)[0][1], track.position(2.0))
+    np.testing.assert_array_equal(w.discs(1.5)[0], centers)
+    for array in (centers, radii):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 def test_polygon_rejects_concave():
