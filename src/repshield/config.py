@@ -18,6 +18,18 @@ def require_int(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
 
 
+def require_finite(name: str, value) -> None:
+    """Reject nan and +-inf."""
+    if not -math.inf < value < math.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def require_positive(name: str, value) -> None:
+    """Reject nan, +inf and values at or below zero."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class CameraMount:
     """Where the depth camera sits on the robot and how it reports range.
@@ -27,17 +39,13 @@ class CameraMount:
     ahead (+) or behind (-) the robot center along the forward axis.
     """
 
-    height_m: float
     x_offset_m: float = 0.0
     fov_deg: float = 90.0
     depth_offset_m: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.height_m < math.inf:
-            raise ValueError(f"height_m must be finite and positive, got {self.height_m}")
-        for name in ("x_offset_m", "depth_offset_m"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        require_finite("x_offset_m", self.x_offset_m)
+        require_finite("depth_offset_m", self.depth_offset_m)
         if not (0 < self.fov_deg < 180):
             raise ValueError(f"fov_deg must be in (0, 180), got {self.fov_deg}")
 
@@ -60,12 +68,9 @@ class SafetyParams:
     def __post_init__(self):
         if not (0 < self.theta_thres < math.pi):
             raise ValueError(f"theta_thres must be in (0, pi), got {self.theta_thres}")
-        if not 0 < self.v_fwd < math.inf:
-            raise ValueError(f"v_fwd must be finite and positive, got {self.v_fwd}")
-        if not 0 < self.omega_max < math.inf:
-            raise ValueError(f"omega_max must be finite and positive, got {self.omega_max}")
-        if not 0 < self.k_omega < math.inf:
-            raise ValueError(f"k_omega must be finite and positive, got {self.k_omega}")
+        require_positive("v_fwd", self.v_fwd)
+        require_positive("omega_max", self.omega_max)
+        require_positive("k_omega", self.k_omega)
 
 
 @dataclass(frozen=True)
@@ -85,16 +90,13 @@ class AvoidanceConfig:
     x_half_range_m: float | None = None
 
     def __post_init__(self):
-        if not 0 < self.tau_z < math.inf:
-            raise ValueError(f"tau_z must be finite and positive, got {self.tau_z}")
-        if not math.isfinite(self.epsilon):
-            raise ValueError(f"epsilon must be finite, got {self.epsilon}")
+        require_positive("tau_z", self.tau_z)
+        require_finite("epsilon", self.epsilon)
         require_int("bin_count", self.bin_count, 1)
         if not (0 < self.theta_clip <= math.pi):
             raise ValueError(f"theta_clip must be in (0, pi], got {self.theta_clip}")
-        if self.x_half_range_m is not None and not 0 < self.x_half_range_m < math.inf:
-            raise ValueError(
-                f"x_half_range_m must be finite and positive, got {self.x_half_range_m}")
+        if self.x_half_range_m is not None:
+            require_positive("x_half_range_m", self.x_half_range_m)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,10 @@ that runs the avoidance step over recorded depth frames.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
-from ..config import load_config
+from ..config import load_config, require_positive
 from ..errors import InputFormatError
 from ..pipeline import DECISION_LOG_HEADER, Shield, decision_log_row
 from ..platforms import PLATFORMS, get_platform
@@ -82,8 +81,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    if not (math.isfinite(args.dt) and args.dt > 0):
-        raise ValueError(f"--dt must be finite and positive, got {args.dt}")
+    require_positive("--dt", args.dt)
     platform = get_platform(args.platform)
     cfg = platform.config()
     if args.config is not None:

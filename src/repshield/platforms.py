@@ -71,20 +71,17 @@ PLATFORMS = {
     "locobot": PlatformSpec(
         name="locobot", tau_z_m=1.0, image_width=320, image_height=240,
         length_m=0.341, width_m=0.339,
-        camera=CameraMount(height_m=0.340, x_offset_m=0.010, fov_deg=170.0,
-                           depth_offset_m=0.05),
+        camera=CameraMount(x_offset_m=0.010, fov_deg=170.0, depth_offset_m=0.05),
     ),
     "turtlebot4": PlatformSpec(
         name="turtlebot4", tau_z_m=1.2, image_width=320, image_height=200,
         length_m=0.341, width_m=0.339,
-        camera=CameraMount(height_m=0.245, x_offset_m=-0.060, fov_deg=89.5,
-                           depth_offset_m=0.2),
+        camera=CameraMount(x_offset_m=-0.060, fov_deg=89.5, depth_offset_m=0.2),
     ),
     "robomaster": PlatformSpec(
         name="robomaster", tau_z_m=1.0, image_width=640, image_height=360,
         length_m=0.320, width_m=0.240,
-        camera=CameraMount(height_m=0.240, x_offset_m=0.070, fov_deg=120.0,
-                           depth_offset_m=-0.1),
+        camera=CameraMount(x_offset_m=0.070, fov_deg=120.0, depth_offset_m=-0.1),
     ),
 }
 

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import math
 
+from ..config import require_positive
 from ..safety import ControlCommand
 
 
@@ -22,9 +23,7 @@ class RobotState:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.heading)):
             raise ValueError(f"pose must be finite, got ({self.x}, {self.y}, {self.heading})")
-        if not 0 < self.footprint_radius < math.inf:
-            raise ValueError(f"footprint radius must be finite and positive, "
-                             f"got {self.footprint_radius}")
+        require_positive("footprint radius", self.footprint_radius)
 
 
 def step_kinematics(robot: RobotState, cmd: ControlCommand, dt: float) -> RobotState:
@@ -35,8 +34,7 @@ def step_kinematics(robot: RobotState, cmd: ControlCommand, dt: float) -> RobotS
     follows a circular arc of radius v / omega. Pure rotation (v = 0)
     leaves the position bit-identical.
     """
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and positive, got {dt}")
+    require_positive("dt", dt)
     v, w = cmd.v, cmd.omega
     h = robot.heading
     if w == 0.0:

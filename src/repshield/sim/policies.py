@@ -7,11 +7,9 @@ wrapped around them.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from ..config import require_int
+from ..config import require_int, require_positive
 from ..errors import InputFormatError
 from ..repulsion import Trajectory
 from .kinematics import RobotState
@@ -30,8 +28,7 @@ class GoalSeeker:
 
     def __init__(self, waypoint_count: int = 8, step_len_m: float = 0.25):
         require_int("waypoint_count", waypoint_count, 1)
-        if not 0 < step_len_m < math.inf:
-            raise ValueError(f"step_len_m must be finite and positive, got {step_len_m}")
+        require_positive("step_len_m", step_len_m)
         self.waypoint_count = waypoint_count
         self.step_len_m = step_len_m
 
@@ -68,8 +65,8 @@ class Wanderer:
 
     def __init__(self, waypoint_count: int = 8, step_len_m: float = 0.25, seed: int = 0):
         require_int("waypoint_count", waypoint_count, 1)
-        if not 0 < step_len_m < math.inf:
-            raise ValueError(f"step_len_m must be finite and positive, got {step_len_m}")
+        require_positive("step_len_m", step_len_m)
+        require_int("seed", seed, 0)
         self.waypoint_count = waypoint_count
         self.step_len_m = step_len_m
         self._rng = np.random.default_rng(seed)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..config import require_finite, require_positive
 from ..errors import InputFormatError
 
 COLLISION_TOLERANCE_M = 1e-9
@@ -29,8 +30,7 @@ class Circle:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=np.float64))
         if self.center.shape != (2,):
             raise ValueError(f"circle center must be 2D, got {self.center.shape}")
-        if not 0 < self.radius < math.inf:
-            raise ValueError(f"circle radius must be finite and positive, got {self.radius}")
+        require_positive("circle radius", self.radius)
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,6 +44,8 @@ class Polygon:
         object.__setattr__(self, "vertices", verts)
         if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
             raise ValueError(f"polygon needs at least 3 vertices, got shape {verts.shape}")
+        if not np.isfinite(verts).all():
+            raise ValueError("polygon vertices must be finite")
         nxt = np.roll(verts, -1, axis=0)
         after = np.roll(verts, -2, axis=0)
         e1 = nxt - verts
@@ -70,8 +72,7 @@ class AgentTrack:
         points = np.asarray(self.points, dtype=np.float64)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "points", points)
-        if not 0 < self.radius < math.inf:
-            raise ValueError(f"agent radius must be finite and positive, got {self.radius}")
+        require_positive("agent radius", self.radius)
         if times.ndim != 1 or times.size < 1:
             raise ValueError("agent schedule needs at least one knot")
         if points.shape != (times.size, 2):
@@ -94,11 +95,9 @@ def perturb_agent(track: AgentTrack, delay: float = 0.0, speed_scale: float = 1.
     Used by the benchmark harness to generate per-trial variation from one
     scripted scenario.
     """
-    if not 0 < speed_scale < math.inf:
-        raise ValueError(f"speed_scale must be finite and positive, got {speed_scale}")
-    for name, value in (("delay", delay), ("lateral_offset", lateral_offset)):
-        if not -math.inf < value < math.inf:
-            raise ValueError(f"{name} must be finite, got {value}")
+    require_positive("speed_scale", speed_scale)
+    require_finite("delay", delay)
+    require_finite("lateral_offset", lateral_offset)
     t0 = track.times[0]
     times = t0 + (track.times - t0) / speed_scale + delay
     points = track.points + np.array([0.0, lateral_offset])
@@ -130,6 +129,10 @@ class WorldModel:
         if goals.size == 0:
             goals = goals.reshape(0, 2)
         object.__setattr__(self, "goals", goals)
+        for name, values in (("bounds", self.bounds), ("goals", goals),
+                             ("start", () if self.start is None else self.start)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite, got {values}")
         xmin, ymin, xmax, ymax = self.bounds
         if not (xmin < xmax and ymin < ymax):
             raise ValueError(f"degenerate bounds {self.bounds}")

@@ -33,7 +33,7 @@ def _line(number: int, ok: bool, detail: str) -> str:
 
 
 def _cfg(**overrides) -> AvoidanceConfig:
-    base = dict(mount=CameraMount(height_m=0.3, fov_deg=90.0))
+    base = dict(mount=CameraMount(fov_deg=90.0))
     base.update(overrides)
     return AvoidanceConfig(**base)
 
@@ -75,8 +75,7 @@ def test_criterion_02_binning_oracle_equivalence():
     rng = np.random.default_rng(1002)
     start = time.monotonic()
     for case in range(500):
-        cfg = _cfg(mount=CameraMount(height_m=0.3,
-                                     x_offset_m=float(rng.uniform(-0.1, 0.1)),
+        cfg = _cfg(mount=CameraMount(x_offset_m=float(rng.uniform(-0.1, 0.1)),
                                      depth_offset_m=float(rng.uniform(-0.2, 0.2)),
                                      fov_deg=90.0),
                    tau_z=float(rng.uniform(0.5, 2.0)),

@@ -109,7 +109,7 @@ def test_closed_loop_commands_reject_config(arena_world, tmp_path, capsys):
 def test_replay_to_stdout_and_file(tmp_path, capsys):
     # Three frames of a frontal wall stepping closer each frame.
     intr = intrinsics_for_fov(9, 3, 90.0)
-    mount = CameraMount(height_m=0.3, fov_deg=90.0)
+    mount = CameraMount(fov_deg=90.0)
     frames_dir = tmp_path / "frames"
     frames_dir.mkdir()
     for k, dist in enumerate((0.9, 0.7, 0.5)):
@@ -143,7 +143,7 @@ def test_replay_applies_rotation_latch(tmp_path, capsys):
     # +/- omega_max while rotating in place. Closed loop's rotation latch
     # keeps the first direction until forward motion resumes; replay must too.
     intr = intrinsics_for_fov(9, 3, 90.0)
-    mount = CameraMount(height_m=0.3, fov_deg=90.0)
+    mount = CameraMount(fov_deg=90.0)
     frames_dir = tmp_path / "frames"
     frames_dir.mkdir()
     for k in range(4):
@@ -234,7 +234,7 @@ def test_bad_caps_and_dt_exit_1(argv, name, capsys):
 
 def test_replay_with_config_override(tmp_path, capsys):
     intr = intrinsics_for_fov(5, 2, 90.0)
-    mount = CameraMount(height_m=0.3, fov_deg=90.0)
+    mount = CameraMount(fov_deg=90.0)
     frames_dir = tmp_path / "frames"
     frames_dir.mkdir()
     save_depth_frame(DepthFrame(np.full((2, 5), 0.8), intr, mount),

@@ -21,7 +21,7 @@ from repshield.safety import compute_desired_heading
 
 
 def _cfg(**overrides) -> AvoidanceConfig:
-    mount = overrides.pop("mount", CameraMount(height_m=0.3))
+    mount = overrides.pop("mount", CameraMount())
     return AvoidanceConfig(mount=mount, **overrides)
 
 
@@ -46,7 +46,7 @@ def _ground_cloud(rng, cfg, n):
 
 def test_step_equals_manual_stage_composition():
     rng = np.random.default_rng(41)
-    cfg = _cfg(mount=CameraMount(height_m=0.3, x_offset_m=0.02,
+    cfg = _cfg(mount=CameraMount(x_offset_m=0.02,
                                  depth_offset_m=0.05, fov_deg=120.0))
     for _ in range(100):
         cloud = _ground_cloud(rng, cfg, int(rng.integers(1, 200)))
@@ -173,7 +173,7 @@ def test_step_determinism_bitwise():
 
 def test_step_accepts_depth_frame():
     intr = intrinsics_for_fov(32, 8, 90.0)
-    mount = CameraMount(height_m=0.3, fov_deg=90.0)
+    mount = CameraMount(fov_deg=90.0)
     cfg = _cfg(mount=mount)
     frame = DepthFrame(np.full((8, 32), 0.6), intr, mount)
     via_frame = avoidance_step(frame, _ahead_traj(), cfg)
@@ -230,7 +230,7 @@ def test_decision_log_passthrough_zeros():
 # ---------------------------------------------------------------------------
 
 def test_config_round_trip(tmp_path):
-    cfg = _cfg(mount=CameraMount(height_m=0.34, x_offset_m=0.01,
+    cfg = _cfg(mount=CameraMount(x_offset_m=0.01,
                                  fov_deg=170.0, depth_offset_m=0.05),
                tau_z=1.0, bin_count=32, theta_clip=math.pi / 4,
                safety=SafetyParams(theta_thres=math.pi / 6, v_fwd=0.2,
@@ -246,12 +246,12 @@ def test_config_round_trip(tmp_path):
 def test_config_round_trip_with_numpy_scalars(tmp_path):
     # Values are written by declared type, not by repr, which for a numpy
     # scalar reads "np.int64(7)" and would not load back.
-    cfg = _cfg(mount=CameraMount(height_m=np.float64(0.3), fov_deg=np.float32(90.0)),
+    cfg = _cfg(mount=CameraMount(fov_deg=np.float32(90.0)),
                bin_count=np.int64(7), tau_z=np.float64(1.25), x_half_range_m=np.float64(0.7))
     path = tmp_path / "cfg.txt"
     save_config(cfg, path)
     assert "bin_count = 7\n" in path.read_text()
-    assert "height_m = 0.3\n" in path.read_text()
+    assert "tau_z = 1.25\n" in path.read_text()
     assert load_config(path, base=_cfg()) == cfg
 
 
@@ -281,7 +281,7 @@ def test_config_errors(tmp_path):
     with pytest.raises(InputFormatError):
         load_config(path, base=_cfg())
     # Keys of deleted settings are unknown, not silently ignored.
-    for key, value in (("v_max", "0.2"), ("direction_mode", "attract")):
+    for key, value in (("v_max", "0.2"), ("direction_mode", "attract"), ("height_m", "0.3")):
         path.write_text(f"{key} = {value}\n")
         with pytest.raises(InputFormatError,
                            match=f"{re.escape(str(path))}:1: unknown key '{key}'"):
@@ -304,9 +304,8 @@ _RECORD_FLOAT_FIELDS = {
     "tau_z": lambda v: _cfg(tau_z=v),
     "epsilon": lambda v: _cfg(epsilon=v),
     "x_half_range_m": lambda v: _cfg(x_half_range_m=v),
-    "height_m": lambda v: CameraMount(height_m=v),
-    "x_offset_m": lambda v: CameraMount(height_m=0.3, x_offset_m=v),
-    "depth_offset_m": lambda v: CameraMount(height_m=0.3, depth_offset_m=v),
+    "x_offset_m": lambda v: CameraMount(x_offset_m=v),
+    "depth_offset_m": lambda v: CameraMount(depth_offset_m=v),
     "v_fwd": lambda v: SafetyParams(v_fwd=v),
     "omega_max": lambda v: SafetyParams(omega_max=v),
     "k_omega": lambda v: SafetyParams(k_omega=v),
@@ -326,8 +325,8 @@ def test_camera_mount_rejects_fov_of_180_or_more(fov):
     # A pinhole camera cannot span 180 degrees: at 180, fx is about 1e-15
     # and a wall 0.5 m ahead would map about 8e15 m to the side.
     with pytest.raises(ValueError, match=r"^fov_deg must be in \(0, 180\)"):
-        CameraMount(height_m=0.3, fov_deg=fov)
-    assert CameraMount(height_m=0.3, fov_deg=179.9).fov_deg == 179.9
+        CameraMount(fov_deg=fov)
+    assert CameraMount(fov_deg=179.9).fov_deg == 179.9
 
 
 @pytest.mark.parametrize("value", [2.5, 32.0, True, "32"])

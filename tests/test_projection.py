@@ -27,7 +27,7 @@ from repshield.sim import RobotState, raycast_depth
 
 
 def _cfg(**overrides) -> AvoidanceConfig:
-    mount = overrides.pop("mount", CameraMount(height_m=0.3))
+    mount = overrides.pop("mount", CameraMount())
     return AvoidanceConfig(mount=mount, **overrides)
 
 
@@ -58,9 +58,7 @@ def test_intrinsics_validation():
     with pytest.raises(ValueError):
         CameraIntrinsics(fx=1.0, fy=1.0, cx=5.0, cy=0.0, width=2, height=2)
     with pytest.raises(ValueError):
-        CameraMount(height_m=0.0)
-    with pytest.raises(ValueError):
-        CameraMount(height_m=0.3, fov_deg=200.0)
+        CameraMount(fov_deg=200.0)
 
 
 _LOCOBOT = PLATFORMS["locobot"]
@@ -99,7 +97,7 @@ def test_back_project_single_pixel_hand_computed():
     intr = CameraIntrinsics(fx=100.0, fy=50.0, cx=2.0, cy=1.0, width=5, height=3)
     depths = np.zeros((3, 5))
     depths[2, 4] = 2.0
-    cloud = back_project(DepthFrame(depths, intr, CameraMount(height_m=0.3)))
+    cloud = back_project(DepthFrame(depths, intr, CameraMount()))
     assert len(cloud) == 1
     # X = (4 - 2) * 2 / 100 = 0.04, Y = (2 - 1) * 2 / 50 = 0.04, Z = 2
     np.testing.assert_allclose(cloud.points[0], [0.04, 0.04, 2.0], rtol=0, atol=1e-15)
@@ -110,7 +108,7 @@ def test_back_project_drops_zero_depth_pixels():
     depths = np.zeros((4, 4))
     depths[1, 1] = 1.0
     depths[3, 2] = 0.5
-    cloud = back_project(DepthFrame(depths, intr, CameraMount(height_m=0.3)))
+    cloud = back_project(DepthFrame(depths, intr, CameraMount()))
     assert len(cloud) == 2
     assert np.all(cloud.points[:, 2] > 0)
 
@@ -118,7 +116,7 @@ def test_back_project_drops_zero_depth_pixels():
 def test_back_project_row_major_order():
     intr = intrinsics_for_fov(3, 3, 90.0)
     depths = np.ones((3, 3))
-    cloud = back_project(DepthFrame(depths, intr, CameraMount(height_m=0.3)))
+    cloud = back_project(DepthFrame(depths, intr, CameraMount()))
     # Row-major pixel order: Y must be non-decreasing, and X increases
     # within each row.
     ys = cloud.points[:, 1]
@@ -135,7 +133,7 @@ def _assert_back_project_matches_oracle(frame: DepthFrame):
 
 def test_property_back_project_matches_oracle_bitwise():
     rng = np.random.default_rng(12)
-    mount = CameraMount(height_m=0.3)
+    mount = CameraMount()
     shapes = [(1, 1), (1, 23), (17, 1)] + [
         (int(rng.integers(1, 40)), int(rng.integers(1, 60))) for _ in range(80)]
     for height, width in shapes:
@@ -165,7 +163,7 @@ def test_back_project_native_frames_match_oracle_bitwise():
 
 def test_depth_frame_validation():
     intr = intrinsics_for_fov(3, 2, 90.0)
-    mount = CameraMount(height_m=0.3)
+    mount = CameraMount()
     with pytest.raises(InputFormatError):
         DepthFrame(np.zeros((3, 3)), intr, mount)
     with pytest.raises(InputFormatError):
@@ -179,7 +177,7 @@ def test_depth_frame_validation():
 # ---------------------------------------------------------------------------
 
 def test_map_single_point_hand_computed():
-    cfg = _cfg(mount=CameraMount(height_m=0.3, x_offset_m=0.1, depth_offset_m=0.2),
+    cfg = _cfg(mount=CameraMount(x_offset_m=0.1, depth_offset_m=0.2),
                tau_z=1.0, bin_count=4, x_half_range_m=1.0)
     # Corrected z = 0.9 - 0.2 = 0.7; robot x = 0.7 + 0.1 = 0.8, y = -X = -0.5.
     # Bin of X = 0.5 with half = 1, width = 0.5: floor(1.5 / 0.5) = 3.
@@ -245,7 +243,7 @@ def test_map_empty_cloud_and_all_filtered():
 
 
 def test_default_half_range_follows_fov_and_tau():
-    cfg = _cfg(mount=CameraMount(height_m=0.3, fov_deg=90.0), tau_z=2.0)
+    cfg = _cfg(mount=CameraMount(fov_deg=90.0), tau_z=2.0)
     assert bin_half_range(cfg) == pytest.approx(2.0)
     pinned = _cfg(x_half_range_m=0.7)
     assert bin_half_range(pinned) == 0.7
@@ -258,8 +256,7 @@ def test_default_half_range_follows_fov_and_tau():
 def test_property_oracle_equivalence():
     rng = np.random.default_rng(7)
     for case in range(150):
-        cfg = _cfg(mount=CameraMount(height_m=0.3,
-                                     x_offset_m=float(rng.uniform(-0.1, 0.1)),
+        cfg = _cfg(mount=CameraMount(x_offset_m=float(rng.uniform(-0.1, 0.1)),
                                      depth_offset_m=float(rng.uniform(-0.2, 0.2))),
                    tau_z=float(rng.uniform(0.5, 2.0)),
                    bin_count=int(rng.integers(1, 40)),
@@ -297,8 +294,7 @@ def test_property_depth_frame_oracle_equivalence():
     rng = np.random.default_rng(11)
     for case in range(150):
         width, height = int(rng.integers(2, 48)), int(rng.integers(2, 12))
-        mount = CameraMount(height_m=0.3,
-                            x_offset_m=float(rng.uniform(-0.1, 0.1)),
+        mount = CameraMount(x_offset_m=float(rng.uniform(-0.1, 0.1)),
                             fov_deg=float(rng.uniform(20.0, 175.0)),
                             depth_offset_m=float(rng.uniform(-0.2, 0.2)))
         cfg = _cfg(mount=mount, tau_z=float(rng.uniform(0.5, 2.0)),
@@ -320,7 +316,7 @@ def test_tiled_frame_ties_resolve_to_lowest_index():
     # The simulator tiles one depth down each column. When runs of columns
     # share a depth inside one bin, hundreds of points tie on Z there; the
     # lowest point index (first kept row of the leftmost tied column) wins.
-    mount = CameraMount(height_m=0.3, fov_deg=90.0)
+    mount = CameraMount(fov_deg=90.0)
     intr = intrinsics_for_fov(64, 48, 90.0)
     box = np.full(64, 0.9)
     box[20:44] = 0.45  # a nearer box in front of a wall
@@ -340,7 +336,7 @@ def test_tiled_frame_ties_resolve_to_lowest_index():
 
 
 def test_depth_frames_with_empty_maps():
-    mount = CameraMount(height_m=0.3, fov_deg=90.0)
+    mount = CameraMount(fov_deg=90.0)
     intr = intrinsics_for_fov(8, 6, 90.0)
     cases = [
         (np.zeros((6, 8)), _cfg(mount=mount)),
@@ -362,8 +358,7 @@ def test_property_mask_survivors_reproduce_the_map():
     # survivor set is itself.
     rng = np.random.default_rng(8)
     for case in range(120):
-        cfg = _cfg(mount=CameraMount(height_m=0.3,
-                                     depth_offset_m=float(rng.uniform(-0.2, 0.2))),
+        cfg = _cfg(mount=CameraMount(depth_offset_m=float(rng.uniform(-0.2, 0.2))),
                    tau_z=float(rng.uniform(0.5, 2.0)),
                    bin_count=int(rng.integers(1, 33)),
                    x_half_range_m=float(rng.uniform(0.3, 2.0)))
@@ -389,7 +384,7 @@ def test_property_tau_monotonicity_with_pinned_window():
     # or move an existing bin's point nearer, never drop or push away.
     rng = np.random.default_rng(9)
     for case in range(120):
-        mount = CameraMount(height_m=0.3, depth_offset_m=float(rng.uniform(-0.1, 0.1)))
+        mount = CameraMount(depth_offset_m=float(rng.uniform(-0.1, 0.1)))
         tau_small = float(rng.uniform(0.4, 1.2))
         tau_big = tau_small + float(rng.uniform(0.1, 1.0))
         kwargs = dict(mount=mount, bin_count=int(rng.integers(1, 24)),
@@ -408,8 +403,7 @@ def test_property_tau_monotonicity_with_pinned_window():
 def test_property_emitted_ranges():
     rng = np.random.default_rng(10)
     for case in range(150):
-        mount = CameraMount(height_m=0.3,
-                            x_offset_m=float(rng.uniform(-0.1, 0.1)),
+        mount = CameraMount(x_offset_m=float(rng.uniform(-0.1, 0.1)),
                             depth_offset_m=float(rng.uniform(-0.2, 0.2)))
         cfg = _cfg(mount=mount, tau_z=float(rng.uniform(0.5, 2.0)),
                    bin_count=int(rng.integers(1, 40)),
@@ -436,7 +430,7 @@ def test_frontal_wall_depth_recovered():
     # reports the wall distance exactly (no quantization in the synthetic
     # frame), shifted to the robot frame.
     intr = intrinsics_for_fov(64, 16, 90.0)
-    mount = CameraMount(height_m=0.3, x_offset_m=0.05, fov_deg=90.0)
+    mount = CameraMount(x_offset_m=0.05, fov_deg=90.0)
     cfg = _cfg(mount=mount, tau_z=1.0, bin_count=8)
     d = 0.8
     frame = DepthFrame(np.full((16, 64), d), intr, mount)
@@ -451,7 +445,7 @@ def test_frontal_wall_depth_recovered():
 
 def test_depth_frame_round_trip(tmp_path):
     intr = intrinsics_for_fov(6, 4, 90.0)
-    mount = CameraMount(height_m=0.3)
+    mount = CameraMount()
     rng = np.random.default_rng(3)
     depths = np.round(rng.uniform(0.0, 3.0, size=(4, 6)), 6)
     frame = DepthFrame(depths, intr, mount)
@@ -466,13 +460,13 @@ def test_depth_frame_load_errors(tmp_path):
     p = tmp_path / "bad.df1"
     p.write_text("XX1 2 2 1.0 1.0 0.5 0.5\n0 0 0 0\n")
     with pytest.raises(InputFormatError):
-        load_depth_frame(p, CameraMount(height_m=0.3))
+        load_depth_frame(p, CameraMount())
     p.write_text("DF1 2 2 1.0 1.0 0.5 0.5\n0 0 0\n")
     with pytest.raises(InputFormatError):
-        load_depth_frame(p, CameraMount(height_m=0.3))
+        load_depth_frame(p, CameraMount())
     p.write_text("DF1 2 2 1.0 oops 0.5 0.5\n0 0 0 0\n")
     with pytest.raises(InputFormatError):
-        load_depth_frame(p, CameraMount(height_m=0.3))
+        load_depth_frame(p, CameraMount())
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -484,4 +478,4 @@ def test_depth_frame_rejects_non_finite_focal_length(tmp_path, key, bad):
     focal = {"fx": "1.0", "fy": "1.0", key: bad}
     p.write_text(f"DF1 2 2 {focal['fx']} {focal['fy']} 0.5 0.5\n1 1 1 1\n")
     with pytest.raises(InputFormatError, match=f"{re.escape(str(p))}: focal lengths"):
-        load_depth_frame(p, CameraMount(height_m=0.3))
+        load_depth_frame(p, CameraMount())

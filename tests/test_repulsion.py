@@ -19,7 +19,7 @@ from repshield.repulsion import MIN_OBSTACLE_DISTANCE_M
 
 
 def _cfg(**overrides) -> AvoidanceConfig:
-    return AvoidanceConfig(mount=CameraMount(height_m=0.3), **overrides)
+    return AvoidanceConfig(mount=CameraMount(), **overrides)
 
 
 def _rand_instance(rng, max_obstacles=64):

@@ -206,7 +206,7 @@ def test_raycast_frontal_wall_planar_depth():
     # column that hits the front wall, regardless of ray slant.
     w = WorldModel(bounds=(0, 0, 4, 4), bounds_solid=True)
     robot = RobotState(2.0, 2.0, 0.0)
-    mount = CameraMount(height_m=0.3, x_offset_m=0.05, fov_deg=60.0)
+    mount = CameraMount(x_offset_m=0.05, fov_deg=60.0)
     intr = intrinsics_for_fov(9, 3, 60.0)
     depth = column_depths(w, robot, intr, mount)
     # Camera sits at x = 2.05; the x = 4 wall is 1.95 ahead. At fov 60
@@ -217,7 +217,7 @@ def test_raycast_frontal_wall_planar_depth():
 def test_raycast_reports_biased_depth():
     w = WorldModel(bounds=(0, 0, 4, 4), bounds_solid=True)
     robot = RobotState(2.0, 2.0, 0.0)
-    mount = CameraMount(height_m=0.3, fov_deg=60.0, depth_offset_m=0.2)
+    mount = CameraMount(fov_deg=60.0, depth_offset_m=0.2)
     intr = intrinsics_for_fov(5, 2, 60.0)
     depth = column_depths(w, robot, intr, mount)
     np.testing.assert_allclose(depth, 2.2, rtol=0, atol=1e-12)
@@ -227,7 +227,7 @@ def test_raycast_circle_through_center():
     w = WorldModel(bounds=(-5, -5, 5, 5), circles=(Circle(np.array([3.0, 0.0]), 0.5),),
                    bounds_solid=False)
     robot = RobotState(0.0, 0.0, 0.0)
-    mount = CameraMount(height_m=0.3, fov_deg=90.0)
+    mount = CameraMount(fov_deg=90.0)
     intr = intrinsics_for_fov(3, 1, 90.0)
     depth = column_depths(w, robot, intr, mount)
     assert depth[1] == pytest.approx(2.5, abs=1e-12)   # center column
@@ -238,7 +238,7 @@ def test_raycast_agent_moves_with_time():
     track = AgentTrack(0.3, np.array([0.0, 4.0]), np.array([[4.0, 0.0], [2.0, 0.0]]))
     w = WorldModel(bounds=(-5, -5, 5, 5), agents=(track,), bounds_solid=False)
     robot = RobotState(0.0, 0.0, 0.0)
-    mount = CameraMount(height_m=0.3, fov_deg=90.0)
+    mount = CameraMount(fov_deg=90.0)
     intr = intrinsics_for_fov(3, 1, 90.0)
     at0 = column_depths(w, robot, intr, mount, t=0.0)
     at4 = column_depths(w, robot, intr, mount, t=4.0)
@@ -249,7 +249,7 @@ def test_raycast_agent_moves_with_time():
 def test_raycast_far_limit_blanks_columns():
     # Walls just beyond and just inside FAR_LIMIT_M, straight ahead.
     robot = RobotState(20.0, 20.0, 0.0)
-    mount = CameraMount(height_m=0.3, fov_deg=60.0)
+    mount = CameraMount(fov_deg=60.0)
     intr = intrinsics_for_fov(5, 2, 60.0)
     beyond = WorldModel(bounds=(0, 0, 20.0 + FAR_LIMIT_M + 0.1, 40), bounds_solid=True)
     within = WorldModel(bounds=(0, 0, 20.0 + FAR_LIMIT_M - 0.1, 40), bounds_solid=True)
@@ -261,7 +261,7 @@ def test_raycast_far_limit_blanks_columns():
 
 def test_property_raycast_translation_invariance():
     rng = np.random.default_rng(53)
-    mount = CameraMount(height_m=0.3, fov_deg=120.0)
+    mount = CameraMount(fov_deg=120.0)
     intr = intrinsics_for_fov(33, 2, 120.0)
     for _ in range(100):
         cx = float(rng.uniform(1.5, 4.5))
@@ -285,7 +285,7 @@ def test_property_raycast_translation_invariance():
 
 def test_raycast_depth_frame_tiles_rows():
     w = WorldModel(bounds=(0, 0, 4, 4), bounds_solid=True)
-    mount = CameraMount(height_m=0.3, fov_deg=60.0)
+    mount = CameraMount(fov_deg=60.0)
     intr = intrinsics_for_fov(7, 5, 60.0)
     frame = raycast_depth(w, RobotState(2, 2, 0.7), intr, mount)
     assert frame.depths.shape == (5, 7)
@@ -415,9 +415,12 @@ _TRACK = AgentTrack(0.2, np.array([0.0, 1.0]), np.array([[0.0, 0.0], [1.0, 0.0]]
     (lambda: GoalSeeker(2.5, 0.25), "waypoint_count must be an integer"),
     (lambda: Wanderer(True), "waypoint_count must be an integer"),
     (lambda: GoalSeeker(0), "waypoint_count must be at least 1"),
+    (lambda: Wanderer(seed=-1), "seed must be at least 0"),
+    (lambda: Wanderer(seed=1.5), "seed must be an integer"),
 ], ids=["footprint_nan", "footprint_inf", "circle_nan", "circle_inf", "agent_nan",
         "speed_scale_nan", "speed_scale_inf", "dt_nan", "dt_inf", "wanderer_step_inf",
-        "seeker_step_nan", "seeker_count_float", "wanderer_count_bool", "seeker_count_0"])
+        "seeker_step_nan", "seeker_count_float", "wanderer_count_bool", "seeker_count_0",
+        "wanderer_seed_negative", "wanderer_seed_float"])
 def test_simulator_scalars_reject_nan_inf_and_non_integers(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         build()
@@ -478,6 +481,26 @@ def test_world_rejects_out_of_bounds_geometry():
         WorldModel(bounds=(0, 0, 1, 1), circles=(Circle(np.array([5.0, 0.5]), 0.1),))
     with pytest.raises(ValueError):
         WorldModel(bounds=(1, 0, 0, 1))
+
+
+# World files reject these numbers when read; the records reject them too, as a
+# nan vertex never reports contact and inf bounds break the raycaster.
+@pytest.mark.parametrize("build, message", [
+    (lambda: Polygon([[1.0, 1.0], [2.0, 1.0], [1.5, math.nan]]), "polygon vertices must be finite"),
+    (lambda: Polygon([[1.0, 1.0], [math.inf, 1.0], [1.5, 2.0]]), "polygon vertices must be finite"),
+    (lambda: WorldModel(bounds=(-math.inf, -5.0, math.inf, 5.0)), "bounds must be finite"),
+    (lambda: WorldModel(bounds=(0.0, 0.0, 4.0, math.nan)), "bounds must be finite"),
+    (lambda: WorldModel(bounds=(0.0, 0.0, 4.0, 4.0), start=(1.0, math.nan, 0.0)),
+     "start must be finite"),
+    (lambda: WorldModel(bounds=(0.0, 0.0, 4.0, 4.0), goals=[[3.0, math.nan]]),
+     "goals must be finite"),
+    (lambda: WorldModel(bounds=(0.0, 0.0, 4.0, 4.0), goals=[[1.0, 1.0], [-math.inf, 3.0]]),
+     "goals must be finite"),
+], ids=["vertex_nan", "vertex_inf", "bounds_inf", "bounds_nan", "start_nan", "goal_nan",
+        "goal_neg_inf"])
+def test_world_records_reject_non_finite_numbers(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        build()
 
 
 def test_world_file_round_trip(tmp_path):
