@@ -7,6 +7,8 @@ from dataclasses import dataclass, field, fields, replace
 from numbers import Integral
 from pathlib import Path
 
+import numpy as np
+
 from .errors import InputFormatError
 
 
@@ -28,6 +30,20 @@ def require_positive(name: str, value) -> None:
     """Reject nan, +inf and values at or below zero."""
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def require_points(name: str, value, dim: int, min_count: int = 0) -> np.ndarray:
+    """``value`` as a finite float64 (N, dim) array, N >= min_count; an empty input
+    becomes (0, dim), and a float64 array comes back as is, never copied."""
+    pts = np.asarray(value, dtype=np.float64)
+    if pts.size == 0:
+        pts = pts.reshape(0, dim)
+    if pts.ndim != 2 or pts.shape[1] != dim or pts.shape[0] < min_count:
+        raise ValueError(f"{name} must have shape (N, {dim}) with N >= {min_count}, "
+                         f"got {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError(f"{name} must be finite")
+    return pts
 
 
 @dataclass(frozen=True)

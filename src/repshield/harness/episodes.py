@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..config import require_points
 # avoidance_step is unused here, but a benchmark's tracer looks it up on this module.
 from ..pipeline import (DECISION_LOG_HEADER, AvoidanceDecision, Shield,  # noqa: F401
                         avoidance_step, decision_log_row)
@@ -91,20 +92,19 @@ def episode_ticks(world: WorldModel, policy, *, platform: PlatformSpec, shield: 
     """
     cfg = platform.config()
     intr = platform.intrinsics(SIM_FRAME_ROWS)
-    goal_list = [np.asarray(g, dtype=np.float64) for g in (goals if goals is not None else [])]
+    goals = require_points("goals", () if goals is None else goals, 2)
     gi = 0
     state = start
     avoider = Shield(cfg)
     decision = None
     for k in itertools.count():
         t = k * CONTROL_PERIOD_S
-        while gi < len(goal_list) and math.hypot(state.x - goal_list[gi][0],
-                                                 state.y - goal_list[gi][1]) <= GOAL_RADIUS_M:
+        while gi < len(goals) and math.dist(goals[gi], (state.x, state.y)) <= GOAL_RADIUS_M:
             gi += 1
-        if goal_list and gi == len(goal_list):
+        if len(goals) and gi == len(goals):
             return
         # Looked up per tick on this module: a benchmark stamps ticks by patching it.
-        traj = policy_trajectory(policy, state, goal_list[gi] if goal_list else None)
+        traj = policy_trajectory(policy, state, goals[gi] if len(goals) else None)
         if shield:
             frame = raycast_depth(world, state, intr, cfg.mount, t=t)
             decision, cmd = avoider.step(frame, traj)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import AvoidanceConfig, CameraMount, require_int
+from .config import AvoidanceConfig, CameraMount, require_int, require_points
 from .errors import InputFormatError
 
 
@@ -92,14 +92,7 @@ class PointCloud:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.size == 0:
-            pts = pts.reshape(0, 3)
-        object.__setattr__(self, "points", pts)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise InputFormatError(f"point cloud must have shape (N, 3), got {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise InputFormatError("point cloud values must be finite")
+        object.__setattr__(self, "points", require_points("point cloud", self.points, 3))
 
     def __len__(self) -> int:
         return self.points.shape[0]

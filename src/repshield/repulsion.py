@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import AvoidanceConfig
+from .config import AvoidanceConfig, require_points
 from .errors import InputFormatError, SingularityError
 from .projection import _read_tagged
 
@@ -30,12 +30,7 @@ class Trajectory:
     waypoints: np.ndarray
 
     def __post_init__(self):
-        wps = np.asarray(self.waypoints, dtype=np.float64)
-        object.__setattr__(self, "waypoints", wps)
-        if wps.ndim != 2 or wps.shape[1] != 2 or wps.shape[0] < 1:
-            raise ValueError(f"waypoints must have shape (K, 2) with K >= 1, got {wps.shape}")
-        if not np.all(np.isfinite(wps)):
-            raise ValueError("waypoints must be finite")
+        object.__setattr__(self, "waypoints", require_points("waypoints", self.waypoints, 2, 1))
 
     def __len__(self) -> int:
         return self.waypoints.shape[0]
@@ -68,9 +63,7 @@ def repulsive_force(waypoint: np.ndarray, obstacles: np.ndarray) -> np.ndarray:
         SingularityError: a waypoint coincides exactly with an obstacle;
             the first such waypoint reports its lowest obstacle index.
     """
-    pts = np.asarray(obstacles, dtype=np.float64)
-    if pts.size == 0:
-        pts = pts.reshape(0, 2)
+    pts = require_points("obstacles", obstacles, 2)
     p = np.asarray(waypoint, dtype=np.float64)
     diffs = p.reshape(-1, 1, 2) - pts
     dists = np.hypot(diffs[..., 0], diffs[..., 1])

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..config import require_finite, require_positive
+from ..config import require_finite, require_points, require_positive
 from ..errors import InputFormatError
 
 COLLISION_TOLERANCE_M = 1e-9
@@ -30,6 +30,8 @@ class Circle:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=np.float64))
         if self.center.shape != (2,):
             raise ValueError(f"circle center must be 2D, got {self.center.shape}")
+        if not np.isfinite(self.center).all():
+            raise ValueError(f"circle center must be finite, got {self.center}")
         require_positive("circle radius", self.radius)
 
 
@@ -40,12 +42,8 @@ class Polygon:
     vertices: np.ndarray
 
     def __post_init__(self):
-        verts = np.asarray(self.vertices, dtype=np.float64)
+        verts = require_points("polygon vertices", self.vertices, 2, 3)
         object.__setattr__(self, "vertices", verts)
-        if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
-            raise ValueError(f"polygon needs at least 3 vertices, got shape {verts.shape}")
-        if not np.isfinite(verts).all():
-            raise ValueError("polygon vertices must be finite")
         nxt = np.roll(verts, -1, axis=0)
         after = np.roll(verts, -2, axis=0)
         e1 = nxt - verts
@@ -125,12 +123,11 @@ class WorldModel:
         object.__setattr__(self, "circles", tuple(self.circles))
         object.__setattr__(self, "polygons", tuple(self.polygons))
         object.__setattr__(self, "agents", tuple(self.agents))
-        goals = np.asarray(self.goals, dtype=np.float64)
-        if goals.size == 0:
-            goals = goals.reshape(0, 2)
-        object.__setattr__(self, "goals", goals)
-        for name, values in (("bounds", self.bounds), ("goals", goals),
-                             ("start", () if self.start is None else self.start)):
+        object.__setattr__(self, "goals", require_points("goals", self.goals, 2))
+        for name, values, size in (("bounds", self.bounds, 4),
+                                   ("start", (0.0,) * 3 if self.start is None else self.start, 3)):
+            if np.shape(values) != (size,):
+                raise ValueError(f"{name} needs {size} numbers, got {values}")
             if not np.isfinite(values).all():
                 raise ValueError(f"{name} must be finite, got {values}")
         xmin, ymin, xmax, ymax = self.bounds
@@ -346,6 +343,6 @@ def load_world(path: str | Path) -> WorldModel:
     try:
         return WorldModel(bounds=bounds, circles=tuple(circles), polygons=tuple(polygons),
                           agents=tuple(agents), bounds_solid=solid,
-                          start=start, goals=np.array(goals) if goals else np.empty((0, 2)))
+                          start=start, goals=goals)
     except ValueError as exc:
         raise InputFormatError(f"{path}: {exc}") from exc

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -366,6 +367,21 @@ def test_run_episode_rejects_bad_caps(caps):
                                          r"|distance_m must be positive)"):
         run_episode(policy=Wanderer(), **{"max_time_s": 1.0, **caps},
                     **_arena_episode(shield=False))
+
+
+class _UncalledPolicy:
+    def trajectory(self, robot, goal=None):
+        raise AssertionError("the episode ran a tick")
+
+
+@pytest.mark.parametrize("goals, message", [
+    ([[3.0, math.nan]], "goals must be finite"),
+    (np.array([3.0, 2.0]), "goals must have shape (N, 2) with N >= 0, got (2,)"),
+], ids=["nan", "one_goal_1d"])
+def test_run_episode_rejects_bad_goals_before_any_tick(goals, message):
+    episode = {**_arena_episode(shield=False), "goals": goals}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_episode(policy=_UncalledPolicy(), max_time_s=1.0, **episode)
 
 
 def test_spec_accepts_one_tick_and_no_odometer_cap():

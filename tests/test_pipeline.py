@@ -14,7 +14,7 @@ from repshield import (AvoidanceConfig, CameraMount, DepthFrame, InputFormatErro
                        estimate_repulsive_direction, gate_command,
                        intrinsics_for_fov, load_config, rotate_trajectory,
                        save_config)
-from repshield.config import CONFIG_KEYS
+from repshield.config import CONFIG_KEYS, require_points
 from repshield.pipeline import DECISION_LOG_HEADER
 from repshield.platforms import get_platform
 from repshield.safety import compute_desired_heading
@@ -318,6 +318,19 @@ def test_config_records_reject_non_finite(field, value):
     """The records themselves, not only load_config, refuse nan and inf."""
     with pytest.raises(ValueError, match=rf"^{field} must be finite"):
         _RECORD_FLOAT_FIELDS[field](value)
+
+
+def test_require_points_returns_float64_arrays_as_is_and_shapes_empty_input():
+    # back_project hands PointCloud a column-major view; a copy would cost a pass.
+    view = np.arange(12.0).reshape(3, 4).T
+    assert require_points("p", view, 3) is view
+    assert require_points("p", [], 3).shape == (0, 3)
+    assert require_points("p", np.empty((0, 5)), 2).shape == (0, 2)
+    ints = require_points("p", [[1, 2]], 2, 1)
+    assert ints.dtype == np.float64 and ints.tolist() == [[1.0, 2.0]]
+    message = "p must have shape (N, 2) with N >= 1, got (0, 2)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        require_points("p", [], 2, 1)
 
 
 @pytest.mark.parametrize("fov", [180.0, 180.5])

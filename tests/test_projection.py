@@ -161,6 +161,17 @@ def test_back_project_native_frames_match_oracle_bitwise():
         _assert_back_project_matches_oracle(frame)
 
 
+@pytest.mark.parametrize("points, message", [
+    (np.zeros((4, 2)), "point cloud must have shape (N, 3) with N >= 0, got (4, 2)"),
+    (np.zeros(3), "point cloud must have shape (N, 3) with N >= 0, got (3,)"),
+    ([[0.0, 0.0, math.nan]], "point cloud must be finite"),
+    ([[0.0, -math.inf, 1.0]], "point cloud must be finite"),
+], ids=["two_columns", "one_point_1d", "nan", "neg_inf"])
+def test_point_cloud_rejects_bad_shapes_and_non_finite_values(points, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PointCloud(points)
+
+
 def test_depth_frame_validation():
     intr = intrinsics_for_fov(3, 2, 90.0)
     mount = CameraMount()

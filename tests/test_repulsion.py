@@ -7,6 +7,7 @@ exactly d^-3 on the waypoint, pointing away from the obstacle.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -236,6 +237,17 @@ def test_rotate_preserves_norms():
 def test_rotate_rejects_out_of_range_angle():
     with pytest.raises(ValueError):
         rotate_trajectory(Trajectory(np.array([[1.0, 0.0]])), 3.5)
+
+
+@pytest.mark.parametrize("obstacles, message", [
+    # Unchecked, a nan obstacle would make every force nan.
+    ([[math.nan, 0.0]], "obstacles must be finite"),
+    ([[0.5, 0.0], [math.inf, 1.0]], "obstacles must be finite"),
+    ([[0.5, 0.0, 1.0]], "obstacles must have shape (N, 2) with N >= 0, got (1, 3)"),
+], ids=["nan", "inf", "three_columns"])
+def test_force_rejects_bad_obstacles(obstacles, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        repulsive_force(np.array([[1.0, 0.0]]), obstacles)
 
 
 def test_trajectory_validation():

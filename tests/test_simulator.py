@@ -496,10 +496,28 @@ def test_world_rejects_out_of_bounds_geometry():
      "goals must be finite"),
     (lambda: WorldModel(bounds=(0.0, 0.0, 4.0, 4.0), goals=[[1.0, 1.0], [-math.inf, 3.0]]),
      "goals must be finite"),
+    # Unchecked, a nan center would be reported as outside the world's bounds.
+    (lambda: Circle(np.array([math.nan, 0.0]), 0.2), "circle center must be finite"),
 ], ids=["vertex_nan", "vertex_inf", "bounds_inf", "bounds_nan", "start_nan", "goal_nan",
-        "goal_neg_inf"])
+        "goal_neg_inf", "circle_center_nan"])
 def test_world_records_reject_non_finite_numbers(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: WorldModel(bounds=(0.0, 0.0, 4.0, 4.0), goals=np.array([1.0, 2.0, 3.0])),
+     "goals must have shape (N, 2) with N >= 0, got (3,)"),
+    (lambda: WorldModel(bounds=(0.0, 0.0, 4.0, 4.0), goals=[[1.0, 2.0, 3.0]]),
+     "goals must have shape (N, 2) with N >= 0, got (1, 3)"),
+    (lambda: WorldModel(bounds=(0.0, 0.0, 4.0)), "bounds needs 4 numbers, got (0.0, 0.0, 4.0)"),
+    (lambda: WorldModel(bounds=(0.0, 0.0, 4.0, 4.0), start=(1.0, 2.0)),
+     "start needs 3 numbers, got (1.0, 2.0)"),
+    (lambda: Polygon([[1.0, 1.0], [2.0, 1.0]]),
+     "polygon vertices must have shape (N, 2) with N >= 3, got (2, 2)"),
+], ids=["goals_1d", "goals_3_columns", "bounds_3", "start_2", "polygon_2_vertices"])
+def test_world_records_reject_wrong_shapes(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
 
 
