@@ -19,6 +19,13 @@ from ..config import require_finite, require_points, require_positive
 from ..errors import InputFormatError
 
 COLLISION_TOLERANCE_M = 1e-9
+# A polygon whose bounds, grown by r plus this margin, miss the robot's
+# center lies farther than r + margin from it: its exact distance exceeds r
+# by the margin, and the center lies outside some edge by a fair part of
+# it. The distance and containment tests round by far less than this margin
+# on worlds of any practical size, so neither could answer true for such a
+# polygon, and skipping it leaves every answer bitwise the same.
+_BROAD_MARGIN_M = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,6 +159,14 @@ class WorldModel:
         return segs, np.cumsum([0] + [len(v) for v in verts])[:-1]
 
     @cached_property
+    def polygon_bounds(self) -> np.ndarray:
+        """Each polygon's (xmin, ymin, xmax, ymax), shape (P, 4), P >= 0; read-only."""
+        bounds = np.array([np.concatenate((p.vertices.min(axis=0), p.vertices.max(axis=0)))
+                           for p in self.polygons]).reshape(-1, 4)
+        bounds.setflags(write=False)
+        return bounds
+
+    @cached_property
     def static_segments(self) -> np.ndarray:
         """All static wall/edge segments, shape (S, 2, 2); S may be 0."""
         segs = [self.polygon_edges[0]]
@@ -220,6 +235,17 @@ def check_collision(world: WorldModel, robot, t: float = 0.0) -> bool:
     segs, first = world.polygon_edges
     if not first.size:
         return False
+    box = world.polygon_bounds
+    reach = r + _BROAD_MARGIN_M
+    x, y = robot.x, robot.y
+    near = ((box[:, 0] <= x + reach) & (box[:, 1] <= y + reach)
+            & (box[:, 2] >= x - reach) & (box[:, 3] >= y - reach))
+    if not near.any():
+        return False
+    sizes = np.diff(first, append=len(segs))
+    segs = segs[np.repeat(near, sizes)]
+    sizes = sizes[near]
+    first = np.cumsum(sizes) - sizes
     edge = segs[:, 1] - segs[:, 0]
     rel = p - segs[:, 0]
     cross = edge[:, 0] * rel[:, 1] - edge[:, 1] * rel[:, 0]

@@ -23,6 +23,7 @@ from repshield.sim import (FAR_LIMIT_M, AgentTrack, Circle, GoalSeeker, Polygon,
                            RobotState, WorldModel, Wanderer, check_collision, column_depths,
                            load_world, perturb_agent, raycast_depth,
                            save_world, step_kinematics)
+from repshield.sim.world import _BROAD_MARGIN_M
 from repshield.harness import GOAL_RADIUS_M, run_episode
 from repshield.worldgen import BUNDLED_WORLDS
 
@@ -195,6 +196,54 @@ def test_property_collision_oracle_equivalence():
             for center, r in cases:
                 robot = RobotState(float(center[0]), float(center[1]), 0.0, r)
                 assert check_collision(world, robot, t) == oracle_collision(world, robot, t)
+
+
+def _broad_phase_boundary_poses(poly, r):
+    """Robot centers where the broad phase decides: beyond each side of the
+    polygon's bounds (at the side's midpoint and both ends) at distances
+    r +- 1e-9 and r + margin +- 1e-9, and on each vertex's outward bisector
+    (a box corner's diagonal) at r +- 1e-9 from the vertex."""
+    lo, hi = poly.vertices.min(axis=0), poly.vertices.max(axis=0)
+    poses = []
+    for axis in (0, 1):
+        other = 1 - axis
+        for side, sign in ((lo[axis], -1.0), (hi[axis], 1.0)):
+            for along in (lo[other], 0.5 * (lo[other] + hi[other]), hi[other]):
+                for d in (r - 1e-9, r + 1e-9, r + _BROAD_MARGIN_M - 1e-9,
+                          r + _BROAD_MARGIN_M + 1e-9):
+                    center = np.empty(2)
+                    center[axis] = side + sign * d
+                    center[other] = along
+                    poses.append(center)
+    verts = poly.vertices
+    for prev, v, nxt in zip(np.roll(verts, 1, axis=0), verts, np.roll(verts, -1, axis=0)):
+        # Sum of the unit directions away from both neighbours: the outward bisector.
+        out = (v - prev) / np.hypot(*(v - prev)) + (v - nxt) / np.hypot(*(v - nxt))
+        out /= np.hypot(*out)
+        poses += [v + (r + k * 1e-9) * out for k in (-1, 1)]
+    return poses
+
+
+def test_property_collision_oracle_equivalence_at_broad_phase_bounds():
+    r = 0.1705
+    for world in [build() for build in BUNDLED_WORLDS.values()] + [_mixed_world()]:
+        for poly in world.polygons:
+            for center in _broad_phase_boundary_poses(poly, r):
+                robot = RobotState(float(center[0]), float(center[1]), 0.0, r)
+                assert check_collision(world, robot, 1.0) == oracle_collision(world, robot, 1.0)
+
+
+def test_polygon_bounds_are_read_only_vertex_extremes():
+    world = _mixed_world()
+    bounds = world.polygon_bounds
+    assert bounds.shape == (3, 4)
+    for row, poly in zip(bounds, world.polygons):
+        np.testing.assert_array_equal(row[:2], poly.vertices.min(axis=0))
+        np.testing.assert_array_equal(row[2:], poly.vertices.max(axis=0))
+    assert world.polygon_bounds is bounds
+    with pytest.raises(ValueError):
+        bounds[0, 0] = 0.0
+    assert _open_world().polygon_bounds.shape == (0, 4)
 
 
 # ---------------------------------------------------------------------------
