@@ -58,7 +58,7 @@ def avoidance_step(observation: DepthFrame | PointCloud, traj: Trajectory,
         AvoidanceDecision carrying the adjusted trajectory and the command.
     """
     if isinstance(observation, DepthFrame):
-        cloud = back_project(observation)
+        cloud = back_project(observation, cfg)
     elif isinstance(observation, PointCloud):
         cloud = observation
     else:

@@ -8,7 +8,8 @@ Conventions used throughout:
 
 The obstacle map summarizes the scene as at most one point per lateral bin
 (uniform in camera X), keeping the nearest return in each bin after range
-and height filtering.
+and height filtering; ``back_project`` already filters on the depth grid,
+so it lifts only the pixels that pass.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ class DepthFrame:
 @dataclass(frozen=True, eq=False)
 class PointCloud:
     """Points in the camera frame, shape (N, 3), columns X, Y, Z; ``points``
-    may be a column-major view, as ``back_project`` returns."""
+    may be a column-major view, as ``back_project`` returns. A cloud lifted
+    from a frame holds only the pixels that pass the map's cuts."""
 
     points: np.ndarray
 
@@ -118,26 +120,43 @@ class ObstacleMap:
         return self.points.shape[0] == 0
 
 
-def back_project(frame: DepthFrame) -> PointCloud:
-    """Lift every valid depth pixel to a 3D point in the camera frame.
+def back_project(frame: DepthFrame, cfg: AvoidanceConfig) -> PointCloud:
+    """Lift the depth pixels the obstacle map can use to camera-frame points.
 
     Uses the pinhole model: X = (u - cx) * d / fx, Y = (v - cy) * d / fy,
-    Z = d. Points come out in row-major pixel order, so ties elsewhere can
-    be broken by lowest pixel index.
+    Z = d. A pixel is lifted only when it passes ``construct_obstacle_map``'s
+    range and height cuts under ``cfg``: d > 0, d - depth_offset_m in
+    (0, tau_z] and Y >= -epsilon, computed with the same arithmetic, so the
+    map's own cuts drop nothing from the result. Points come out in
+    row-major pixel order, so ties elsewhere can be broken by lowest pixel
+    index.
     """
     intr = frame.intrinsics
-    d = frame.depths
-    valid = np.flatnonzero(d > 0)
-    pts = np.empty((3, valid.size))
-    # ((u - cx) * d) / fx on the full grid, gathered into a row of pts; the
-    # indices are in range, and mode="clip" spares take a copy of ``out``.
-    grid = np.multiply(np.arange(intr.width) - intr.cx, d)
-    grid /= intr.fx
-    np.take(grid, valid, out=pts[0], mode="clip")
-    np.multiply((np.arange(intr.height) - intr.cy)[:, None], d, out=grid)
+    # Y has the sign of v - cy, so when -epsilon > 0 no row at or above the
+    # principal point can pass the height cut.
+    top = math.floor(intr.cy) + 1 if cfg.epsilon < 0 else 0
+    d = frame.depths[top:]
+    offset = cfg.mount.depth_offset_m
+    # d > 0 and d - offset > 0 in one test: a float difference has the sign
+    # of the exact one, so d - offset > 0 exactly when d > offset.
+    keep = d > max(offset, 0.0)
+    grid = np.subtract(d, offset)
+    keep &= grid <= cfg.tau_z
+    np.multiply((np.arange(top, intr.height) - intr.cy)[:, None], d, out=grid)
     grid /= intr.fy
-    np.take(grid, valid, out=pts[1], mode="clip")
-    np.take(d, valid, out=pts[2], mode="clip")
+    keep &= grid >= -cfg.epsilon
+    lifted = np.flatnonzero(keep)
+    # Sized to the whole frame, not to the survivors: every frame of one size
+    # then asks for the same block, and the allocator keeps it mapped. Smaller
+    # blocks cost about 40 minor page faults a step on the native frames. The
+    # indices are in range, and mode="clip" spares take a copy of ``out``.
+    pts = np.empty((3, frame.depths.size))[:, :lifted.size]
+    np.take(grid, lifted, out=pts[1], mode="clip")
+    np.take(d, lifted, out=pts[2], mode="clip")
+    # X = ((u - cx) * d) / fx for the survivors only; u is the column.
+    x = np.subtract(lifted % intr.width, intr.cx, out=pts[0])
+    x *= pts[2]
+    x /= intr.fx
     return PointCloud(pts.T)
 
 

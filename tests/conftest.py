@@ -37,6 +37,14 @@ def oracle_back_project(frame) -> np.ndarray:
     return np.column_stack((x, y, depth))
 
 
+def oracle_lifted(frame, cfg: AvoidanceConfig) -> np.ndarray:
+    """``oracle_back_project`` restricted to the obstacle map's range and
+    height cuts: d - depth_offset_m in (0, tau_z] and Y >= -epsilon."""
+    pts = oracle_back_project(frame)
+    z = pts[:, 2] - cfg.mount.depth_offset_m
+    return pts[(z > 0) & (z <= cfg.tau_z) & (pts[:, 1] >= -cfg.epsilon)]
+
+
 # ---------------------------------------------------------------------------
 # Binning oracle
 # ---------------------------------------------------------------------------

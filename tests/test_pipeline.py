@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import oracle_back_project
 from repshield import (AvoidanceConfig, CameraMount, DepthFrame, InputFormatError,
                        PointCloud, SafetyParams, Trajectory, avoidance_step,
                        back_project, construct_obstacle_map, decision_log_row,
@@ -15,9 +16,11 @@ from repshield import (AvoidanceConfig, CameraMount, DepthFrame, InputFormatErro
                        intrinsics_for_fov, load_config, rotate_trajectory,
                        save_config)
 from repshield.config import CONFIG_KEYS, require_points
+from repshield.harness import resolve_world
 from repshield.pipeline import DECISION_LOG_HEADER
-from repshield.platforms import get_platform
+from repshield.platforms import PLATFORMS, get_platform
 from repshield.safety import compute_desired_heading
+from repshield.sim import RobotState, raycast_depth
 
 
 def _cfg(**overrides) -> AvoidanceConfig:
@@ -177,10 +180,40 @@ def test_step_accepts_depth_frame():
     cfg = _cfg(mount=mount)
     frame = DepthFrame(np.full((8, 32), 0.6), intr, mount)
     via_frame = avoidance_step(frame, _ahead_traj(), cfg)
-    via_cloud = avoidance_step(back_project(frame), _ahead_traj(), cfg)
+    via_cloud = avoidance_step(back_project(frame, cfg), _ahead_traj(), cfg)
     assert via_frame.command == via_cloud.command
     np.testing.assert_array_equal(via_frame.obstacle_map.points,
                                   via_cloud.obstacle_map.points)
+
+
+def _decision_bytes(decision) -> tuple:
+    omap = decision.obstacle_map
+    return (np.array([decision.command.v, decision.command.omega,
+                      decision.theta_des]).tobytes(),
+            decision.adjusted_trajectory.waypoints.tobytes(),
+            omap.points.tobytes(), omap.bins.tobytes())
+
+
+def test_native_frames_decide_as_the_full_cloud():
+    # A frame lifts only the pixels the map can use; the step must decide
+    # exactly as it does on every valid pixel lifted. Poses looking down the
+    # corridor leave columns blank beyond FAR_LIMIT_M.
+    world = resolve_world("corridor_03")
+    poses = [(1.0, 0.0, 0.0), (2.0, 0.5, 0.2), (7.5, -0.6, -0.3), (12.0, 0.9, 1.4),
+             (20.0, 0.0, math.pi), (16.0, -0.9, -2.0)]
+    for plat in PLATFORMS.values():
+        cfg = plat.config()
+        blanked = shielded = 0
+        for x, y, heading in poses:
+            frame = raycast_depth(world, RobotState(x, y, heading), plat.intrinsics(),
+                                  plat.mount())
+            blanked += bool(np.any(frame.depths == 0))
+            via_frame = avoidance_step(frame, _ahead_traj(), cfg)
+            full = PointCloud(oracle_back_project(frame))
+            via_full = avoidance_step(full, _ahead_traj(), cfg)
+            assert _decision_bytes(via_frame) == _decision_bytes(via_full)
+            shielded += not via_frame.passthrough
+        assert blanked > 0 and shielded > 0
 
 
 def test_step_rejects_unknown_observation():

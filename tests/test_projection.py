@@ -15,7 +15,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import oracle_back_project, oracle_obstacle_map, random_cloud
+from conftest import oracle_lifted, oracle_obstacle_map, random_cloud
 from repshield import (AvoidanceConfig, CameraIntrinsics, CameraMount, DepthFrame,
                        InputFormatError, PointCloud, back_project,
                        construct_obstacle_map, intrinsics_for_fov,
@@ -93,14 +93,26 @@ def test_intrinsics_check_their_own_arguments(build, message):
 # Back-projection
 # ---------------------------------------------------------------------------
 
+def _assert_back_project_matches_oracle(frame: DepthFrame, cfg: AvoidanceConfig):
+    points = back_project(frame, cfg).points
+    ref = oracle_lifted(frame, cfg)
+    assert points.shape == ref.shape
+    assert points.tobytes() == ref.tobytes()
+    return points
+
+
 def test_back_project_single_pixel_hand_computed():
     intr = CameraIntrinsics(fx=100.0, fy=50.0, cx=2.0, cy=1.0, width=5, height=3)
     depths = np.zeros((3, 5))
     depths[2, 4] = 2.0
-    cloud = back_project(DepthFrame(depths, intr, CameraMount()))
+    frame = DepthFrame(depths, intr, CameraMount())
+    cloud = _assert_back_project_matches_oracle(frame, _cfg(tau_z=2.0, epsilon=0.0))
     assert len(cloud) == 1
     # X = (4 - 2) * 2 / 100 = 0.04, Y = (2 - 1) * 2 / 50 = 0.04, Z = 2
-    np.testing.assert_allclose(cloud.points[0], [0.04, 0.04, 2.0], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(cloud[0], [0.04, 0.04, 2.0], rtol=0, atol=1e-15)
+    # Z - offset = 2 is beyond tau_z = 1.5, and Y = 0.04 is short of 0.05.
+    assert len(back_project(frame, _cfg(tau_z=1.5, epsilon=0.0))) == 0
+    assert len(back_project(frame, _cfg(tau_z=2.0, epsilon=-0.05))) == 0
 
 
 def test_back_project_drops_zero_depth_pixels():
@@ -108,49 +120,89 @@ def test_back_project_drops_zero_depth_pixels():
     depths = np.zeros((4, 4))
     depths[1, 1] = 1.0
     depths[3, 2] = 0.5
-    cloud = back_project(DepthFrame(depths, intr, CameraMount()))
+    # epsilon = 1 passes every pixel of the frame on height.
+    cloud = _assert_back_project_matches_oracle(
+        DepthFrame(depths, intr, CameraMount()), _cfg(epsilon=1.0))
     assert len(cloud) == 2
-    assert np.all(cloud.points[:, 2] > 0)
+    assert np.all(cloud[:, 2] > 0)
 
 
 def test_back_project_row_major_order():
     intr = intrinsics_for_fov(3, 3, 90.0)
     depths = np.ones((3, 3))
-    cloud = back_project(DepthFrame(depths, intr, CameraMount()))
+    cloud = _assert_back_project_matches_oracle(
+        DepthFrame(depths, intr, CameraMount()), _cfg(epsilon=2.0))
     # Row-major pixel order: Y must be non-decreasing, and X increases
     # within each row.
-    ys = cloud.points[:, 1]
-    assert np.all(np.diff(ys) >= -1e-15)
+    assert np.all(np.diff(cloud[:, 1]) >= -1e-15)
+    assert np.all(np.diff(cloud[:, 0].reshape(3, 3), axis=1) > 0)
     assert len(cloud) == 9
 
 
-def _assert_back_project_matches_oracle(frame: DepthFrame):
-    points = back_project(frame).points
-    ref = oracle_back_project(frame)
-    assert points.shape == ref.shape
-    assert points.tobytes() == ref.tobytes()
+def test_back_project_range_boundary_is_closed():
+    # Every value is exact in binary: Z - offset == tau_z is kept, and the
+    # next float beyond it is dropped.
+    intr = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=2, height=1)
+    cfg = _cfg(mount=CameraMount(depth_offset_m=0.25), tau_z=1.0, epsilon=10.0)
+    beyond = np.nextafter(1.25, math.inf)
+    assert beyond - 0.25 > 1.0
+    frame = DepthFrame(np.array([[1.25, beyond]]), intr, cfg.mount)
+    cloud = _assert_back_project_matches_oracle(frame, cfg)
+    assert cloud[:, 2].tolist() == [1.25]
+
+
+def test_back_project_height_boundary_is_closed():
+    # Row 2 with cy = 0 and fy = 2 gives Y = (2 * d) / 2 = d exactly, so
+    # Y == -epsilon is kept and the next float below it is dropped.
+    intr = CameraIntrinsics(fx=1.0, fy=2.0, cx=0.0, cy=0.0, width=2, height=3)
+    cfg = _cfg(tau_z=1.0, epsilon=-0.5)
+    depths = np.zeros((3, 2))
+    depths[2] = [0.5, np.nextafter(0.5, 0.0)]
+    frame = DepthFrame(depths, intr, cfg.mount)
+    cloud = _assert_back_project_matches_oracle(frame, cfg)
+    assert cloud[:, 1].tolist() == [0.5]
+    # With epsilon = 0 the principal point's own row (Y == 0) is kept and
+    # the row above it (Y < 0) is dropped.
+    intr = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=1.0, width=1, height=3)
+    frame = DepthFrame(np.full((3, 1), 0.5), intr, cfg.mount)
+    cloud = _assert_back_project_matches_oracle(frame, _cfg(epsilon=0.0))
+    assert cloud[:, 1].tolist() == [0.0, 0.5]
+
+
+def test_back_project_zero_pixel_under_negative_offset_dropped():
+    # With depth_offset_m = -0.1 a zero pixel has Z - offset = 0.1, inside
+    # (0, tau_z], and Y = 0 passes epsilon = 0.5: only d > 0 drops it.
+    intr = intrinsics_for_fov(3, 2, 90.0)
+    cfg = _cfg(mount=CameraMount(depth_offset_m=-0.1), epsilon=0.5)
+    depths = np.array([[0.0, 0.4, 0.0], [0.3, 0.0, 0.2]])
+    cloud = _assert_back_project_matches_oracle(DepthFrame(depths, intr, cfg.mount), cfg)
+    assert cloud[:, 2].tolist() == [0.4, 0.3, 0.2]
 
 
 def test_property_back_project_matches_oracle_bitwise():
     rng = np.random.default_rng(12)
-    mount = CameraMount()
     shapes = [(1, 1), (1, 23), (17, 1)] + [
         (int(rng.integers(1, 40)), int(rng.integers(1, 60))) for _ in range(80)]
     for height, width in shapes:
-        # Off-centre principal point and fx != fy.
+        # Off-centre principal point and fx != fy; offsets and epsilon of
+        # either sign, so the height cut runs with and without skipping the
+        # rows at or above the principal point.
         intr = CameraIntrinsics(fx=float(rng.uniform(0.5, 500.0)),
                                 fy=float(rng.uniform(0.5, 500.0)),
                                 cx=float(rng.uniform(0.0, width)),
                                 cy=float(rng.uniform(0.0, height)),
                                 width=width, height=height)
+        mount = CameraMount(depth_offset_m=float(rng.uniform(-0.2, 0.2)))
+        cfg = _cfg(mount=mount, tau_z=float(rng.uniform(0.5, 4.0)),
+                   epsilon=float(rng.uniform(-0.2, 0.2)))
         depths = rng.uniform(0.0, 5.0, size=(height, width))
         depths[rng.random((height, width)) < 0.2] = 0.0
-        _assert_back_project_matches_oracle(DepthFrame(depths, intr, mount))
+        _assert_back_project_matches_oracle(DepthFrame(depths, intr, mount), cfg)
         # A column-major depth grid still yields row-major pixel order.
-        _assert_back_project_matches_oracle(DepthFrame(np.asfortranarray(depths), intr, mount))
-    zeros = DepthFrame(np.zeros((6, 9)), intrinsics_for_fov(9, 6, 90.0), mount)
-    _assert_back_project_matches_oracle(zeros)
-    assert len(back_project(zeros)) == 0
+        _assert_back_project_matches_oracle(
+            DepthFrame(np.asfortranarray(depths), intr, mount), cfg)
+    zeros = DepthFrame(np.zeros((6, 9)), intrinsics_for_fov(9, 6, 90.0), CameraMount())
+    assert len(_assert_back_project_matches_oracle(zeros, _cfg(epsilon=1.0))) == 0
 
 
 def test_back_project_native_frames_match_oracle_bitwise():
@@ -158,7 +210,8 @@ def test_back_project_native_frames_match_oracle_bitwise():
     for plat in PLATFORMS.values():
         frame = raycast_depth(world, RobotState(1.0, 1.0, 0.3), plat.intrinsics(), plat.mount())
         assert frame.depths.shape == (plat.image_height, plat.image_width)
-        _assert_back_project_matches_oracle(frame)
+        cloud = _assert_back_project_matches_oracle(frame, plat.config())
+        assert len(cloud) > 0
 
 
 @pytest.mark.parametrize("points, message", [
@@ -292,7 +345,7 @@ def _loop_back_project(frame: DepthFrame) -> np.ndarray:
 
 
 def _assert_map_matches_oracle(frame: DepthFrame, cfg: AvoidanceConfig):
-    omap = construct_obstacle_map(back_project(frame), cfg)
+    omap = construct_obstacle_map(back_project(frame, cfg), cfg)
     ref_pts, ref_bins = oracle_obstacle_map(_loop_back_project(frame), cfg)
     assert omap.bins.tolist() == ref_bins.tolist()
     np.testing.assert_array_equal(omap.points, ref_pts)
@@ -338,7 +391,7 @@ def test_tiled_frame_ties_resolve_to_lowest_index():
         assert omap.bins.tolist() == [0, 1, 2, 3]
         # Every Z is within tau_z and the mount has no offsets, so a bin's
         # winning Z is its map entry's x.
-        cloud = back_project(frame).points
+        cloud = back_project(frame, cfg).points
         kept = cloud[cloud[:, 1] >= -cfg.epsilon]
         half = bin_half_range(cfg)
         bins = np.minimum(np.floor((kept[:, 0] + half) / (half / 2)), 3)
@@ -445,7 +498,7 @@ def test_frontal_wall_depth_recovered():
     cfg = _cfg(mount=mount, tau_z=1.0, bin_count=8)
     d = 0.8
     frame = DepthFrame(np.full((16, 64), d), intr, mount)
-    omap = construct_obstacle_map(back_project(frame), cfg)
+    omap = construct_obstacle_map(back_project(frame, cfg), cfg)
     assert not omap.empty
     np.testing.assert_allclose(omap.points[:, 0], d + 0.05, rtol=0, atol=1e-12)
 

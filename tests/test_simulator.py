@@ -359,7 +359,7 @@ def test_reduced_row_frames_give_identical_obstacle_maps():
             maps = []
             for rows in (2, 8, plat.image_height):
                 frame = raycast_depth(w, robot, plat.intrinsics(rows), plat.mount())
-                maps.append(construct_obstacle_map(back_project(frame), cfg))
+                maps.append(construct_obstacle_map(back_project(frame, cfg), cfg))
             for reduced in maps[:2]:
                 assert reduced.bins.tolist() == maps[-1].bins.tolist()
                 np.testing.assert_allclose(reduced.points, maps[-1].points,

@@ -16,9 +16,14 @@ neither side), the relative change of the medians, whether that change is
 within the benchmark's bound and the parent's interquartile range. With
 ``--claim W:M`` a claim block applies the paired rule: the change wins at
 least nine tenths of the pairs and the medians differ by more than the
-parent's interquartile range. ``--trace-seed`` adds one traced run per
-side and workload; each ``--test`` is a pytest node id run once per side,
-and its call duration is recorded.
+parent's interquartile range. Each run also records ``minflt``, the minor
+page faults of its process tree (the ``RUSAGE_CHILDREN`` delta, set-up
+processes included), and the summary gives each side's median of it.
+``--trace-seed`` adds one traced run per side and workload; each ``--test``
+is a pytest node id run once per side, and its call duration is recorded.
+``--fault-steps N`` counts, per side, the minor page faults of N
+``native_replay`` steps (seed 0) in one process after three warm-up
+cycles, and records the faults per step.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import argparse
 import json
 import os
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -34,21 +40,48 @@ from pathlib import Path
 
 LAYER_FIELDS = ("calls", "self_ms", "us_p50", "share")
 
+# Steady-state minor faults of native_replay steps, run inside a checkout.
+FAULTS_CODE = """\
+import resource, sys
+sys.path[:0] = ["src", "perfbench"]
+import workloads as wl
+plan = wl.replay_plan(0, wl.load_reference())
+wl.replay_pass(plan, 3 * sum(map(len, plan)))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+wl.replay_pass(plan, {steps})
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / {steps})
+"""
+
+
+def children_minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple:
-    """One perfbench run: its result line and the environment it printed."""
+    """One perfbench run: its result line, the environment it printed and
+    the minor page faults of its process tree."""
+    before = children_minflt()
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True)
+    minflt = children_minflt() - before
     lines = done.stdout.splitlines()
     env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
-    return json.loads(lines[-1]), env
+    return json.loads(lines[-1]), env, minflt
 
 
-def flat_row(result: dict) -> dict:
+def replay_faults_per_step(checkout: Path, steps: int) -> float:
+    """Minor page faults per native_replay step in steady state, in one process."""
+    done = subprocess.run([sys.executable, "-c", FAULTS_CODE.format(steps=steps)],
+                          cwd=checkout, capture_output=True, text=True, check=True)
+    return round(float(done.stdout.split()[-1]), 3)
+
+
+def flat_row(result: dict, minflt: int) -> dict:
     row = {"correct": result["correct"], "failed": result["failed"]}
     row.update({k: round(m["value"], 4) for k, m in result["metrics"].items()})
+    row["minflt"] = minflt
     return row
 
 
@@ -127,6 +160,8 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     parser.add_argument("--trace-seed", type=int, help="add one traced run per side")
     parser.add_argument("--test", action="append", default=[], help="pytest node id to time")
+    parser.add_argument("--fault-steps", type=int, default=0,
+                        help="count minor faults over this many native_replay steps")
     parser.add_argument("--what", default="", help="what the change does")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
@@ -141,12 +176,15 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             pair = {"seed": args.first_seed + i, "first": ordered(i, sides)[0][0]}
             for side, checkout in ordered(i, sides):
-                result, env = run_bench(checkout, workload, pair["seed"], args.seconds, 0)
-                pair[side] = flat_row(result)
+                result, env, minflt = run_bench(checkout, workload, pair["seed"],
+                                                args.seconds, 0)
+                pair[side] = flat_row(result, minflt)
                 print(workload, pair["seed"], side, pair[side], file=sys.stderr, flush=True)
             pairs.append(pair)
         workloads[workload] = {"pairs": pairs, "summary": {
-            m["name"]: summarize(pairs, m) for m in spec["end_to_end"]}}
+            m["name"]: summarize(pairs, m) for m in spec["end_to_end"]},
+            "minflt_median": {side: statistics.median(p[side]["minflt"] for p in pairs)
+                              for side in sides}}
 
     out = {
         "what": args.what,
@@ -161,6 +199,10 @@ def main(argv=None) -> int:
     }
     if args.claim:
         out["claim"] = claim_block(workloads, *args.claim.split(":"))
+    if args.fault_steps:
+        out["replay_faults_per_step"] = {"steps": args.fault_steps, **{
+            side: replay_faults_per_step(checkout, args.fault_steps)
+            for side, checkout in sides.items()}}
     if args.trace_seed is not None:
         out[f"trace_seed{args.trace_seed}"] = {workload: {
             side: layer_row(run_bench(checkout, workload, args.trace_seed, args.seconds, 1)[0])
