@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 from .config import AvoidanceConfig
 from .errors import InputFormatError
-from .projection import (DepthFrame, ObstacleMap, PointCloud, back_project,
-                         construct_obstacle_map)
+from .projection import DepthFrame, ObstacleMap, back_project, construct_obstacle_map
 from .repulsion import (RepulsiveResult, Trajectory, estimate_repulsive_direction,
                         rotate_trajectory)
 from .safety import ControlCommand, RotationLatch, compute_desired_heading, gate_command
@@ -39,32 +38,29 @@ class AvoidanceDecision:
         return self.obstacle_map.empty
 
 
-def avoidance_step(observation: DepthFrame | PointCloud, traj: Trajectory,
+def avoidance_step(frame: DepthFrame, traj: Trajectory,
                    cfg: AvoidanceConfig) -> AvoidanceDecision:
     """Run one reactive avoidance cycle.
 
-    A depth frame is back-projected first; a point cloud is used as-is.
-    When no obstacle survives filtering the trajectory passes through
-    untouched and heading control falls back to the first waypoint, which
-    is where a zero-force argmax would land. Velocity gating applies in
-    every case.
+    The frame is back-projected, which applies the obstacle cuts, and the
+    candidates are binned into the obstacle map. When no obstacle survives
+    the trajectory passes through untouched and heading control falls back
+    to the first waypoint, which is where a zero-force argmax would land.
+    Velocity gating applies in every case.
 
     Args:
-        observation: depth frame or camera-frame point cloud.
+        frame: the depth frame; any other observation raises
+            InputFormatError.
         traj: candidate waypoints from the navigation policy, robot frame.
         cfg: pipeline configuration.
 
     Returns:
         AvoidanceDecision carrying the adjusted trajectory and the command.
     """
-    if isinstance(observation, DepthFrame):
-        cloud = back_project(observation, cfg)
-    elif isinstance(observation, PointCloud):
-        cloud = observation
-    else:
-        raise InputFormatError(f"unsupported observation type {type(observation).__name__}")
+    if not isinstance(frame, DepthFrame):
+        raise InputFormatError(f"unsupported observation type {type(frame).__name__}")
 
-    omap = construct_obstacle_map(cloud, cfg)
+    omap = construct_obstacle_map(back_project(frame, cfg), cfg)
     if omap.empty:
         adjusted = traj
         repulsive = None
@@ -90,9 +86,9 @@ class Shield:
         self.cfg = cfg
         self._latch = RotationLatch()
 
-    def step(self, observation: DepthFrame | PointCloud,
+    def step(self, frame: DepthFrame,
              traj: Trajectory) -> tuple[AvoidanceDecision, ControlCommand]:
-        decision = avoidance_step(observation, traj, self.cfg)
+        decision = avoidance_step(frame, traj, self.cfg)
         return decision, self._latch.apply(decision.command)
 
 

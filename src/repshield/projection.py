@@ -6,10 +6,10 @@ Conventions used throughout:
 * Robot frame: x forward, y left, origin at the robot center (meters).
 * A depth value of exactly 0 marks an invalid pixel and produces no point.
 
-The obstacle map summarizes the scene as at most one point per lateral bin
-(uniform in camera X), keeping the nearest return in each bin after range
-and height filtering; ``back_project`` already filters on the depth grid,
-so it lifts only the pixels that pass.
+``back_project`` decides which returns are obstacle candidates: it applies
+the range and height cuts on the depth grid and lifts only the pixels that
+pass. The obstacle map summarizes those candidates as at most one point per
+lateral bin (uniform in camera X), keeping the nearest return in each bin.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class DepthFrame:
 class PointCloud:
     """Points in the camera frame, shape (N, 3), columns X, Y, Z; ``points``
     may be a column-major view, as ``back_project`` returns. A cloud lifted
-    from a frame holds only the pixels that pass the map's cuts."""
+    from a frame holds only the pixels that pass ``back_project``'s cuts."""
 
     points: np.ndarray
 
@@ -121,13 +121,13 @@ class ObstacleMap:
 
 
 def back_project(frame: DepthFrame, cfg: AvoidanceConfig) -> PointCloud:
-    """Lift the depth pixels the obstacle map can use to camera-frame points.
+    """Lift the depth pixels that are obstacle candidates to camera-frame points.
 
     Uses the pinhole model: X = (u - cx) * d / fx, Y = (v - cy) * d / fy,
-    Z = d. A pixel is lifted only when it passes ``construct_obstacle_map``'s
-    range and height cuts under ``cfg``: d > 0, d - depth_offset_m in
-    (0, tau_z] and Y >= -epsilon, computed with the same arithmetic, so the
-    map's own cuts drop nothing from the result. Points come out in
+    Z = d. These are the obstacle cuts, stated nowhere else: a pixel is
+    lifted only when d > 0 (zero marks an invalid pixel), d - depth_offset_m
+    is in (0, tau_z] (the range cut) and Y >= -epsilon (the height cut; Y
+    points down, so it drops overhead returns). Points come out in
     row-major pixel order, so ties elsewhere can be broken by lowest pixel
     index.
     """
@@ -168,37 +168,34 @@ def bin_half_range(cfg: AvoidanceConfig) -> float:
 
 
 def construct_obstacle_map(cloud: PointCloud, cfg: AvoidanceConfig) -> ObstacleMap:
-    """Reduce a camera-frame cloud to per-bin nearest ground obstacles.
+    """Reduce obstacle candidates to the per-bin nearest obstacle.
 
-    Steps, in order:
+    The input is a cloud whose points already pass the range and height
+    cuts, as ``back_project`` returns; no point is dropped for its Y or Z
+    here. Steps, in order:
 
     1. Subtract the mount's depth offset from Z.
-    2. Keep points with corrected Z in (0, tau_z] and Y >= -epsilon
-       (Y points down, so the Y test drops ceiling / overhead returns).
-    3. Partition camera X into ``bin_count`` uniform bins across the lateral
-       window and keep the minimum-Z point per bin; equal Z resolves to the
-       lowest point index.
+    2. Keep points with camera X inside the lateral window.
+    3. Partition camera X into ``bin_count`` uniform bins across the window
+       and keep the minimum-Z point per bin; equal Z resolves to the lowest
+       point index.
     4. Transform survivors to the robot frame:
        x = Z + x_offset_m, y = -X.
 
     Args:
-        cloud: back-projected camera-frame points.
-        cfg: pipeline configuration supplying mount, tau_z, epsilon and
-            bin geometry.
+        cloud: camera-frame obstacle candidates.
+        cfg: pipeline configuration supplying mount and bin geometry.
 
     Returns:
         ObstacleMap with entries ordered by bin index.
     """
     pts = cloud.points
     m = cfg.mount
-    tau = cfg.tau_z
     half = bin_half_range(cfg)
     bin_count = cfg.bin_count
 
     z = pts[:, 2] - m.depth_offset_m
-    keep = (z > 0) & (z <= tau) & (pts[:, 1] >= -cfg.epsilon)
-    x = pts[:, 0][keep]
-    z = z[keep]
+    x = pts[:, 0]
     inside = (x >= -half) & (x <= half)
     x = x[inside]
     z = z[inside]

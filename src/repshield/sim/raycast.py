@@ -99,8 +99,9 @@ def column_depths(world: WorldModel, robot: RobotState, intrinsics: CameraIntrin
     depth = t_best * cos_axis
     depth = np.where(depth <= FAR_LIMIT_M, depth, 0.0)  # also blanks inf (no hit)
     # The mount's depth_offset_m models the estimator's systematic bias, and
-    # the avoidance pipeline subtracts it. Emitting true + bias here means
-    # that correction lands back on the true depth.
+    # the avoidance pipeline subtracts it from Z only. Emitting true + bias
+    # here lands that correction back on the true Z; X and Y, lifted from
+    # the biased depth, stay scaled by (true + bias) / true.
     if mount.depth_offset_m != 0.0:
         depth = np.where(depth > 0.0,
                          np.maximum(depth + mount.depth_offset_m, _T_EPS), 0.0)

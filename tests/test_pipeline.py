@@ -8,9 +8,10 @@ import re
 import numpy as np
 import pytest
 
-from conftest import oracle_back_project
-from repshield import (AvoidanceConfig, CameraMount, DepthFrame, InputFormatError,
-                       PointCloud, SafetyParams, Trajectory, avoidance_step,
+from conftest import oracle_lifted
+from repshield import (AvoidanceConfig, CameraIntrinsics, CameraMount, DepthFrame,
+                       InputFormatError, PointCloud, SafetyParams, Shield,
+                       Trajectory, avoidance_step,
                        back_project, construct_obstacle_map, decision_log_row,
                        estimate_repulsive_direction, gate_command,
                        intrinsics_for_fov, load_config, rotate_trajectory,
@@ -33,14 +34,46 @@ def _ahead_traj(k: int = 8, step: float = 0.25) -> Trajectory:
     return Trajectory(np.column_stack((xs, np.zeros(k))))
 
 
-def _ground_cloud(rng, cfg, n):
-    """Random points below the camera axis, inside range and window."""
-    from repshield.projection import bin_half_range
-    half = bin_half_range(cfg)
-    x = rng.uniform(-half, half, size=n)
-    y = rng.uniform(max(-cfg.epsilon, -0.2), 0.4, size=n)
-    z = rng.uniform(0.05, cfg.tau_z, size=n) + cfg.mount.depth_offset_m
-    return PointCloud(np.column_stack((x, y, z)))
+def _frame(depths, cfg) -> DepthFrame:
+    """A depth frame whose intrinsics span the config's field of view."""
+    height, width = np.shape(depths)
+    return DepthFrame(depths, intrinsics_for_fov(width, height, cfg.mount.fov_deg),
+                      cfg.mount)
+
+
+def _ground_frame(rng, cfg, n):
+    """n random pixels below the principal point, corrected depth in (0, tau_z];
+    every other pixel is invalid."""
+    depths = np.zeros((24, 40))
+    below = depths[12:]
+    below.flat[rng.choice(below.size, size=n, replace=False)] = (
+        rng.uniform(0.05, cfg.tau_z, size=n) + cfg.mount.depth_offset_m)
+    return _frame(depths, cfg)
+
+
+# Row 1 sits at Y = d, below the default height cut, and column u at
+# X = (u - 100) * d / 100.
+_PIXEL_INTRINSICS = CameraIntrinsics(fx=100.0, fy=1.0, cx=100.0, cy=0.0, width=201, height=2)
+
+
+def _single_pixel_frame(cfg, u, d) -> DepthFrame:
+    """One return at column u and depth d; every other pixel is invalid."""
+    depths = np.zeros((2, 201))
+    depths[1, u] = d
+    return DepthFrame(depths, _PIXEL_INTRINSICS, cfg.mount)
+
+
+def _by_hand(cloud, traj, cfg):
+    """The step's stages composed by hand on a cloud of obstacle candidates."""
+    omap = construct_obstacle_map(cloud, cfg)
+    if omap.empty:
+        rep, adjusted, dominant = None, traj, 0
+    else:
+        rep = estimate_repulsive_direction(traj, omap.points, cfg)
+        adjusted = rotate_trajectory(traj, rep.theta_rot)
+        dominant = rep.dominant_index
+    theta_des = compute_desired_heading(adjusted, dominant)
+    return omap, rep, adjusted, theta_des, gate_command(theta_des, cfg.safety)
 
 
 # ---------------------------------------------------------------------------
@@ -52,19 +85,14 @@ def test_step_equals_manual_stage_composition():
     cfg = _cfg(mount=CameraMount(x_offset_m=0.02,
                                  depth_offset_m=0.05, fov_deg=120.0))
     for _ in range(100):
-        cloud = _ground_cloud(rng, cfg, int(rng.integers(1, 200)))
+        frame = _ground_frame(rng, cfg, int(rng.integers(1, 200)))
         traj = Trajectory(rng.uniform(-1.5, 1.5, size=(int(rng.integers(1, 9)), 2)))
-        decision = avoidance_step(cloud, traj, cfg)
+        decision = avoidance_step(frame, traj, cfg)
 
-        omap = construct_obstacle_map(cloud, cfg)
+        omap, rep, adjusted, theta_des, cmd = _by_hand(back_project(frame, cfg), traj, cfg)
         if omap.empty:
             assert decision.passthrough
             continue
-        rep = estimate_repulsive_direction(traj, omap.points, cfg)
-        adjusted = rotate_trajectory(traj, rep.theta_rot)
-        theta_des = compute_desired_heading(adjusted, rep.dominant_index)
-        cmd = gate_command(theta_des, cfg.safety)
-
         assert not decision.passthrough
         assert decision.repulsive.dominant_index == rep.dominant_index
         assert decision.repulsive.theta_rot == rep.theta_rot
@@ -77,7 +105,7 @@ def test_step_equals_manual_stage_composition():
 def test_passthrough_returns_the_same_trajectory_object():
     cfg = _cfg()
     traj = _ahead_traj()
-    out_of_range = PointCloud(np.array([[0.0, 0.2, 4.0]]))
+    out_of_range = _frame(np.full((8, 32), cfg.tau_z + 3.0), cfg)
     decision = avoidance_step(out_of_range, traj, cfg)
     assert decision.passthrough
     assert decision.adjusted_trajectory is traj
@@ -88,7 +116,7 @@ def test_passthrough_returns_the_same_trajectory_object():
 def test_property_passthrough_exactness():
     rng = np.random.default_rng(42)
     cfg = _cfg()
-    empty = PointCloud(np.empty((0, 3)))
+    empty = _frame(np.zeros((8, 32)), cfg)
     for _ in range(150):
         wps = rng.uniform(-2, 2, size=(int(rng.integers(1, 9)), 2))
         traj = Trajectory(wps)
@@ -102,7 +130,7 @@ def test_passthrough_still_gates_velocity():
     # untouched but the gate still suppresses forward motion.
     cfg = _cfg()
     traj = Trajectory(np.array([[0.0, 0.5], [0.0, 1.0]]))
-    decision = avoidance_step(PointCloud(np.empty((0, 3))), traj, cfg)
+    decision = avoidance_step(_frame(np.zeros((8, 32)), cfg), traj, cfg)
     assert decision.passthrough
     assert decision.theta_des == pytest.approx(math.pi / 2)
     assert decision.command.v == 0.0
@@ -114,9 +142,9 @@ def test_property_bounded_deviation():
     rng = np.random.default_rng(43)
     cfg = _cfg()
     for _ in range(150):
-        cloud = _ground_cloud(rng, cfg, int(rng.integers(1, 100)))
+        frame = _ground_frame(rng, cfg, int(rng.integers(1, 100)))
         traj = Trajectory(rng.uniform(-1.5, 1.5, size=(8, 2)))
-        decision = avoidance_step(cloud, traj, cfg)
+        decision = avoidance_step(frame, traj, cfg)
         if decision.passthrough:
             continue
         k = decision.repulsive.dominant_index
@@ -136,10 +164,11 @@ def test_property_single_obstacle_clearance_improves():
     cfg = _cfg()
     traj = _ahead_traj()
     for _ in range(150):
-        ox = float(rng.uniform(0.3, cfg.tau_z))
-        oy = float(rng.uniform(-0.2, 0.2))
-        cloud = PointCloud(np.array([[-oy, 0.2, ox - cfg.mount.x_offset_m]]))
-        decision = avoidance_step(cloud, traj, cfg)
+        # Depth in (0.3, tau_z), column within 0.2 m of the axis.
+        d = float(rng.uniform(0.3, cfg.tau_z))
+        reach = math.floor(0.2 * _PIXEL_INTRINSICS.fx / d)
+        u = int(rng.integers(100 - reach, 100 + reach + 1))
+        decision = avoidance_step(_single_pixel_frame(cfg, u, d), traj, cfg)
         assert not decision.passthrough
         obstacle = decision.obstacle_map.points[0]
         before = np.hypot(*(traj.waypoints - obstacle).T).min()
@@ -151,11 +180,11 @@ def test_degenerate_trajectory_commands_stop():
     cfg = _cfg()
     zeros = Trajectory(np.zeros((4, 2)))
     # Passthrough branch: dominant waypoint 0 sits at the origin.
-    d1 = avoidance_step(PointCloud(np.empty((0, 3))), zeros, cfg)
+    d1 = avoidance_step(_frame(np.zeros((8, 32)), cfg), zeros, cfg)
     assert d1.degenerate
     assert d1.command.v == 0.0 and d1.command.omega == 0.0
     # Obstacle branch: rotation keeps the zeros at the origin.
-    d2 = avoidance_step(PointCloud(np.array([[0.0, 0.2, 0.5]])), zeros, cfg)
+    d2 = avoidance_step(_single_pixel_frame(cfg, 100, 0.5), zeros, cfg)
     assert d2.degenerate
     assert d2.command.v == 0.0 and d2.command.omega == 0.0
 
@@ -163,10 +192,10 @@ def test_degenerate_trajectory_commands_stop():
 def test_step_determinism_bitwise():
     rng = np.random.default_rng(45)
     cfg = _cfg()
-    cloud = _ground_cloud(rng, cfg, 80)
+    frame = _ground_frame(rng, cfg, 80)
     traj = Trajectory(rng.uniform(-1, 1, size=(6, 2)))
-    a = avoidance_step(cloud, traj, cfg)
-    b = avoidance_step(cloud, traj, cfg)
+    a = avoidance_step(frame, traj, cfg)
+    b = avoidance_step(frame, traj, cfg)
     assert a.command == b.command
     assert a.theta_des == b.theta_des
     np.testing.assert_array_equal(a.adjusted_trajectory.waypoints,
@@ -180,24 +209,21 @@ def test_step_accepts_depth_frame():
     cfg = _cfg(mount=mount)
     frame = DepthFrame(np.full((8, 32), 0.6), intr, mount)
     via_frame = avoidance_step(frame, _ahead_traj(), cfg)
-    via_cloud = avoidance_step(back_project(frame, cfg), _ahead_traj(), cfg)
-    assert via_frame.command == via_cloud.command
-    np.testing.assert_array_equal(via_frame.obstacle_map.points,
-                                  via_cloud.obstacle_map.points)
+    omap, _, _, _, cmd = _by_hand(back_project(frame, cfg), _ahead_traj(), cfg)
+    assert not via_frame.passthrough
+    assert via_frame.command == cmd
+    np.testing.assert_array_equal(via_frame.obstacle_map.points, omap.points)
 
 
-def _decision_bytes(decision) -> tuple:
-    omap = decision.obstacle_map
-    return (np.array([decision.command.v, decision.command.omega,
-                      decision.theta_des]).tobytes(),
-            decision.adjusted_trajectory.waypoints.tobytes(),
-            omap.points.tobytes(), omap.bins.tobytes())
+def _decision_bytes(command, theta_des, adjusted, omap) -> tuple:
+    return (np.array([command.v, command.omega, theta_des]).tobytes(),
+            adjusted.waypoints.tobytes(), omap.points.tobytes(), omap.bins.tobytes())
 
 
 def test_native_frames_decide_as_the_full_cloud():
-    # A frame lifts only the pixels the map can use; the step must decide
-    # exactly as it does on every valid pixel lifted. Poses looking down the
-    # corridor leave columns blank beyond FAR_LIMIT_M.
+    # The step on a frame must decide exactly as the stages composed by hand
+    # on every valid pixel lifted and cut with the oracle's arithmetic. Poses
+    # looking down the corridor leave columns blank beyond FAR_LIMIT_M.
     world = resolve_world("corridor_03")
     poses = [(1.0, 0.0, 0.0), (2.0, 0.5, 0.2), (7.5, -0.6, -0.3), (12.0, 0.9, 1.4),
              (20.0, 0.0, math.pi), (16.0, -0.9, -2.0)]
@@ -208,17 +234,25 @@ def test_native_frames_decide_as_the_full_cloud():
             frame = raycast_depth(world, RobotState(x, y, heading), plat.intrinsics(),
                                   plat.mount())
             blanked += bool(np.any(frame.depths == 0))
-            via_frame = avoidance_step(frame, _ahead_traj(), cfg)
-            full = PointCloud(oracle_back_project(frame))
-            via_full = avoidance_step(full, _ahead_traj(), cfg)
-            assert _decision_bytes(via_frame) == _decision_bytes(via_full)
-            shielded += not via_frame.passthrough
+            step = avoidance_step(frame, _ahead_traj(), cfg)
+            omap, _, adjusted, theta_des, cmd = _by_hand(
+                PointCloud(oracle_lifted(frame, cfg)), _ahead_traj(), cfg)
+            assert (_decision_bytes(step.command, step.theta_des,
+                                    step.adjusted_trajectory, step.obstacle_map)
+                    == _decision_bytes(cmd, theta_des, adjusted, omap))
+            shielded += not step.passthrough
         assert blanked > 0 and shielded > 0
 
 
 def test_step_rejects_unknown_observation():
-    with pytest.raises(InputFormatError):
-        avoidance_step(np.zeros((4, 3)), _ahead_traj(), _cfg())
+    # The shield's one observation is a depth frame: a point cloud, whose
+    # points skipped back_project's cuts, is refused like any other type.
+    cloud = PointCloud(np.array([[0.0, 0.2, 0.5]]))
+    for observation in (np.zeros((4, 3)), cloud):
+        with pytest.raises(InputFormatError, match="unsupported observation type"):
+            avoidance_step(observation, _ahead_traj(), _cfg())
+        with pytest.raises(InputFormatError, match="unsupported observation type"):
+            Shield(_cfg()).step(observation, _ahead_traj())
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +261,7 @@ def test_step_rejects_unknown_observation():
 
 def test_decision_log_row_fields():
     cfg = _cfg()
-    decision = avoidance_step(PointCloud(np.array([[0.1, 0.2, 0.5]])),
-                              _ahead_traj(), cfg)
+    decision = avoidance_step(_single_pixel_frame(cfg, 110, 0.5), _ahead_traj(), cfg)
     row = decision_log_row(0.3, decision, decision.command)
     parts = row.split(",")
     assert len(parts) == len(DECISION_LOG_HEADER.split(","))
@@ -242,8 +275,7 @@ def test_decision_log_row_fields():
 
 def test_decision_log_row_with_override_command():
     cfg = _cfg()
-    decision = avoidance_step(PointCloud(np.array([[0.1, 0.2, 0.5]])),
-                              _ahead_traj(), cfg)
+    decision = avoidance_step(_single_pixel_frame(cfg, 110, 0.5), _ahead_traj(), cfg)
     from repshield import ControlCommand
     row = decision_log_row(0.0, decision, ControlCommand(0.0, 0.55))
     parts = row.split(",")
@@ -252,7 +284,7 @@ def test_decision_log_row_with_override_command():
 
 def test_decision_log_passthrough_zeros():
     cfg = _cfg()
-    decision = avoidance_step(PointCloud(np.empty((0, 3))), _ahead_traj(), cfg)
+    decision = avoidance_step(_frame(np.zeros((8, 32)), cfg), _ahead_traj(), cfg)
     parts = decision_log_row(0.0, decision, decision.command).split(",")
     assert parts[3] == "0.0" and parts[4] == "0.0"
     assert parts[6] == "1" and parts[7] == "0"

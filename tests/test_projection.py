@@ -15,7 +15,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import oracle_lifted, oracle_obstacle_map, random_cloud
+from conftest import oracle_cut, oracle_lifted, oracle_obstacle_map, random_cloud
 from repshield import (AvoidanceConfig, CameraIntrinsics, CameraMount, DepthFrame,
                        InputFormatError, PointCloud, back_project,
                        construct_obstacle_map, intrinsics_for_fov,
@@ -267,43 +267,14 @@ def test_map_keeps_nearest_per_bin_with_index_tie_break():
     np.testing.assert_allclose(omap.points[:, 1], [0.4, -0.5])
 
 
-def test_map_filters_by_height_and_range():
-    cfg = _cfg(tau_z=1.0, epsilon=-0.05, bin_count=8, x_half_range_m=1.0)
-    cloud = PointCloud(np.array([
-        [0.0, 0.2, 0.5],     # ground-level return, kept
-        [0.1, -0.5, 0.5],    # overhead (Y well above axis), dropped
-        [0.2, 0.2, 1.6],     # beyond tau_z, dropped
-        [0.3, 0.2, 0.0],     # invalid depth, dropped
-        [2.0, 0.2, 0.5],     # outside lateral window, dropped
-    ]))
-    omap = construct_obstacle_map(cloud, cfg)
-    assert len(omap) == 1
-    np.testing.assert_allclose(omap.points[0], [0.5, 0.0], atol=1e-15)
-
-
-def test_map_epsilon_boundary_is_closed():
-    # Y >= -epsilon keeps a point exactly at the cutoff height.
-    cfg = _cfg(tau_z=1.0, epsilon=-0.05, bin_count=4, x_half_range_m=1.0)
-    at_cut = PointCloud(np.array([[0.0, 0.05, 0.5]]))
-    below = PointCloud(np.array([[0.0, np.nextafter(0.05, -1.0), 0.5]]))
-    assert len(construct_obstacle_map(at_cut, cfg)) == 1
-    assert len(construct_obstacle_map(below, cfg)) == 0
-
-
-def test_map_tau_boundary_is_closed():
-    cfg = _cfg(tau_z=1.0, bin_count=4, x_half_range_m=1.0)
-    at_tau = PointCloud(np.array([[0.0, 0.2, 1.0]]))
-    beyond = PointCloud(np.array([[0.0, 0.2, np.nextafter(1.0, 2.0)]]))
-    assert len(construct_obstacle_map(at_tau, cfg)) == 1
-    assert len(construct_obstacle_map(beyond, cfg)) == 0
-
-
 def test_map_empty_cloud_and_all_filtered():
-    cfg = _cfg()
+    cfg = _cfg(bin_count=8, x_half_range_m=1.0)
     empty = construct_obstacle_map(PointCloud(np.empty((0, 3))), cfg)
     assert empty.empty and len(empty) == 0
-    far = construct_obstacle_map(PointCloud(np.array([[0.0, 0.0, 9.0]])), cfg)
-    assert far.empty
+    # The range and height cuts are back_project's; the map drops only
+    # candidates outside the lateral window.
+    outside = PointCloud(np.array([[2.0, 0.2, 0.5], [-1.5, 0.2, 0.4]]))
+    assert construct_obstacle_map(outside, cfg).empty
 
 
 def test_default_half_range_follows_fov_and_tau():
@@ -317,6 +288,16 @@ def test_default_half_range_follows_fov_and_tau():
 # Property tests
 # ---------------------------------------------------------------------------
 
+def _cut_map_matches_oracle(pts: np.ndarray, cfg: AvoidanceConfig):
+    """The map of the points that pass the oracle's cuts equals the binning
+    oracle on every point, exactly."""
+    omap = construct_obstacle_map(PointCloud(oracle_cut(pts, cfg)), cfg)
+    ref_pts, ref_bins = oracle_obstacle_map(pts, cfg)
+    assert omap.bins.tolist() == ref_bins.tolist()
+    np.testing.assert_array_equal(omap.points, ref_pts)
+    return omap
+
+
 def test_property_oracle_equivalence():
     rng = np.random.default_rng(7)
     for case in range(150):
@@ -325,11 +306,7 @@ def test_property_oracle_equivalence():
                    tau_z=float(rng.uniform(0.5, 2.0)),
                    bin_count=int(rng.integers(1, 40)),
                    x_half_range_m=float(rng.uniform(0.3, 2.0)))
-        pts = random_cloud(rng, int(rng.integers(0, 400)), cfg)
-        omap = construct_obstacle_map(PointCloud(pts), cfg)
-        ref_pts, ref_bins = oracle_obstacle_map(pts, cfg)
-        assert omap.bins.tolist() == ref_bins.tolist()
-        np.testing.assert_array_equal(omap.points, ref_pts)
+        _cut_map_matches_oracle(random_cloud(rng, int(rng.integers(0, 400)), cfg), cfg)
 
 
 def _loop_back_project(frame: DepthFrame) -> np.ndarray:
@@ -391,8 +368,7 @@ def test_tiled_frame_ties_resolve_to_lowest_index():
         assert omap.bins.tolist() == [0, 1, 2, 3]
         # Every Z is within tau_z and the mount has no offsets, so a bin's
         # winning Z is its map entry's x.
-        cloud = back_project(frame, cfg).points
-        kept = cloud[cloud[:, 1] >= -cfg.epsilon]
+        kept = back_project(frame, cfg).points
         half = bin_half_range(cfg)
         bins = np.minimum(np.floor((kept[:, 0] + half) / (half / 2)), 3)
         for b, x in zip(omap.bins, omap.points[:, 0]):
@@ -419,7 +395,7 @@ def test_depth_frames_with_empty_maps():
 def test_property_mask_survivors_reproduce_the_map():
     # Filtering is idempotent: dropping the masked-out points and
     # rebuilding yields the identical map, and the survivor set of the
-    # survivor set is itself.
+    # survivor set is itself. The map's input passes the obstacle cuts.
     rng = np.random.default_rng(8)
     for case in range(120):
         cfg = _cfg(mount=CameraMount(depth_offset_m=float(rng.uniform(-0.2, 0.2))),
@@ -437,7 +413,7 @@ def test_property_mask_survivors_reproduce_the_map():
         keep = mask(pts)
         survivors = pts[keep]
         assert np.array_equal(mask(survivors), np.ones(len(survivors), dtype=bool))
-        full = construct_obstacle_map(PointCloud(pts), cfg)
+        full = _cut_map_matches_oracle(pts, cfg)
         masked = construct_obstacle_map(PointCloud(survivors), cfg)
         assert full.bins.tolist() == masked.bins.tolist()
         np.testing.assert_array_equal(full.points, masked.points)
@@ -456,8 +432,8 @@ def test_property_tau_monotonicity_with_pinned_window():
         cfg_small = _cfg(tau_z=tau_small, **kwargs)
         cfg_big = _cfg(tau_z=tau_big, **kwargs)
         pts = random_cloud(rng, int(rng.integers(1, 300)), cfg_big)
-        small = construct_obstacle_map(PointCloud(pts), cfg_small)
-        big = construct_obstacle_map(PointCloud(pts), cfg_big)
+        small = _cut_map_matches_oracle(pts, cfg_small)
+        big = _cut_map_matches_oracle(pts, cfg_big)
         big_by_bin = dict(zip(big.bins.tolist(), big.points))
         for b, p in zip(small.bins.tolist(), small.points):
             assert b in big_by_bin
@@ -473,7 +449,7 @@ def test_property_emitted_ranges():
                    bin_count=int(rng.integers(1, 40)),
                    x_half_range_m=float(rng.uniform(0.3, 2.0)))
         pts = random_cloud(rng, int(rng.integers(0, 300)), cfg)
-        omap = construct_obstacle_map(PointCloud(pts), cfg)
+        omap = _cut_map_matches_oracle(pts, cfg)
         # The builder's guarantees, which ObstacleMap does not check itself.
         assert omap.points.shape == (len(omap.bins), 2)
         assert omap.points.dtype == np.float64 and omap.bins.dtype == np.int64
