@@ -277,6 +277,24 @@ def test_map_empty_cloud_and_all_filtered():
     assert construct_obstacle_map(outside, cfg).empty
 
 
+def test_map_filters_by_height_and_range():
+    # Each pixel but one is dropped by exactly one cut, and each would land
+    # in a bin of its own: back_project drops the overhead, far and zero
+    # pixels, the map drops the one outside the lateral window.
+    intr = CameraIntrinsics(fx=4.0, fy=2.0, cx=1.0, cy=1.0, width=5, height=3)
+    cfg = _cfg(tau_z=1.0, epsilon=-0.05, bin_count=8, x_half_range_m=0.5)
+    depths = np.zeros((3, 5))
+    depths[2, 1] = 0.5   # X = 0, Y = 0.25, Z = 0.5: ground-level return, kept
+    depths[0, 2] = 0.5   # Y = -0.25: overhead, dropped on height
+    depths[2, 0] = 1.6   # X = -0.4, Z = 1.6: beyond tau_z, dropped on range
+    depths[2, 4] = 0.8   # X = 0.6: outside the lateral window, dropped by the map
+    cloud = _assert_back_project_matches_oracle(DepthFrame(depths, intr, cfg.mount), cfg)
+    assert cloud[:, 2].tolist() == [0.5, 0.8]
+    omap = construct_obstacle_map(PointCloud(cloud), cfg)
+    assert len(omap) == 1
+    np.testing.assert_allclose(omap.points[0], [0.5, 0.0], atol=1e-15)
+
+
 def test_default_half_range_follows_fov_and_tau():
     cfg = _cfg(mount=CameraMount(fov_deg=90.0), tau_z=2.0)
     assert bin_half_range(cfg) == pytest.approx(2.0)
