@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -127,37 +128,96 @@ def back_project(frame: DepthFrame, cfg: AvoidanceConfig) -> PointCloud:
     Z = d. These are the obstacle cuts, stated nowhere else: a pixel is
     lifted only when d > 0 (zero marks an invalid pixel), d - depth_offset_m
     is in (0, tau_z] (the range cut) and Y >= -epsilon (the height cut; Y
-    points down, so it drops overhead returns). Points come out in
-    row-major pixel order, so ties elsewhere can be broken by lowest pixel
-    index.
+    points down, so it drops overhead returns). ``_cut_tables`` turns them
+    into exact per-row depth bounds. Points come out in row-major pixel
+    order, so ties elsewhere can be broken by lowest pixel index.
     """
     intr = frame.intrinsics
+    top, lo, hi, u_off, v_off, finite = _cut_tables(intr, cfg.tau_z, cfg.epsilon,
+                                                    cfg.mount.depth_offset_m)
+    d = frame.depths[top:]
+    keep = d >= lo
+    keep &= d <= hi
+    lifted = np.flatnonzero(keep)
+    # Sized to the candidate rows, not to the survivors: every frame of one
+    # size then asks for the same block, which the allocator keeps mapped
+    # (smaller blocks cost about 40 minor page faults a native step). The
+    # indices are in range, and mode="clip" spares take a copy of ``out``.
+    pts = np.empty((3, d.size))[:, :lifted.size]
+    z = np.take(d, lifted, out=pts[2], mode="clip")
+    # X = ((u - cx) * d) / fx and Y = ((v - cy) * d) / fy, as on the grid.
+    for offsets, row, focal in ((u_off, pts[0], intr.fx), (v_off, pts[1], intr.fy)):
+        np.take(offsets, lifted, out=row, mode="clip")
+        row *= z
+        row /= focal
+    # Every lifted d is at most its row's finite hi, so the cloud needs no
+    # recheck unless X or Y can overflow on this geometry.
+    return _unchecked(PointCloud, points=pts.T) if finite else PointCloud(pts.T)
+
+
+def _unchecked(cls, **fields):
+    """``cls(**fields)`` without its ``__post_init__`` check, for values
+    derived inside the package that the caller shows would pass it."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _least_passing(test, n: int) -> np.ndarray:
+    """Per entry, the least non-negative float passing ``test`` (false at 0,
+    monotone in d), or inf; bisects the int64 bit patterns, which are
+    ordered like the non-negative floats they encode."""
+    lo = np.zeros(n, dtype=np.int64)
+    hi = np.full(n, np.inf).view(np.int64)
+    for _ in range(64):
+        mid = lo + (hi - lo) // 2
+        passed = test(mid.view(np.float64))
+        lo = np.where(passed, lo, mid)
+        hi = np.where(passed, mid, hi)
+    return hi.view(np.float64)
+
+
+@lru_cache(maxsize=16)
+def _cut_tables(intr: CameraIntrinsics, tau_z: float, epsilon: float, offset: float) -> tuple:
+    """``back_project``'s cuts as the first candidate row ``top`` and, for
+    each row from there down, (rows, 1) depth bounds ``lo`` and ``hi``, plus
+    each pixel's ``u - cx`` and ``v - cy``, read-only and shared; and
+    ``finite``, whether every point those bounds let through is finite.
+
+    On a row, Y(d) = ((v - cy) * d) / fy is monotone in d, as rounding to
+    nearest is monotone, and so is d - offset. So a pixel passes the cuts
+    exactly when lo <= d <= hi: lo is the least d > max(offset, 0) (a float
+    difference has the sign of the exact one, so that is d > 0 and
+    d - offset > 0) that, below the principal point (Y rises with d),
+    passes the height cut; hi is the greatest d that passes the range cut
+    and, above it (Y falls), the height cut. On the row at cy, Y = 0 passes
+    or fails the whole row. A row that passes nothing gets lo > hi.
+    """
     # Y has the sign of v - cy, so when -epsilon > 0 no row at or above the
     # principal point can pass the height cut.
-    top = math.floor(intr.cy) + 1 if cfg.epsilon < 0 else 0
-    d = frame.depths[top:]
-    offset = cfg.mount.depth_offset_m
-    # d > 0 and d - offset > 0 in one test: a float difference has the sign
-    # of the exact one, so d - offset > 0 exactly when d > offset.
-    keep = d > max(offset, 0.0)
-    grid = np.subtract(d, offset)
-    keep &= grid <= cfg.tau_z
-    np.multiply((np.arange(top, intr.height) - intr.cy)[:, None], d, out=grid)
-    grid /= intr.fy
-    keep &= grid >= -cfg.epsilon
-    lifted = np.flatnonzero(keep)
-    # Sized to the whole frame, not to the survivors: every frame of one size
-    # then asks for the same block, and the allocator keeps it mapped. Smaller
-    # blocks cost about 40 minor page faults a step on the native frames. The
-    # indices are in range, and mode="clip" spares take a copy of ``out``.
-    pts = np.empty((3, frame.depths.size))[:, :lifted.size]
-    np.take(grid, lifted, out=pts[1], mode="clip")
-    np.take(d, lifted, out=pts[2], mode="clip")
-    # X = ((u - cx) * d) / fx for the survivors only; u is the column.
-    x = np.subtract(lifted % intr.width, intr.cx, out=pts[0])
-    x *= pts[2]
-    x /= intr.fx
-    return PointCloud(pts.T)
+    top = math.floor(intr.cy) + 1 if epsilon < 0 else 0
+    rows = np.arange(top, intr.height, dtype=np.float64) - intr.cy
+    cols = np.arange(intr.width, dtype=np.float64) - intr.cx
+
+    def height(d):
+        return (rows * d) / intr.fy >= -epsilon
+
+    with np.errstate(over="ignore"):
+        lo = _least_passing(lambda d: (d > max(offset, 0.0)) & (height(d) | (rows < 0)),
+                            rows.size)
+        hi = np.nextafter(_least_passing(
+            lambda d: (d > 0) & ~((d - offset <= tau_z) & (height(d) | (rows > 0))),
+            rows.size), 0.0)
+    # |X| and |Y| grow with |u - cx|, |v - cy| and d, so when the outermost
+    # pixels' are finite at the largest hi, every lifted point's are.
+    reach = float(hi[lo <= hi].max(initial=0.0))
+    finite = (float(np.abs(cols).max()) * reach / intr.fx < math.inf
+              and float(np.abs(rows).max(initial=0.0)) * reach / intr.fy < math.inf)
+    tables = (lo[:, None], hi[:, None], np.tile(cols, rows.size), np.repeat(rows, intr.width))
+    for table in tables:
+        table.setflags(write=False)
+    return (top, *tables, finite)
 
 
 def bin_half_range(cfg: AvoidanceConfig) -> float:
@@ -197,11 +257,14 @@ def construct_obstacle_map(cloud: PointCloud, cfg: AvoidanceConfig) -> ObstacleM
     z = pts[:, 2] - m.depth_offset_m
     x = pts[:, 0]
     inside = (x >= -half) & (x <= half)
-    x = x[inside]
-    z = z[inside]
+    if not inside.all():
+        x = x[inside]
+        z = z[inside]
 
+    # Inside the window x + half >= 0 (it is +0.0 at x = -half), so
+    # truncation is the floor.
     width = 2.0 * half / bin_count
-    bins = np.minimum((np.floor((x + half) / width)).astype(np.int64), bin_count - 1)
+    bins = np.minimum(((x + half) / width).astype(np.int64), bin_count - 1)
 
     # Nearest z per bin, then the lowest index reaching it: the scan winner.
     best = np.full(bin_count, np.inf)

@@ -386,7 +386,8 @@ def test_config_records_reject_non_finite(field, value):
 
 
 def test_require_points_returns_float64_arrays_as_is_and_shapes_empty_input():
-    # back_project hands PointCloud a column-major view; a copy would cost a pass.
+    # back_project's points are a column-major view, and a PointCloud built
+    # again from them keeps that view; a copy would cost a pass.
     view = np.arange(12.0).reshape(3, 4).T
     assert require_points("p", view, 3) is view
     assert require_points("p", [], 3).shape == (0, 3)

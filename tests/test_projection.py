@@ -22,7 +22,7 @@ from repshield import (AvoidanceConfig, CameraIntrinsics, CameraMount, DepthFram
                        load_depth_frame, save_depth_frame)
 from repshield.harness import resolve_world
 from repshield.platforms import PLATFORMS
-from repshield.projection import bin_half_range
+from repshield.projection import _cut_tables, bin_half_range
 from repshield.sim import RobotState, raycast_depth
 
 
@@ -214,6 +214,63 @@ def test_back_project_native_frames_match_oracle_bitwise():
         assert len(cloud) > 0
 
 
+def _passes_cuts(v: int, d: float, intr: CameraIntrinsics, cfg: AvoidanceConfig) -> bool:
+    """The obstacle cuts on one pixel, with the oracle's arithmetic."""
+    y = (v - intr.cy) * d / intr.fy
+    z = d - cfg.mount.depth_offset_m
+    return d > 0 and 0 < z <= cfg.tau_z and y >= -cfg.epsilon
+
+
+def test_property_cut_bounds_reproduce_the_cuts():
+    # Each row's bounds pass the cuts and the next float outside each fails
+    # them; a frame of exactly those depths lifts what the oracle lifts.
+    rng = np.random.default_rng(13)
+    for case in range(60):
+        height, width = int(rng.integers(1, 24)), int(rng.integers(4, 12))
+        intr = CameraIntrinsics(fx=float(rng.uniform(0.5, 500.0)),
+                                fy=float(rng.uniform(0.5, 500.0)),
+                                cx=float(rng.uniform(0.0, width)),
+                                cy=float(rng.uniform(0.0, height)),
+                                width=width, height=height)
+        mount = CameraMount(depth_offset_m=(-0.1, 0.0, 0.2)[case % 3])
+        cfg = _cfg(mount=mount, tau_z=float(rng.choice([0.3, 1.0, 2.5])),
+                   epsilon=(-0.05, 0.0, 0.1)[case // 3 % 3])
+        top, lo, hi, *offsets, finite = _cut_tables(intr, cfg.tau_z, cfg.epsilon,
+                                                    mount.depth_offset_m)
+        assert finite
+        assert all(not table.flags.writeable for table in (lo, hi, *offsets))
+        probes = np.zeros((height, 4))
+        for v in range(top, height):
+            low, high = float(lo[v - top, 0]), float(hi[v - top, 0])
+            outside = (np.nextafter(low, 0.0), np.nextafter(high, math.inf))
+            if low > high:
+                assert not _passes_cuts(v, low, intr, cfg)
+                assert not _passes_cuts(v, high, intr, cfg)
+            else:
+                assert _passes_cuts(v, low, intr, cfg) and _passes_cuts(v, high, intr, cfg)
+                assert not any(_passes_cuts(v, d, intr, cfg) for d in outside)
+            row = [low, high, *outside]
+            probes[v] = [d if d < math.inf else 0.0 for d in row]
+        # Rows above top pass nothing; give them the first candidate row's depths.
+        probes[:top] = probes[top] if top < height else 0.0
+        assert all(not _passes_cuts(v, d, intr, cfg) for v in range(top) for d in probes[v])
+        depths = np.tile(probes, (1, width))[:, :width]
+        _assert_back_project_matches_oracle(DepthFrame(depths, intr, mount), cfg)
+
+
+def test_back_project_checks_clouds_whose_points_can_overflow():
+    # fx = 1e-306 puts X = 3 * d / fx past the float maximum for d above
+    # about 60, a depth the range cut lets through: such a cloud is checked.
+    intr = CameraIntrinsics(fx=1e-306, fy=1.0, cx=0.0, cy=0.0, width=4, height=2)
+    cfg = _cfg(tau_z=100.0, epsilon=0.0)
+    depths = np.full((2, 4), 1.0)
+    _assert_back_project_matches_oracle(DepthFrame(depths, intr, cfg.mount), cfg)
+    depths[1, 3] = 80.0
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="^point cloud must be finite$"):
+            back_project(DepthFrame(depths, intr, cfg.mount), cfg)
+
+
 @pytest.mark.parametrize("points, message", [
     (np.zeros((4, 2)), "point cloud must have shape (N, 3) with N >= 0, got (4, 2)"),
     (np.zeros(3), "point cloud must have shape (N, 3) with N >= 0, got (3,)"),
@@ -293,6 +350,21 @@ def test_map_filters_by_height_and_range():
     omap = construct_obstacle_map(PointCloud(cloud), cfg)
     assert len(omap) == 1
     np.testing.assert_allclose(omap.points[0], [0.5, 0.0], atol=1e-15)
+
+
+def test_map_window_edges_land_in_the_end_bins():
+    cfg = _cfg(tau_z=2.0, bin_count=5, x_half_range_m=0.7)
+    half = bin_half_range(cfg)
+    xs = [-half, half, np.nextafter(-half, -math.inf), np.nextafter(half, math.inf)]
+    cloud = np.array([[x, 0.1, 0.5 + 0.1 * k] for k, x in enumerate(xs)])
+    omap = construct_obstacle_map(PointCloud(cloud), cfg)
+    assert omap.bins.tolist() == [0, cfg.bin_count - 1]
+    assert omap.points[:, 1].tolist() == [half, -half]
+    # With nothing outside the window the map bins every point, as the oracle.
+    rng = np.random.default_rng(14)
+    inside = random_cloud(rng, 300, cfg)
+    inside[:, 0] = np.clip(inside[:, 0], -half, half)
+    _cut_map_matches_oracle(inside, cfg)
 
 
 def test_default_half_range_follows_fov_and_tau():
