@@ -11,9 +11,9 @@ from .config import AvoidanceConfig, CameraMount, SafetyParams, load_config, sav
 from .errors import InputFormatError, SingularityError
 from .pipeline import AvoidanceDecision, Shield, avoidance_step, decision_log_row
 from .platforms import PLATFORMS, PlatformSpec, get_platform
-from .projection import (CameraIntrinsics, DepthFrame, ObstacleMap, PointCloud,
-                         back_project, construct_obstacle_map, intrinsics_for_fov,
-                         load_depth_frame, save_depth_frame)
+from .projection import (CameraIntrinsics, DepthFrame, ObstacleMap, back_project,
+                         construct_obstacle_map, intrinsics_for_fov, load_depth_frame,
+                         save_depth_frame)
 from .repulsion import (RepulsiveResult, Trajectory, estimate_repulsive_direction,
                         load_trajectory, repulsive_force, rotate_trajectory,
                         save_trajectory)
@@ -27,7 +27,7 @@ __all__ = [
     "AvoidanceDecision", "Shield", "avoidance_step", "decision_log_row",
     "load_config", "save_config",
     "PLATFORMS", "PlatformSpec", "get_platform",
-    "CameraIntrinsics", "CameraMount", "DepthFrame", "PointCloud", "ObstacleMap",
+    "CameraIntrinsics", "CameraMount", "DepthFrame", "ObstacleMap",
     "back_project", "construct_obstacle_map", "intrinsics_for_fov",
     "load_depth_frame", "save_depth_frame",
     "RepulsiveResult", "Trajectory", "estimate_repulsive_direction",

@@ -87,21 +87,6 @@ class DepthFrame:
 
 
 @dataclass(frozen=True, eq=False)
-class PointCloud:
-    """Points in the camera frame, shape (N, 3), columns X, Y, Z; ``points``
-    may be a column-major view, as ``back_project`` returns. A cloud lifted
-    from a frame holds only the pixels that pass ``back_project``'s cuts."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", require_points("point cloud", self.points, 3))
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class ObstacleMap:
     """Per-bin nearest obstacle points in the robot frame (x forward, y left).
 
@@ -121,7 +106,7 @@ class ObstacleMap:
         return self.points.shape[0] == 0
 
 
-def back_project(frame: DepthFrame, cfg: AvoidanceConfig) -> PointCloud:
+def back_project(frame: DepthFrame, cfg: AvoidanceConfig) -> np.ndarray:
     """Lift the depth pixels that are obstacle candidates to camera-frame points.
 
     Uses the pinhole model: X = (u - cx) * d / fx, Y = (v - cy) * d / fy,
@@ -130,11 +115,12 @@ def back_project(frame: DepthFrame, cfg: AvoidanceConfig) -> PointCloud:
     is in (0, tau_z] (the range cut) and Y >= -epsilon (the height cut; Y
     points down, so it drops overhead returns). ``_cut_tables`` turns them
     into exact per-row depth bounds. Points come out in row-major pixel
-    order, so ties elsewhere can be broken by lowest pixel index.
+    order, so ties elsewhere can be broken by lowest pixel index. Returns
+    an (N, 3) column-major view, columns X, Y, Z.
     """
     intr = frame.intrinsics
-    top, lo, hi, u_off, v_off, finite = _cut_tables(intr, cfg.tau_z, cfg.epsilon,
-                                                    cfg.mount.depth_offset_m)
+    top, lo, hi, u_off, v_off = _cut_tables(intr, cfg.tau_z, cfg.epsilon,
+                                            cfg.mount.depth_offset_m)
     d = frame.depths[top:]
     keep = d >= lo
     keep &= d <= hi
@@ -150,9 +136,7 @@ def back_project(frame: DepthFrame, cfg: AvoidanceConfig) -> PointCloud:
         np.take(offsets, lifted, out=row, mode="clip")
         row *= z
         row /= focal
-    # Every lifted d is at most its row's finite hi, so the cloud needs no
-    # recheck unless X or Y can overflow on this geometry.
-    return _unchecked(PointCloud, points=pts.T) if finite else PointCloud(pts.T)
+    return pts.T
 
 
 def _unchecked(cls, **fields):
@@ -182,8 +166,7 @@ def _least_passing(test, n: int) -> np.ndarray:
 def _cut_tables(intr: CameraIntrinsics, tau_z: float, epsilon: float, offset: float) -> tuple:
     """``back_project``'s cuts as the first candidate row ``top`` and, for
     each row from there down, (rows, 1) depth bounds ``lo`` and ``hi``, plus
-    each pixel's ``u - cx`` and ``v - cy``, read-only and shared; and
-    ``finite``, whether every point those bounds let through is finite.
+    each pixel's ``u - cx`` and ``v - cy``, read-only and shared.
 
     On a row, Y(d) = ((v - cy) * d) / fy is monotone in d, as rounding to
     nearest is monotone, and so is d - offset. So a pixel passes the cuts
@@ -209,15 +192,10 @@ def _cut_tables(intr: CameraIntrinsics, tau_z: float, epsilon: float, offset: fl
         hi = np.nextafter(_least_passing(
             lambda d: (d > 0) & ~((d - offset <= tau_z) & (height(d) | (rows > 0))),
             rows.size), 0.0)
-    # |X| and |Y| grow with |u - cx|, |v - cy| and d, so when the outermost
-    # pixels' are finite at the largest hi, every lifted point's are.
-    reach = float(hi[lo <= hi].max(initial=0.0))
-    finite = (float(np.abs(cols).max()) * reach / intr.fx < math.inf
-              and float(np.abs(rows).max(initial=0.0)) * reach / intr.fy < math.inf)
     tables = (lo[:, None], hi[:, None], np.tile(cols, rows.size), np.repeat(rows, intr.width))
     for table in tables:
         table.setflags(write=False)
-    return (top, *tables, finite)
+    return (top, *tables)
 
 
 def bin_half_range(cfg: AvoidanceConfig) -> float:
@@ -227,10 +205,10 @@ def bin_half_range(cfg: AvoidanceConfig) -> float:
     return math.tan(math.radians(cfg.mount.fov_deg) / 2.0) * cfg.tau_z
 
 
-def construct_obstacle_map(cloud: PointCloud, cfg: AvoidanceConfig) -> ObstacleMap:
+def construct_obstacle_map(points: np.ndarray, cfg: AvoidanceConfig) -> ObstacleMap:
     """Reduce obstacle candidates to the per-bin nearest obstacle.
 
-    The input is a cloud whose points already pass the range and height
+    The input is camera-frame points that already pass the range and height
     cuts, as ``back_project`` returns; no point is dropped for its Y or Z
     here. Steps, in order:
 
@@ -243,13 +221,14 @@ def construct_obstacle_map(cloud: PointCloud, cfg: AvoidanceConfig) -> ObstacleM
        x = Z + x_offset_m, y = -X.
 
     Args:
-        cloud: camera-frame obstacle candidates.
+        points: (N, 3) camera-frame obstacle candidates, columns X, Y, Z;
+            each must be finite (``require_points``).
         cfg: pipeline configuration supplying mount and bin geometry.
 
     Returns:
         ObstacleMap with entries ordered by bin index.
     """
-    pts = cloud.points
+    pts = require_points("point cloud", points, 3)
     m = cfg.mount
     half = bin_half_range(cfg)
     bin_count = cfg.bin_count

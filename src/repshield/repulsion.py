@@ -118,8 +118,9 @@ def save_trajectory(traj: Trajectory, path: str | Path) -> None:
 
 def load_trajectory(path: str | Path) -> Trajectory:
     (count,), values = _read_tagged(path, "TJ1", (int,))
-    if count < 1 or values.size != count * 2:
-        raise InputFormatError(f"{path}: expected {count} waypoints, found {values.size / 2}")
+    if values.size != count * 2:
+        raise InputFormatError(f"{path}: expected {count} waypoints ({count * 2} values), "
+                               f"found {values.size} values")
     try:
         return Trajectory(values.reshape(count, 2))
     except ValueError as exc:

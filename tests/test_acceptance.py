@@ -16,10 +16,9 @@ import numpy as np
 import pytest
 
 from conftest import oracle_cut, oracle_dominant, oracle_obstacle_map, random_cloud
-from repshield import (AvoidanceConfig, CameraMount, DepthFrame, PointCloud,
-                       SafetyParams, Trajectory, avoidance_step,
-                       construct_obstacle_map, estimate_repulsive_direction,
-                       gate_command, intrinsics_for_fov)
+from repshield import (AvoidanceConfig, CameraMount, DepthFrame, SafetyParams,
+                       Trajectory, avoidance_step, construct_obstacle_map,
+                       estimate_repulsive_direction, gate_command, intrinsics_for_fov)
 from repshield.harness import (ExperimentSpec, report_csv, run_dynamic,
                                run_exploration, run_goal_conditioned)
 from repshield.sim import WorldModel
@@ -84,7 +83,7 @@ def test_criterion_02_binning_oracle_equivalence():
                    x_half_range_m=float(rng.uniform(0.3, 2.0)))
         n = int(rng.integers(2000, 10001)) if case % 10 == 0 else int(rng.integers(0, 400))
         pts = random_cloud(rng, n, cfg)
-        omap = construct_obstacle_map(PointCloud(oracle_cut(pts, cfg)), cfg)
+        omap = construct_obstacle_map(oracle_cut(pts, cfg), cfg)
         ref_pts, ref_bins = oracle_obstacle_map(pts, cfg)
         assert omap.bins.tolist() == ref_bins.tolist()
         np.testing.assert_array_equal(omap.points, ref_pts)

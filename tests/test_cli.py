@@ -160,6 +160,33 @@ def test_replay_applies_rotation_latch(tmp_path, capsys):
     assert [(float(r[1]), float(r[2])) for r in rows] == [(0.0, 0.8)] * 4
 
 
+@pytest.mark.parametrize("header, depths, config, message", [
+    ("DF1 3 2 1.0 1.0 1.0 0.5", "0.5 0.5 0.5 0.5 -0.2 0.5", None,
+     "depth values must be finite and non-negative"),
+    # fx = 1e-306 lifts the 80 m return to X = 3 * 80 / fx, past the float
+    # maximum; tau_z = 100 lets it through the range cut.
+    ("DF1 4 2 1e-306 1.0 0.0 0.0", "1 1 1 1 1 1 1 80", "tau_z = 100\n",
+     "point cloud must be finite"),
+], ids=["negative_depth", "overflow_geometry"])
+def test_replay_refuses_malformed_frames(header, depths, config, message, tmp_path, capsys):
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    (frames_dir / "frame_0.df1").write_text(f"{header}\n{depths}\n")
+    traj_path = tmp_path / "straight.tj1"
+    save_trajectory(Trajectory(np.array([[0.5, 0.0], [1.0, 0.0]])), traj_path)
+    argv = ["replay", "--frames", str(frames_dir), "--trajectory", str(traj_path)]
+    if config is not None:
+        (tmp_path / "cfg.txt").write_text(config)
+        argv += ["--config", str(tmp_path / "cfg.txt")]
+    with np.errstate(over="ignore"):
+        rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.rstrip().endswith(message)
+
+
 class _FixedPolicy:
     """Emits the same trajectory on every tick, whatever the pose or goal."""
 

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import oracle_lifted
 from repshield import (AvoidanceConfig, CameraIntrinsics, CameraMount, DepthFrame,
-                       InputFormatError, PointCloud, SafetyParams, Shield,
+                       InputFormatError, SafetyParams, Shield,
                        Trajectory, avoidance_step,
                        back_project, construct_obstacle_map, decision_log_row,
                        estimate_repulsive_direction, gate_command,
@@ -63,9 +63,9 @@ def _single_pixel_frame(cfg, u, d) -> DepthFrame:
     return DepthFrame(depths, _PIXEL_INTRINSICS, cfg.mount)
 
 
-def _by_hand(cloud, traj, cfg):
-    """The step's stages composed by hand on a cloud of obstacle candidates."""
-    omap = construct_obstacle_map(cloud, cfg)
+def _by_hand(points, traj, cfg):
+    """The step's stages composed by hand on camera-frame obstacle candidates."""
+    omap = construct_obstacle_map(points, cfg)
     if omap.empty:
         rep, adjusted, dominant = None, traj, 0
     else:
@@ -236,7 +236,7 @@ def test_native_frames_decide_as_the_full_cloud():
             blanked += bool(np.any(frame.depths == 0))
             step = avoidance_step(frame, _ahead_traj(), cfg)
             omap, _, adjusted, theta_des, cmd = _by_hand(
-                PointCloud(oracle_lifted(frame, cfg)), _ahead_traj(), cfg)
+                oracle_lifted(frame, cfg), _ahead_traj(), cfg)
             assert (_decision_bytes(step.command, step.theta_des,
                                     step.adjusted_trajectory, step.obstacle_map)
                     == _decision_bytes(cmd, theta_des, adjusted, omap))
@@ -245,10 +245,9 @@ def test_native_frames_decide_as_the_full_cloud():
 
 
 def test_step_rejects_unknown_observation():
-    # The shield's one observation is a depth frame: a point cloud, whose
-    # points skipped back_project's cuts, is refused like any other type.
-    cloud = PointCloud(np.array([[0.0, 0.2, 0.5]]))
-    for observation in (np.zeros((4, 3)), cloud):
+    # The shield's one observation is a depth frame: points, which skipped
+    # back_project's cuts, are refused like any other type.
+    for observation in (np.zeros((4, 3)), np.array([[0.0, 0.2, 0.5]])):
         with pytest.raises(InputFormatError, match="unsupported observation type"):
             avoidance_step(observation, _ahead_traj(), _cfg())
         with pytest.raises(InputFormatError, match="unsupported observation type"):
@@ -386,10 +385,16 @@ def test_config_records_reject_non_finite(field, value):
 
 
 def test_require_points_returns_float64_arrays_as_is_and_shapes_empty_input():
-    # back_project's points are a column-major view, and a PointCloud built
-    # again from them keeps that view; a copy would cost a pass.
+    # back_project returns a column-major view, and the map's check keeps
+    # that view; a copy would cost a pass over every point of a frame.
     view = np.arange(12.0).reshape(3, 4).T
     assert require_points("p", view, 3) is view
+    plat = get_platform("locobot")
+    frame = raycast_depth(resolve_world("corridor_03"), RobotState(1.0, 0.0, 0.0),
+                          plat.intrinsics(), plat.mount())
+    points = back_project(frame, plat.config())
+    assert len(points) > 0
+    assert require_points("point cloud", points, 3) is points
     assert require_points("p", [], 3).shape == (0, 3)
     assert require_points("p", np.empty((0, 5)), 2).shape == (0, 2)
     ints = require_points("p", [[1, 2]], 2, 1)

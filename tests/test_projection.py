@@ -17,9 +17,9 @@ import pytest
 
 from conftest import oracle_cut, oracle_lifted, oracle_obstacle_map, random_cloud
 from repshield import (AvoidanceConfig, CameraIntrinsics, CameraMount, DepthFrame,
-                       InputFormatError, PointCloud, back_project,
-                       construct_obstacle_map, intrinsics_for_fov,
-                       load_depth_frame, save_depth_frame)
+                       InputFormatError, Trajectory, avoidance_step, back_project,
+                       construct_obstacle_map, intrinsics_for_fov, load_depth_frame,
+                       save_depth_frame)
 from repshield.harness import resolve_world
 from repshield.platforms import PLATFORMS
 from repshield.projection import _cut_tables, bin_half_range
@@ -94,7 +94,7 @@ def test_intrinsics_check_their_own_arguments(build, message):
 # ---------------------------------------------------------------------------
 
 def _assert_back_project_matches_oracle(frame: DepthFrame, cfg: AvoidanceConfig):
-    points = back_project(frame, cfg).points
+    points = back_project(frame, cfg)
     ref = oracle_lifted(frame, cfg)
     assert points.shape == ref.shape
     assert points.tobytes() == ref.tobytes()
@@ -235,9 +235,8 @@ def test_property_cut_bounds_reproduce_the_cuts():
         mount = CameraMount(depth_offset_m=(-0.1, 0.0, 0.2)[case % 3])
         cfg = _cfg(mount=mount, tau_z=float(rng.choice([0.3, 1.0, 2.5])),
                    epsilon=(-0.05, 0.0, 0.1)[case // 3 % 3])
-        top, lo, hi, *offsets, finite = _cut_tables(intr, cfg.tau_z, cfg.epsilon,
-                                                    mount.depth_offset_m)
-        assert finite
+        top, lo, hi, *offsets = _cut_tables(intr, cfg.tau_z, cfg.epsilon,
+                                            mount.depth_offset_m)
         assert all(not table.flags.writeable for table in (lo, hi, *offsets))
         probes = np.zeros((height, 4))
         for v in range(top, height):
@@ -260,15 +259,22 @@ def test_property_cut_bounds_reproduce_the_cuts():
 
 def test_back_project_checks_clouds_whose_points_can_overflow():
     # fx = 1e-306 puts X = 3 * d / fx past the float maximum for d above
-    # about 60, a depth the range cut lets through: such a cloud is checked.
+    # about 60, a depth the range cut lets through: the inf points are
+    # refused where they enter the map, on their own and in the shield.
     intr = CameraIntrinsics(fx=1e-306, fy=1.0, cx=0.0, cy=0.0, width=4, height=2)
     cfg = _cfg(tau_z=100.0, epsilon=0.0)
     depths = np.full((2, 4), 1.0)
-    _assert_back_project_matches_oracle(DepthFrame(depths, intr, cfg.mount), cfg)
+    frame = DepthFrame(depths, intr, cfg.mount)
+    _assert_back_project_matches_oracle(frame, cfg)
+    assert not construct_obstacle_map(back_project(frame, cfg), cfg).empty
     depths[1, 3] = 80.0
+    frame = DepthFrame(depths, intr, cfg.mount)
+    traj = Trajectory(np.array([[0.5, 0.0], [1.0, 0.0]]))
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="^point cloud must be finite$"):
-            back_project(DepthFrame(depths, intr, cfg.mount), cfg)
+            construct_obstacle_map(back_project(frame, cfg), cfg)
+        with pytest.raises(ValueError, match="^point cloud must be finite$"):
+            avoidance_step(frame, traj, cfg)
 
 
 @pytest.mark.parametrize("points, message", [
@@ -279,7 +285,7 @@ def test_back_project_checks_clouds_whose_points_can_overflow():
 ], ids=["two_columns", "one_point_1d", "nan", "neg_inf"])
 def test_point_cloud_rejects_bad_shapes_and_non_finite_values(points, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        PointCloud(points)
+        construct_obstacle_map(points, _cfg())
 
 
 def test_depth_frame_validation():
@@ -303,8 +309,7 @@ def test_map_single_point_hand_computed():
     # Corrected z = 0.9 - 0.2 = 0.7; robot x = 0.7 + 0.1 = 0.8, y = -X = -0.5.
     # Bin of X = 0.5 with half = 1, width = 0.5: floor(1.5 / 0.5) = 3.
     # Y = 0.2 sits below the camera axis, inside the default height mask.
-    cloud = PointCloud(np.array([[0.5, 0.2, 0.9]]))
-    omap = construct_obstacle_map(cloud, cfg)
+    omap = construct_obstacle_map(np.array([[0.5, 0.2, 0.9]]), cfg)
     assert len(omap) == 1
     assert omap.bins.tolist() == [3]
     np.testing.assert_allclose(omap.points[0], [0.8, -0.5], rtol=0, atol=1e-15)
@@ -312,12 +317,12 @@ def test_map_single_point_hand_computed():
 
 def test_map_keeps_nearest_per_bin_with_index_tie_break():
     cfg = _cfg(tau_z=2.0, bin_count=2, x_half_range_m=1.0)
-    cloud = PointCloud(np.array([
+    cloud = np.array([
         [-0.5, 0.2, 1.5],   # bin 0, farther
         [-0.4, 0.2, 0.8],   # bin 0, nearest -> wins
         [0.5, 0.2, 1.0],    # bin 1, ties with the next on z
         [0.6, 0.2, 1.0],    # bin 1, same z, higher index -> loses
-    ]))
+    ])
     omap = construct_obstacle_map(cloud, cfg)
     assert omap.bins.tolist() == [0, 1]
     np.testing.assert_allclose(omap.points[:, 0], [0.8, 1.0])
@@ -326,11 +331,11 @@ def test_map_keeps_nearest_per_bin_with_index_tie_break():
 
 def test_map_empty_cloud_and_all_filtered():
     cfg = _cfg(bin_count=8, x_half_range_m=1.0)
-    empty = construct_obstacle_map(PointCloud(np.empty((0, 3))), cfg)
+    empty = construct_obstacle_map(np.empty((0, 3)), cfg)
     assert empty.empty and len(empty) == 0
     # The range and height cuts are back_project's; the map drops only
     # candidates outside the lateral window.
-    outside = PointCloud(np.array([[2.0, 0.2, 0.5], [-1.5, 0.2, 0.4]]))
+    outside = np.array([[2.0, 0.2, 0.5], [-1.5, 0.2, 0.4]])
     assert construct_obstacle_map(outside, cfg).empty
 
 
@@ -347,7 +352,7 @@ def test_map_filters_by_height_and_range():
     depths[2, 4] = 0.8   # X = 0.6: outside the lateral window, dropped by the map
     cloud = _assert_back_project_matches_oracle(DepthFrame(depths, intr, cfg.mount), cfg)
     assert cloud[:, 2].tolist() == [0.5, 0.8]
-    omap = construct_obstacle_map(PointCloud(cloud), cfg)
+    omap = construct_obstacle_map(cloud, cfg)
     assert len(omap) == 1
     np.testing.assert_allclose(omap.points[0], [0.5, 0.0], atol=1e-15)
 
@@ -357,7 +362,7 @@ def test_map_window_edges_land_in_the_end_bins():
     half = bin_half_range(cfg)
     xs = [-half, half, np.nextafter(-half, -math.inf), np.nextafter(half, math.inf)]
     cloud = np.array([[x, 0.1, 0.5 + 0.1 * k] for k, x in enumerate(xs)])
-    omap = construct_obstacle_map(PointCloud(cloud), cfg)
+    omap = construct_obstacle_map(cloud, cfg)
     assert omap.bins.tolist() == [0, cfg.bin_count - 1]
     assert omap.points[:, 1].tolist() == [half, -half]
     # With nothing outside the window the map bins every point, as the oracle.
@@ -381,7 +386,7 @@ def test_default_half_range_follows_fov_and_tau():
 def _cut_map_matches_oracle(pts: np.ndarray, cfg: AvoidanceConfig):
     """The map of the points that pass the oracle's cuts equals the binning
     oracle on every point, exactly."""
-    omap = construct_obstacle_map(PointCloud(oracle_cut(pts, cfg)), cfg)
+    omap = construct_obstacle_map(oracle_cut(pts, cfg), cfg)
     ref_pts, ref_bins = oracle_obstacle_map(pts, cfg)
     assert omap.bins.tolist() == ref_bins.tolist()
     np.testing.assert_array_equal(omap.points, ref_pts)
@@ -458,7 +463,7 @@ def test_tiled_frame_ties_resolve_to_lowest_index():
         assert omap.bins.tolist() == [0, 1, 2, 3]
         # Every Z is within tau_z and the mount has no offsets, so a bin's
         # winning Z is its map entry's x.
-        kept = back_project(frame, cfg).points
+        kept = back_project(frame, cfg)
         half = bin_half_range(cfg)
         bins = np.minimum(np.floor((kept[:, 0] + half) / (half / 2)), 3)
         for b, x in zip(omap.bins, omap.points[:, 0]):
@@ -504,7 +509,7 @@ def test_property_mask_survivors_reproduce_the_map():
         survivors = pts[keep]
         assert np.array_equal(mask(survivors), np.ones(len(survivors), dtype=bool))
         full = _cut_map_matches_oracle(pts, cfg)
-        masked = construct_obstacle_map(PointCloud(survivors), cfg)
+        masked = construct_obstacle_map(survivors, cfg)
         assert full.bins.tolist() == masked.bins.tolist()
         np.testing.assert_array_equal(full.points, masked.points)
 

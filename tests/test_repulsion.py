@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import oracle_dominant, oracle_force
-from repshield import (AvoidanceConfig, CameraMount, SingularityError, Trajectory,
-                       estimate_repulsive_direction, load_trajectory,
+from repshield import (AvoidanceConfig, CameraMount, InputFormatError, SingularityError,
+                       Trajectory, estimate_repulsive_direction, load_trajectory,
                        repulsive_force, rotate_trajectory, save_trajectory)
 from repshield.repulsion import MIN_OBSTACLE_DISTANCE_M
 
@@ -279,4 +279,18 @@ def test_trajectory_load_errors(tmp_path):
         load_trajectory(p)
     p.write_text("QQ 1\n1 2\n")
     with pytest.raises(Exception):
+        load_trajectory(p)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("TJ1 2\n1 2 3\n", "expected 2 waypoints (4 values), found 3 values"),
+    ("TJ1 3\n1 2\n3 4\n", "expected 3 waypoints (6 values), found 4 values"),
+    ("TJ1 0\n", "waypoints must have shape (N, 2) with N >= 1, got (0, 2)"),
+], ids=["odd_value_count", "too_few_values", "zero_count"])
+def test_trajectory_load_names_the_value_count(tmp_path, text, message):
+    # An odd value count is no whole number of waypoints: the message counts
+    # values, never "1.5 waypoints".
+    p = tmp_path / "bad.tj1"
+    p.write_text(text)
+    with pytest.raises(InputFormatError, match=f"^{re.escape(f'{p}: {message}')}$"):
         load_trajectory(p)
