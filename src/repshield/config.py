@@ -20,6 +20,13 @@ def require_int(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
 
 
+def require_count(what: str, count: int, per: int, found: int) -> None:
+    """Reject a negative ``count``, or ``found`` values other than ``count`` records of ``per``."""
+    require_int(f"count of {what}", count, 0)
+    if found != count * per:
+        raise ValueError(f"expected {count} {what} ({count * per} values), found {found} values")
+
+
 def require_finite(name: str, value) -> None:
     """Reject nan and +-inf."""
     if not -math.inf < value < math.inf:

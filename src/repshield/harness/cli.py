@@ -10,6 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from ..config import load_config, require_positive
 from ..errors import InputFormatError
 from ..pipeline import DECISION_LOG_HEADER, Shield, decision_log_row
@@ -93,9 +95,15 @@ def _cmd_replay(args) -> int:
     rows = [DECISION_LOG_HEADER]
     # The closed loop's Shield, so replay logs the commands closed loop would issue.
     avoider = Shield(cfg)
-    for k, frame_path in enumerate(frames):
-        decision, cmd = avoider.step(load_depth_frame(frame_path, cfg.mount), traj)
-        rows.append(decision_log_row(k * args.dt, decision, cmd))
+    # The map refuses a point lifted past the float range; numpy's warning adds nothing.
+    with np.errstate(over="ignore"):
+        for k, frame_path in enumerate(frames):
+            frame = load_depth_frame(frame_path, cfg.mount)
+            try:
+                decision, cmd = avoider.step(frame, traj)
+            except ValueError as exc:
+                raise InputFormatError(f"{frame_path}: {exc}") from exc
+            rows.append(decision_log_row(k * args.dt, decision, cmd))
     text = "\n".join(rows) + "\n"
     if args.out is not None:
         Path(args.out).write_text(text)

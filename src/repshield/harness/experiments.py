@@ -134,7 +134,10 @@ def _jittered_start(world: WorldModel, platform: PlatformSpec,
         probe = RobotState(x, y, h0, platform.footprint_radius_m + 0.02, platform.name)
         if not check_collision(world, probe, t=0.0):
             return RobotState(x, y, h0, platform.footprint_radius_m, platform.name)
-    return RobotState(x0, y0, h0, platform.footprint_radius_m, platform.name)
+    start = RobotState(x0, y0, h0, platform.footprint_radius_m, platform.name)
+    if check_collision(world, start, t=0.0):
+        raise InputFormatError(f"start pose ({x0}, {y0}, {h0}) is in contact")
+    return start
 
 
 def _aggregate(spec: ExperimentSpec, records: list[EpisodeResult]) -> MetricsReport:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import AvoidanceConfig, CameraMount, require_int, require_points
+from .config import AvoidanceConfig, CameraMount, require_count, require_int, require_points
 from .errors import InputFormatError
 
 
@@ -298,12 +298,9 @@ def load_depth_frame(path: str | Path, mount: CameraMount) -> DepthFrame:
     """Read a DF1 file; the mount is supplied separately by configuration."""
     (width, height, fx, fy, cx, cy), depths = _read_tagged(
         path, "DF1", (int, int, float, float, float, float))
-    if depths.size != width * height:
-        raise InputFormatError(
-            f"{path}: expected {width * height} depth values, found {depths.size}"
-        )
     try:
         intr = CameraIntrinsics(fx, fy, cx, cy, width, height)
+        require_count("rows", height, width, depths.size)
         return DepthFrame(depths.reshape(height, width), intr, mount)
     except ValueError as exc:
         raise InputFormatError(f"{path}: {exc}") from exc

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import AvoidanceConfig, require_points
+from .config import AvoidanceConfig, require_count, require_points
 from .errors import InputFormatError, SingularityError
 from .projection import _read_tagged
 
@@ -118,10 +118,8 @@ def save_trajectory(traj: Trajectory, path: str | Path) -> None:
 
 def load_trajectory(path: str | Path) -> Trajectory:
     (count,), values = _read_tagged(path, "TJ1", (int,))
-    if values.size != count * 2:
-        raise InputFormatError(f"{path}: expected {count} waypoints ({count * 2} values), "
-                               f"found {values.size} values")
     try:
+        require_count("waypoints", count, 2, values.size)
         return Trajectory(values.reshape(count, 2))
     except ValueError as exc:
         raise InputFormatError(f"{path}: {exc}") from exc

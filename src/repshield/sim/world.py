@@ -8,14 +8,13 @@ is set the rectangle boundary behaves as four walls.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from ..config import require_finite, require_points, require_positive
+from ..config import require_count, require_finite, require_points, require_positive
 from ..errors import InputFormatError
 
 COLLISION_TOLERANCE_M = 1e-9
@@ -284,91 +283,63 @@ def save_world(world: WorldModel, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+# The fixed-size records: how many numbers each line holds, and the message
+# for a line that holds another count.
+_FIXED_RECORDS = {"bounds": (4, "bounds needs 4 numbers"), "start": (3, "start needs x y heading"),
+                  "goal": (2, "goal needs x y"), "circle": (3, "circle needs cx cy r")}
+
+
 def load_world(path: str | Path) -> WorldModel:
+    """Read a WORLD1 file, one record a line; a refused line is named as ``path:lineno``."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != "WORLD1":
         raise InputFormatError(f"{path}: expected WORLD1 header")
-
-    bounds = None
-    solid = True
-    start = None
-    goals: list[list[float]] = []
-    circles: list[Circle] = []
-    polygons: list[Polygon] = []
-    agents: list[AgentTrack] = []
-    seen: set[str] = set()
-
-    def fail(lineno, msg):
-        raise InputFormatError(f"{path}:{lineno}: {msg}")
-
-    def finite(lineno, tokens) -> list[float]:
-        values = [float(v) for v in tokens]
-        for token, value in zip(tokens, values):
-            if not math.isfinite(value):
-                fail(lineno, f"numbers must be finite, got {token}")
-        return values
-
+    records: dict[str, list] = {kind: [] for kind in (*_FIXED_RECORDS, "bounds_solid",
+                                                      "polygon", "agent")}
+    once = {"bounds", "bounds_solid", "start"}
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         kind, *rest = line.split()
-        if kind in ("bounds", "bounds_solid", "start"):
-            if kind in seen:
-                fail(lineno, f"duplicate {kind}")
-            seen.add(kind)
         try:
-            if kind == "bounds":
-                bounds = tuple(finite(lineno, rest))
-                if len(bounds) != 4:
-                    fail(lineno, "bounds needs 4 numbers")
+            if kind not in records:
+                raise ValueError(f"unknown entry kind {kind!r}")
+            if kind in once and records[kind]:
+                raise ValueError(f"duplicate {kind}")
+            if kind in _FIXED_RECORDS:
+                size, message = _FIXED_RECORDS[kind]
+                if len(rest) != size:
+                    raise ValueError(message)
+                values = tuple(float(v) for v in rest)
+                for value in values:
+                    require_finite(kind, value)
+                records[kind].append(Circle(np.array(values[:2]), values[2])
+                                     if kind == "circle" else values)
             elif kind == "bounds_solid":
                 if rest not in (["0"], ["1"]):
-                    fail(lineno, "bounds_solid needs exactly 0 or 1")
-                solid = rest == ["1"]
-            elif kind == "start":
-                if len(rest) != 3:
-                    fail(lineno, "start needs x y heading")
-                start = tuple(finite(lineno, rest))
-            elif kind == "goal":
-                if len(rest) != 2:
-                    fail(lineno, "goal needs x y")
-                goals.append(finite(lineno, rest))
-            elif kind == "circle":
-                if len(rest) != 3:
-                    fail(lineno, "circle needs cx cy r")
-                cx, cy, radius = finite(lineno, rest)
-                circles.append(Circle(np.array([cx, cy]), radius))
+                    raise ValueError("bounds_solid needs exactly 0 or 1")
+                records[kind].append(rest == ["1"])
             elif kind == "polygon":
                 if not rest:
-                    fail(lineno, "polygon needs a vertex count")
-                n = int(rest[0])
-                coords = finite(lineno, rest[1:])
-                if len(coords) != 2 * n:
-                    fail(lineno, f"polygon declared {n} vertices, found {len(coords) / 2}")
-                polygons.append(Polygon(np.array(coords).reshape(n, 2)))
-            elif kind == "agent":
-                if len(rest) < 2:
-                    fail(lineno, "agent needs a radius and a knot count")
-                radius, = finite(lineno, rest[:1])
-                n = int(rest[1])
-                vals = finite(lineno, rest[2:])
-                if len(vals) != 3 * n:
-                    fail(lineno, f"agent declared {n} knots, found {len(vals) / 3}")
-                arr = np.array(vals).reshape(n, 3)
-                agents.append(AgentTrack(radius, arr[:, 0], arr[:, 1:]))
+                    raise ValueError("polygon needs a vertex count")
+                require_count("vertices", int(rest[0]), 2, len(rest) - 1)
+                records[kind].append(Polygon(np.array([float(v) for v in rest[1:]]).reshape(-1, 2)))
             else:
-                fail(lineno, f"unknown entry kind {kind!r}")
+                if len(rest) < 2:
+                    raise ValueError("agent needs a radius and a knot count")
+                require_count("knots", int(rest[1]), 3, len(rest) - 2)
+                knots = np.array([float(v) for v in rest[2:]]).reshape(-1, 3)
+                records[kind].append(AgentTrack(float(rest[0]), knots[:, 0], knots[:, 1:]))
         except ValueError as exc:
-            if isinstance(exc, InputFormatError):
-                raise
-            fail(lineno, str(exc))
+            raise InputFormatError(f"{path}:{lineno}: {exc}") from exc
 
-    if bounds is None:
+    if not records["bounds"]:
         raise InputFormatError(f"{path}: missing bounds line")
     try:
-        return WorldModel(bounds=bounds, circles=tuple(circles), polygons=tuple(polygons),
-                          agents=tuple(agents), bounds_solid=solid,
-                          start=start, goals=goals)
+        return WorldModel(bounds=records["bounds"][0], circles=records["circle"],
+                          polygons=records["polygon"], agents=records["agent"],
+                          bounds_solid=records["bounds_solid"] != [False],
+                          start=next(iter(records["start"]), None), goals=records["goal"])
     except ValueError as exc:
         raise InputFormatError(f"{path}: {exc}") from exc

@@ -178,13 +178,26 @@ def test_replay_refuses_malformed_frames(header, depths, config, message, tmp_pa
     if config is not None:
         (tmp_path / "cfg.txt").write_text(config)
         argv += ["--config", str(tmp_path / "cfg.txt")]
-    with np.errstate(over="ignore"):
-        rc = main(argv)
+    # No errstate here: pytest turns any warning, numpy's overflow included, into a failure.
+    rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert captured.err.rstrip().endswith(message)
+    # Each refusal names the frame once, whether the loader or the map refused it.
+    assert captured.err == f"error: {frames_dir / 'frame_0.df1'}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["goal", "dynamic"])
+def test_start_pose_in_contact_is_refused(command, tmp_path, capsys):
+    # The start sits inside the circle, so every jittered start collides too.
+    path = tmp_path / "contact.world"
+    path.write_text("WORLD1\nbounds 0 -2 6 2\nstart 2 0 0\ngoal 5 0\ncircle 2 0 0.5\n"
+                    "agent 0.18 1 0 5 1.5\n")
+    rc = main([command, "--world", str(path), "--trials", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: start pose (2.0, 0.0, 0.0) is in contact\n"
 
 
 class _FixedPolicy:

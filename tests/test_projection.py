@@ -604,6 +604,18 @@ def test_depth_frame_load_errors(tmp_path):
         load_depth_frame(p, CameraMount())
 
 
+@pytest.mark.parametrize("text, message", [
+    ("DF1 2 2 1.0 1.0 0.5 0.5\n0 0 0\n", "expected 2 rows (4 values), found 3 values"),
+    ("DF1 2 -2 1.0 1.0 0.5 0.5\n", "height must be at least 1, got -2"),
+], ids=["short_body", "negative_height"])
+def test_depth_frame_load_names_the_value_count(tmp_path, text, message):
+    # The header is checked before the body is counted against it.
+    p = tmp_path / "bad.df1"
+    p.write_text(text)
+    with pytest.raises(InputFormatError, match=f"^{re.escape(f'{p}: {message}')}$"):
+        load_depth_frame(p, CameraMount())
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 @pytest.mark.parametrize("key", ["fx", "fy"])
 def test_depth_frame_rejects_non_finite_focal_length(tmp_path, key, bad):

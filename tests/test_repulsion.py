@@ -286,7 +286,8 @@ def test_trajectory_load_errors(tmp_path):
     ("TJ1 2\n1 2 3\n", "expected 2 waypoints (4 values), found 3 values"),
     ("TJ1 3\n1 2\n3 4\n", "expected 3 waypoints (6 values), found 4 values"),
     ("TJ1 0\n", "waypoints must have shape (N, 2) with N >= 1, got (0, 2)"),
-], ids=["odd_value_count", "too_few_values", "zero_count"])
+    ("TJ1 -1\n", "count of waypoints must be at least 0, got -1"),
+], ids=["odd_value_count", "too_few_values", "zero_count", "negative_count"])
 def test_trajectory_load_names_the_value_count(tmp_path, text, message):
     # An odd value count is no whole number of waypoints: the message counts
     # values, never "1.5 waypoints".

@@ -617,7 +617,20 @@ def test_world_file_rejects_non_finite(tmp_path, kind, bad):
     lines = list(_FINITE_WORLD)
     lines[lineno - 1] = lines[lineno - 1].rsplit(" ", 1)[0] + " " + bad
     p.write_text("\n".join(lines) + "\n")
-    with pytest.raises(InputFormatError, match=f"{re.escape(str(p))}:{lineno}: .*finite"):
+    # The fixed-size records check their numbers by kind; polygons and agents
+    # are checked by Polygon and AgentTrack.
+    message = {"polygon": "polygon vertices must be finite",
+               "agent": "agent schedule times and points must be finite"}.get(
+                   kind, f"{kind} must be finite, got {bad}")
+    with pytest.raises(InputFormatError, match=f"^{re.escape(f'{p}:{lineno}: {message}')}$"):
+        load_world(p)
+
+
+def test_world_file_rejects_non_finite_agent_radius(tmp_path):
+    p = tmp_path / "w.world"
+    p.write_text("\n".join(_FINITE_WORLD[:2] + ["agent nan 1 0 1 1"]) + "\n")
+    message = "agent radius must be finite and positive, got nan"
+    with pytest.raises(InputFormatError, match=f"^{re.escape(f'{p}:3: {message}')}$"):
         load_world(p)
 
 
@@ -656,6 +669,20 @@ def test_world_file_names_missing_count(tmp_path, line):
     p = tmp_path / "w.world"
     p.write_text("\n".join(_FINITE_WORLD[:2] + [line]) + "\n")
     with pytest.raises(InputFormatError, match=f"{re.escape(str(p))}:3: {message}$"):
+        load_world(p)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("polygon 3 0 0 1 0 1", "expected 3 vertices (6 values), found 5 values"),
+    ("polygon -2", "count of vertices must be at least 0, got -2"),
+    ("agent 0.2 2 0 1 1 5 2", "expected 2 knots (6 values), found 5 values"),
+], ids=["polygon_short", "polygon_negative", "agent_short"])
+def test_world_file_checks_counts_by_value(tmp_path, line, message):
+    # A count the values do not fill is reported in values, never as
+    # "2.5 vertices".
+    p = tmp_path / "w.world"
+    p.write_text("\n".join(_FINITE_WORLD[:2] + [line]) + "\n")
+    with pytest.raises(InputFormatError, match=f"^{re.escape(f'{p}:3: {message}')}$"):
         load_world(p)
 
 
