@@ -10,7 +10,7 @@ conditions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -120,7 +120,7 @@ def _sample_start(world: WorldModel, platform: PlatformSpec,
         probe = RobotState(x, y, heading, probe_radius, platform.name)
         if not check_collision(world, probe, t=0.0):
             return RobotState(x, y, heading, platform.footprint_radius_m, platform.name)
-    raise RuntimeError("could not sample a collision-free start pose")
+    raise InputFormatError("could not sample a collision-free start pose")
 
 
 def _jittered_start(world: WorldModel, platform: PlatformSpec,
@@ -243,22 +243,12 @@ def run_dynamic(spec: ExperimentSpec, scenario: str | None = None) -> MetricsRep
 # ---------------------------------------------------------------------------
 
 def report_csv(report: MetricsReport) -> str:
-    """Flat metric,value summary; floats keep full precision."""
-    rows = [
-        "metric,value",
-        f"task,{report.task}",
-        f"shield,{int(report.shield)}",
-        f"trials,{report.trials}",
-        f"arrival_rate,{report.arrival_rate!r}",
-        f"distance_before_collision_mean,{report.distance_before_collision_mean!r}",
-        f"distance_before_collision_std,{report.distance_before_collision_std!r}",
-        f"path_length_mean,{report.path_length_mean!r}",
-        f"path_length_std,{report.path_length_std!r}",
-        f"completion_time_mean,{report.completion_time_mean!r}",
-        f"completion_time_std,{report.completion_time_std!r}",
-        f"collision_count_mean,{report.collision_count_mean!r}",
-        f"collision_trials,{report.collision_trials}",
-    ]
+    """Flat metric,value summary, one row per field; floats keep full precision."""
+    rows = ["metric,value"]
+    for f in fields(report):
+        if f.name != "per_trial":
+            value = getattr(report, f.name)
+            rows.append(f"{f.name},{int(value) if isinstance(value, bool) else value}")
     return "\n".join(rows) + "\n"
 
 

@@ -82,7 +82,8 @@ class DepthFrame:
             raise InputFormatError(
                 f"depth grid shape {depths.shape} does not match intrinsics {expected}"
             )
-        if not np.all(np.isfinite(depths)) or np.any(depths < 0):
+        # A nan propagates through both reductions and fails both compares.
+        if not (depths.min() >= 0 and depths.max() < math.inf):
             raise InputFormatError("depth values must be finite and non-negative")
 
 
@@ -137,15 +138,6 @@ def back_project(frame: DepthFrame, cfg: AvoidanceConfig) -> np.ndarray:
         row *= z
         row /= focal
     return pts.T
-
-
-def _unchecked(cls, **fields):
-    """``cls(**fields)`` without its ``__post_init__`` check, for values
-    derived inside the package that the caller shows would pass it."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 def _least_passing(test, n: int) -> np.ndarray:

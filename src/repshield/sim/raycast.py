@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..config import CameraMount
-from ..projection import CameraIntrinsics, DepthFrame, _unchecked
+from ..projection import CameraIntrinsics, DepthFrame
 from .kinematics import RobotState
 from .world import WorldModel
 
@@ -113,8 +113,4 @@ def raycast_depth(world: WorldModel, robot: RobotState, intrinsics: CameraIntrin
     """Render a full frame by tiling the column depths across all rows."""
     cols = column_depths(world, robot, intrinsics, mount, t=t)
     grid = np.tile(cols, (intrinsics.height, 1))
-    # The grid needs no recheck: it is float64 of the intrinsics' shape, and
-    # every depth is 0 or finite and positive. inf and nan fail
-    # depth <= FAR_LIMIT_M and become 0, a hit has t > _T_EPS and
-    # cos_axis > 0, and a biased depth is at least _T_EPS.
-    return _unchecked(DepthFrame, depths=grid, intrinsics=intrinsics, mount=mount)
+    return DepthFrame(grid, intrinsics, mount)

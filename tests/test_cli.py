@@ -200,6 +200,17 @@ def test_start_pose_in_contact_is_refused(command, tmp_path, capsys):
     assert captured.err == "error: start pose (2.0, 0.0, 0.0) is in contact\n"
 
 
+def test_explore_without_free_start_is_refused(tmp_path, capsys):
+    # The circle covers every pose the exploration sampler may draw.
+    path = tmp_path / "full.world"
+    path.write_text("WORLD1\nbounds 0 0 2 2\ncircle 1 1 1.0\n")
+    rc = main(["explore", "--world", str(path), "--trials", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: could not sample a collision-free start pose\n"
+
+
 class _FixedPolicy:
     """Emits the same trajectory on every tick, whatever the pose or goal."""
 

@@ -23,7 +23,7 @@ from repshield import (AvoidanceConfig, CameraIntrinsics, CameraMount, DepthFram
 from repshield.harness import resolve_world
 from repshield.platforms import PLATFORMS
 from repshield.projection import _cut_tables, bin_half_range
-from repshield.sim import RobotState, raycast_depth
+from repshield.sim import RobotState, WorldModel, raycast_depth
 
 
 def _cfg(**overrides) -> AvoidanceConfig:
@@ -297,6 +297,23 @@ def test_depth_frame_validation():
         DepthFrame(np.full((2, 3), -1.0), intr, mount)
     with pytest.raises(InputFormatError):
         DepthFrame(np.full((2, 3), np.nan), intr, mount)
+    message = "depth values must be finite and non-negative"
+    for bad in (np.inf, -np.inf, np.nan):
+        depths = np.full((2, 3), 0.5)
+        depths[1, 2] = bad
+        with pytest.raises(InputFormatError, match=message):
+            DepthFrame(depths, intr, mount)
+    assert DepthFrame(np.full((2, 3), -0.0), intr, mount).depths.min() == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.5])
+def test_raycast_frame_passes_the_depth_check(monkeypatch, bad):
+    intr = intrinsics_for_fov(3, 2, 90.0)
+    monkeypatch.setattr("repshield.sim.raycast.column_depths",
+                        lambda *args, **kwargs: np.array([1.0, bad, 0.0]))
+    with pytest.raises(InputFormatError, match="depth values must be finite and non-negative"):
+        raycast_depth(WorldModel(bounds=(0.0, 0.0, 4.0, 4.0)), RobotState(1.0, 1.0, 0.0),
+                      intr, CameraMount())
 
 
 # ---------------------------------------------------------------------------
