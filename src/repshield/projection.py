@@ -68,14 +68,18 @@ def intrinsics_for_fov(width: int, height: int, fov_deg: float) -> CameraIntrins
 
 @dataclass(frozen=True, eq=False)
 class DepthFrame:
-    """A single metric depth image plus the geometry needed to interpret it."""
+    """A single metric depth image plus the geometry needed to interpret it.
+
+    ``depths`` is a read-only view that may share memory with the caller's
+    array and with other rows and frames: to fault or edit one, build a new frame."""
 
     depths: np.ndarray
     intrinsics: CameraIntrinsics
     mount: CameraMount
 
     def __post_init__(self):
-        depths = np.asarray(self.depths, dtype=np.float64)
+        depths = np.asarray(self.depths, dtype=np.float64).view()
+        depths.setflags(write=False)
         object.__setattr__(self, "depths", depths)
         expected = (self.intrinsics.height, self.intrinsics.width)
         if depths.shape != expected:

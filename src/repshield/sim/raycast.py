@@ -110,7 +110,7 @@ def column_depths(world: WorldModel, robot: RobotState, intrinsics: CameraIntrin
 
 def raycast_depth(world: WorldModel, robot: RobotState, intrinsics: CameraIntrinsics,
                   mount: CameraMount, t: float = 0.0) -> DepthFrame:
-    """Render a full frame by tiling the column depths across all rows."""
+    """Render a full frame as a read-only view of one row of column depths."""
     cols = column_depths(world, robot, intrinsics, mount, t=t)
-    grid = np.tile(cols, (intrinsics.height, 1))
-    return DepthFrame(grid, intrinsics, mount)
+    return DepthFrame(np.broadcast_to(cols, (intrinsics.height, intrinsics.width)),
+                      intrinsics, mount)

@@ -306,6 +306,28 @@ def test_depth_frame_validation():
     assert DepthFrame(np.full((2, 3), -0.0), intr, mount).depths.min() == 0.0
 
 
+def test_depth_frames_are_read_only_views_of_their_input(tmp_path):
+    # Every frame refuses writes through depths, whatever built it; a
+    # float64 input is viewed, not copied, and stays writable itself.
+    intr = intrinsics_for_fov(3, 2, 90.0)
+    mount = CameraMount()
+    grid = np.tile([0.5, 0.0, 1.5], (2, 1))
+    tiled = DepthFrame(grid, intr, mount)
+    assert np.shares_memory(tiled.depths, grid)
+    save_depth_frame(tiled, tmp_path / "f.df1")
+    frames = (tiled, DepthFrame([[0.5, 0.0, 1.5]] * 2, intr, mount),
+              load_depth_frame(tmp_path / "f.df1", mount),
+              raycast_depth(WorldModel(bounds=(0.0, 0.0, 4.0, 4.0)),
+                            RobotState(1.0, 1.0, 0.0), intr, mount))
+    for frame in frames:
+        assert not frame.depths.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            frame.depths[0, 0] = 9.0
+    assert grid.flags.writeable
+    grid[0, 0] = 2.5
+    assert tiled.depths[0, 0] == 2.5
+
+
 @pytest.mark.parametrize("bad", [np.nan, -0.5])
 def test_raycast_frame_passes_the_depth_check(monkeypatch, bad):
     intr = intrinsics_for_fov(3, 2, 90.0)

@@ -15,8 +15,9 @@ import re
 import numpy as np
 import pytest
 
-from repshield import (AvoidanceConfig, CameraMount, ControlCommand,
-                       construct_obstacle_map, back_project, intrinsics_for_fov)
+from repshield import (AvoidanceConfig, CameraMount, ControlCommand, DepthFrame, Trajectory,
+                       avoidance_step, construct_obstacle_map, back_project,
+                       intrinsics_for_fov, load_depth_frame, save_depth_frame)
 from repshield.errors import InputFormatError
 from repshield.platforms import PLATFORMS, SIM_FRAME_ROWS, get_platform
 from repshield.sim import (FAR_LIMIT_M, AgentTrack, Circle, GoalSeeker, Polygon,
@@ -340,6 +341,41 @@ def test_raycast_depth_frame_tiles_rows():
     assert frame.depths.shape == (5, 7)
     for row in frame.depths[1:]:
         np.testing.assert_array_equal(row, frame.depths[0])
+
+
+def _bits(values) -> tuple:
+    """An array's shape and bytes, so that equal means bitwise equal."""
+    values = np.asarray(values, dtype=np.float64)
+    return values.shape, values.tobytes()
+
+
+@pytest.mark.parametrize("platform", sorted(PLATFORMS))
+def test_raycast_frames_are_row_views_that_read_like_copies(platform, tmp_path):
+    # A rendered frame is one read-only row repeated with a row stride of 0;
+    # lifting it, stepping the shield on it and a DF1 round trip all give
+    # what the same values in a fresh C-order grid give.
+    plat = get_platform(platform)
+    cfg = plat.config()
+    traj = Trajectory(np.array([[0.4, 0.0], [0.8, 0.05], [1.2, 0.1]]))
+    scenes = ((BUNDLED_WORLDS["corridor_03"](), RobotState(2.0, 0.5, 0.2), 0.0),
+              (BUNDLED_WORLDS["dynamic_front_approach"](), RobotState(3.3, 0.1, -0.1), 9.0))
+    for rows in (SIM_FRAME_ROWS, plat.image_height):
+        for k, (world, robot, t) in enumerate(scenes):
+            frame = raycast_depth(world, robot, plat.intrinsics(rows), plat.mount(), t=t)
+            assert not frame.depths.flags.writeable
+            assert frame.depths.strides[0] == 0
+            copy = DepthFrame(np.array(frame.depths), frame.intrinsics, frame.mount)
+            assert copy.depths.strides[0] != 0
+            assert _bits(back_project(frame, cfg)) == _bits(back_project(copy, cfg))
+            view, tiled = avoidance_step(frame, traj, cfg), avoidance_step(copy, traj, cfg)
+            assert not view.passthrough
+            assert _bits([view.command.v, view.command.omega, view.theta_des]) == _bits(
+                [tiled.command.v, tiled.command.omega, tiled.theta_des])
+            assert _bits(view.adjusted_trajectory.waypoints) == _bits(
+                tiled.adjusted_trajectory.waypoints)
+            path = tmp_path / f"{rows}_{k}.df1"
+            save_depth_frame(frame, path)
+            assert _bits(load_depth_frame(path, frame.mount).depths) == _bits(frame.depths)
 
 
 def test_reduced_row_frames_give_identical_obstacle_maps():

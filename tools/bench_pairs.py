@@ -23,7 +23,9 @@ processes included), and the summary gives each side's median of it.
 is a pytest node id run once per side, and its call duration is recorded.
 ``--fault-steps N`` counts, per side, the minor page faults of N
 ``native_replay`` steps (seed 0) in one process after three warm-up
-cycles, and records the faults per step.
+cycles, and records the faults per step. ``--pairs`` below 2 and a
+``--claim`` that does not name a workload being run and an end-to-end
+metric are refused before any run.
 """
 
 from __future__ import annotations
@@ -169,6 +171,15 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     names = args.workloads or [w["name"] for w in spec["workloads"]]
+    # Quartiles need two values, and the claim is read after every run.
+    if args.pairs < 2:
+        parser.error(f"--pairs must be at least 2, got {args.pairs}")
+    if args.claim:
+        claimed = args.claim.partition(":")[::2]
+        metrics = [m["name"] for m in spec["end_to_end"]]
+        if claimed[0] not in names or claimed[1] not in metrics:
+            parser.error(f"--claim must be WORKLOAD:METRIC with WORKLOAD one of {names} "
+                         f"and METRIC one of {metrics}, got {args.claim!r}")
     env = None
     workloads = {}
     for workload in names:
@@ -198,7 +209,7 @@ def main(argv=None) -> int:
         "workloads": workloads,
     }
     if args.claim:
-        out["claim"] = claim_block(workloads, *args.claim.split(":"))
+        out["claim"] = claim_block(workloads, *claimed)
     if args.fault_steps:
         out["replay_faults_per_step"] = {"steps": args.fault_steps, **{
             side: replay_faults_per_step(checkout, args.fault_steps)
