@@ -21,7 +21,7 @@ from ..repulsion import load_trajectory
 from ..worldgen import DYNAMIC_SCENARIOS
 from .episodes import CONTROL_PERIOD_S
 from .experiments import (ExperimentSpec, MetricsReport, per_trial_csv, report_csv,
-                          run_experiment)
+                          run_dynamic, run_experiment)
 
 
 def _add_common(parser: argparse.ArgumentParser, task: str, default_trials: int) -> None:
@@ -71,12 +71,12 @@ def _print_summary(report: MetricsReport) -> None:
 
 
 def _cmd_run(args) -> int:
-    scenario = getattr(args, "scenario", None)
-    world = f"dynamic_{scenario}" if scenario else args.world
-    report = run_experiment(ExperimentSpec(
-        task=args.task, world=world, platform=args.platform, shield=args.shield,
+    spec = ExperimentSpec(
+        task=args.task, world=args.world, platform=args.platform, shield=args.shield,
         trials=args.trials, seed=args.seed, max_distance_m=args.max_distance,
-        max_time_s=args.max_time))
+        max_time_s=args.max_time)
+    report = (run_dynamic(spec, args.scenario) if args.task == "dynamic_obstacle"
+              else run_experiment(spec))
     _print_summary(report)
     _write_outputs(report, args.out)
     return 0

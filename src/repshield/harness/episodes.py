@@ -82,21 +82,21 @@ def follow_waypoint_command(traj: Trajectory, safety) -> ControlCommand:
     return ControlCommand(safety.v_fwd, turn_rate(theta, safety))
 
 
-def episode_ticks(world: WorldModel, policy, *, platform: PlatformSpec, shield: bool,
+def episode_ticks(world: WorldModel, policy, *, platform: PlatformSpec, shield: Shield | None,
                   start: RobotState, goals: np.ndarray | None = None) -> Iterator[Tick]:
-    """Simulate the closed loop at the platform's default config, one tick per period.
+    """Simulate the closed loop, one tick per ``CONTROL_PERIOD_S``.
 
-    Ticks are ``CONTROL_PERIOD_S`` apart. Goals are visited in order; a goal
-    within ``GOAL_RADIUS_M`` is consumed at the start of a tick, and
-    consuming the last one ends the stream. Without goals it never ends.
+    ``shield`` (its latch serves this episode alone) steps on the platform
+    camera's frames; None follows the waypoints and renders nothing. Goals are
+    visited in order; one within ``GOAL_RADIUS_M`` is consumed at a tick's
+    start, and consuming the last ends the stream. Without goals it never ends.
     """
-    cfg = platform.config()
+    safety = platform.config().safety
+    mount = platform.mount()
     intr = platform.intrinsics(SIM_FRAME_ROWS)
     goals = require_points("goals", () if goals is None else goals, 2)
     gi = 0
     state = start
-    avoider = Shield(cfg)
-    decision = None
     for k in itertools.count():
         t = k * CONTROL_PERIOD_S
         while gi < len(goals) and math.dist(goals[gi], (state.x, state.y)) <= GOAL_RADIUS_M:
@@ -105,18 +105,17 @@ def episode_ticks(world: WorldModel, policy, *, platform: PlatformSpec, shield: 
             return
         # Looked up per tick on this module: a benchmark stamps ticks by patching it.
         traj = policy_trajectory(policy, state, goals[gi] if len(goals) else None)
-        if shield:
-            frame = raycast_depth(world, state, intr, cfg.mount, t=t)
-            decision, cmd = avoider.step(frame, traj)
+        if shield is not None:
+            decision, cmd = shield.step(raycast_depth(world, state, intr, mount, t=t), traj)
         else:
-            cmd = follow_waypoint_command(traj, cfg.safety)
+            decision, cmd = None, follow_waypoint_command(traj, safety)
         state = step_kinematics(state, cmd, CONTROL_PERIOD_S)
         yield Tick(t, decision, cmd, state,
                    check_collision(world, state, t=t + CONTROL_PERIOD_S))
 
 
 def run_episode(world: WorldModel, policy, *, platform: PlatformSpec,
-                shield: bool, start: RobotState, goals: np.ndarray | None = None,
+                shield: Shield | None, start: RobotState, goals: np.ndarray | None = None,
                 max_distance_m: float = math.inf, max_time_s: float = 300.0,
                 stop_on_collision: bool = False) -> EpisodeResult:
     """Fold the ticks of one episode into its metrics and logs.
@@ -131,7 +130,7 @@ def run_episode(world: WorldModel, policy, *, platform: PlatformSpec,
     check_caps(max_time_s, max_distance_m)
     max_ticks = int(round(max_time_s / CONTROL_PERIOD_S))
     traj_rows = [TRAJECTORY_LOG_HEADER]
-    dec_rows = [DECISION_LOG_HEADER] if shield else None
+    dec_rows = [DECISION_LOG_HEADER] if shield is not None else None
     state = start
     distance = clear_distance = 0.0
     collisions, collided_prev = 0, False

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..config import require_int
 from ..errors import InputFormatError
+from ..pipeline import Shield
 from ..platforms import PlatformSpec, get_platform
 from ..sim import RobotState, WorldModel, check_collision, load_world, perturb_agent
 from ..sim.policies import GoalSeeker, Wanderer
@@ -207,8 +208,8 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
         world = _perturbed_agents(base, spec.seed, trial) if dynamic else base
         start = sample_start(world, platform, _trial_rng(spec.seed, trial, _STREAM_START))
         records.append(run_episode(world, new_policy(spec, trial), platform=platform,
-                                   shield=spec.shield, start=start, goals=goals,
-                                   max_distance_m=spec.max_distance_m,
+                                   shield=Shield(platform.config()) if spec.shield else None,
+                                   start=start, goals=goals, max_distance_m=spec.max_distance_m,
                                    max_time_s=spec.max_time_s,
                                    stop_on_collision=stop_on_collision))
     return _aggregate(spec, records)
@@ -232,8 +233,11 @@ def run_goal_conditioned(spec: ExperimentSpec) -> MetricsReport:
 
 def run_dynamic(spec: ExperimentSpec, scenario: str | None = None) -> MetricsReport:
     """``run_experiment`` for a dynamic_obstacle spec; ``scenario`` names the
-    bundled world ``dynamic_<scenario>`` when the spec gives no world."""
-    if spec.world is None and scenario:
+    bundled world ``dynamic_<scenario>``, so the spec must give no world."""
+    if scenario and spec.world is not None:
+        world = repr(str(spec.world)) if isinstance(spec.world, (str, Path)) else "<WorldModel>"
+        raise ValueError(f"scenario {scenario!r} and world {world} both name the world; give one")
+    if scenario:
         spec = replace(spec, world=f"dynamic_{scenario}")
     return _run_task("dynamic_obstacle", spec)
 

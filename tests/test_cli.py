@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from repshield import (CameraMount, DepthFrame, Trajectory, get_platform,
+from repshield import (CameraMount, DepthFrame, Shield, Trajectory, get_platform,
                        intrinsics_for_fov, save_depth_frame)
 from repshield.harness import (ExperimentSpec, episodes, report_csv, resolve_world,
                                run_episode, run_experiment)
@@ -246,8 +246,9 @@ def test_replay_of_recorded_closed_loop_matches_its_decision_log(
     world = resolve_world(world_name)
     # Exploration wanders from a given pose; the goal worlds bring start and goals.
     goals = world.goals if start is None else None
+    platform = get_platform("locobot")
     res = run_episode(world, _FixedPolicy(load_trajectory(traj_path)),
-                      platform=get_platform("locobot"), shield=True,
+                      platform=platform, shield=Shield(platform.config()),
                       start=RobotState(*(start or world.start)), goals=goals,
                       max_time_s=max_time_s)
     monkeypatch.undo()

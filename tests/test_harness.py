@@ -7,18 +7,20 @@ import hashlib
 import itertools
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repshield.config import load_config
 from repshield.errors import InputFormatError
 from repshield.harness import (CONTROL_PERIOD_S, GOAL_RADIUS_M, ExperimentSpec, Tick,
-                               episode_ticks, per_trial_csv, report_csv, resolve_world,
+                               episode_ticks, episodes, per_trial_csv, report_csv, resolve_world,
                                run_dynamic, run_episode, run_experiment, run_exploration,
                                run_goal_conditioned)
-from repshield.pipeline import decision_log_row
-from repshield.platforms import get_platform
-from repshield.sim import RobotState, WorldModel, load_world, save_world
+from repshield.pipeline import Shield, decision_log_row
+from repshield.platforms import SIM_FRAME_ROWS, get_platform
+from repshield.sim import RobotState, WorldModel, load_world, raycast_depth, save_world
 from repshield.sim.policies import GoalSeeker, Wanderer
 from repshield.worldgen import BUNDLED_WORLDS
 
@@ -195,9 +197,12 @@ def test_trials_have_distinct_starts():
 # ---------------------------------------------------------------------------
 
 def _arena_episode(shield: bool = True, goals=None) -> dict:
+    """Arguments for one arena episode; each call builds its own Shield, so
+    no two episodes share a rotation latch."""
     platform = get_platform("locobot")
     x, y, h = _GOAL_ARENA.start
-    return dict(world=_GOAL_ARENA, platform=platform, shield=shield, goals=goals,
+    return dict(world=_GOAL_ARENA, platform=platform, goals=goals,
+                shield=Shield(platform.config()) if shield else None,
                 start=RobotState(x, y, h, platform.footprint_radius_m, platform.name))
 
 
@@ -209,9 +214,9 @@ def _trajectory_row(tick: Tick) -> str:
 
 @pytest.mark.parametrize("shield", [True, False])
 def test_each_tick_is_one_row_of_each_log_and_the_stream_ends_at_arrival(shield):
-    episode = _arena_episode(shield, goals=_GOAL_ARENA.goals)
-    ticks = list(episode_ticks(policy=GoalSeeker(), **episode))
-    rec = run_episode(policy=GoalSeeker(), max_time_s=60.0, **episode)
+    ticks = list(episode_ticks(policy=GoalSeeker(), **_arena_episode(shield, _GOAL_ARENA.goals)))
+    rec = run_episode(policy=GoalSeeker(), max_time_s=60.0,
+                      **_arena_episode(shield, _GOAL_ARENA.goals))
     assert rec.arrived and len(ticks) * CONTROL_PERIOD_S == rec.completion_time_s
     assert rec.trajectory_log.splitlines()[1:] == [_trajectory_row(t) for t in ticks]
     if shield:
@@ -228,12 +233,60 @@ def test_each_tick_is_one_row_of_each_log_and_the_stream_ends_at_arrival(shield)
 
 
 def test_tick_stream_without_goals_runs_past_the_time_cap():
-    episode = _arena_episode()
-    rec = run_episode(policy=Wanderer(seed=4), max_time_s=1.0, **episode)
-    ticks = list(itertools.islice(episode_ticks(policy=Wanderer(seed=4), **episode), 15))
+    rec = run_episode(policy=Wanderer(seed=4), max_time_s=1.0, **_arena_episode())
+    ticks = list(itertools.islice(episode_ticks(policy=Wanderer(seed=4), **_arena_episode()), 15))
     assert not rec.arrived
     assert [t.t for t in ticks] == [k * CONTROL_PERIOD_S for k in range(15)]
     assert rec.trajectory_log.splitlines()[1:] == [_trajectory_row(t) for t in ticks[:10]]
+
+
+class _SpyShield(Shield):
+    """A Shield that keeps every frame it is stepped on."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.frames = []
+
+    def step(self, frame, traj):
+        self.frames.append(frame)
+        return super().step(frame, traj)
+
+
+@pytest.mark.parametrize("platform_name", ["locobot", "turtlebot4", "robomaster"])
+def test_episode_steps_the_shield_it_is_handed_on_the_platform_camera(platform_name, tmp_path):
+    # The shield declares an unbiased sensor; the simulator still renders with
+    # the platform's camera, so each frame carries the platform's depth bias.
+    platform = get_platform(platform_name)
+    cfg_path = tmp_path / "unbiased.cfg"
+    cfg_path.write_text("depth_offset_m = 0\n")
+    spy = _SpyShield(load_config(cfg_path, base=platform.config()))
+    assert spy.cfg.mount.depth_offset_m == 0.0
+    world = resolve_world("corridor_01")
+    start = RobotState(*world.start, platform.footprint_radius_m, platform.name)
+    ticks = list(itertools.islice(episode_ticks(world, GoalSeeker(), platform=platform,
+                                                shield=spy, start=start, goals=world.goals), 10))
+    assert len(spy.frames) == len(ticks) == 10
+    intr = platform.intrinsics(SIM_FRAME_ROWS)
+    unbiased = replace(platform.mount(), depth_offset_m=0.0)
+    for tick, frame, pose in zip(ticks, spy.frames, [start] + [t.state for t in ticks]):
+        assert frame.mount == platform.mount()
+        rendered = raycast_depth(world, pose, intr, platform.mount(), t=tick.t)
+        assert np.array_equal(frame.depths, rendered.depths)
+        true_depth = raycast_depth(world, pose, intr, unbiased, t=tick.t).depths
+        hit = true_depth > 0.0
+        assert hit.any()
+        np.testing.assert_allclose(frame.depths[hit] - true_depth[hit],
+                                   platform.mount().depth_offset_m, atol=1e-12)
+
+
+def test_follower_episode_renders_no_frame(monkeypatch):
+    def no_render(*args, **kwargs):
+        raise AssertionError("the follower rendered a frame")
+
+    monkeypatch.setattr(episodes, "raycast_depth", no_render)
+    rec = run_episode(policy=GoalSeeker(), max_time_s=60.0,
+                      **_arena_episode(shield=False, goals=_GOAL_ARENA.goals))
+    assert rec.arrived and rec.decision_log is None
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +457,16 @@ def test_goal_run_requires_goals():
     spec = ExperimentSpec(task="goal_conditioned", world=_EMPTY_ARENA, trials=1)
     with pytest.raises(InputFormatError):
         run_goal_conditioned(spec)
+
+
+@pytest.mark.parametrize("world, named", [
+    ("dynamic_front_approach", "'dynamic_front_approach'"),
+    (BUNDLED_WORLDS["dynamic_front_approach"](), "<WorldModel>"),
+], ids=["name", "model"])
+def test_dynamic_run_refuses_a_scenario_beside_a_world(world, named):
+    spec = ExperimentSpec(task="dynamic_obstacle", world=world, trials=1)
+    with pytest.raises(ValueError, match=f"^scenario 'side_appear' and world {named} both name"):
+        run_dynamic(spec, scenario="side_appear")
 
 
 def test_dynamic_run_requires_agents():

@@ -15,8 +15,8 @@ import re
 import numpy as np
 import pytest
 
-from repshield import (AvoidanceConfig, CameraMount, ControlCommand, DepthFrame, Trajectory,
-                       avoidance_step, construct_obstacle_map, back_project,
+from repshield import (AvoidanceConfig, CameraMount, ControlCommand, DepthFrame, Shield,
+                       Trajectory, avoidance_step, construct_obstacle_map, back_project,
                        intrinsics_for_fov, load_depth_frame, save_depth_frame)
 from repshield.errors import InputFormatError
 from repshield.platforms import PLATFORMS, SIM_FRAME_ROWS, get_platform
@@ -793,7 +793,7 @@ def test_closed_loop_empty_world_reaches_goal():
     plat = get_platform("locobot")
     w = WorldModel(bounds=(-2.0, -5.0, 12.0, 5.0), bounds_solid=False)
     start = RobotState(0.0, 0.0, 0.0, plat.footprint_radius_m, plat.name)
-    res = run_episode(w, GoalSeeker(), platform=plat, shield=True, start=start,
+    res = run_episode(w, GoalSeeker(), platform=plat, shield=Shield(plat.config()), start=start,
                       goals=np.array([[5.0, 0.0]]), max_time_s=60.0)
     assert res.arrived
     assert res.collisions == 0
