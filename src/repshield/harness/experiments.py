@@ -21,7 +21,7 @@ from ..pipeline import Shield
 from ..platforms import PlatformSpec, get_platform
 from ..sim import RobotState, WorldModel, check_collision, load_world, perturb_agent
 from ..sim.policies import GoalSeeker, Wanderer
-from ..worldgen import BUNDLED_WORLDS
+from ..worldgen import BUNDLED_WORLDS, DYNAMIC_SCENARIOS
 from .episodes import EpisodeResult, check_caps, run_episode
 
 TASKS = ("exploration", "goal_conditioned", "dynamic_obstacle")
@@ -234,6 +234,8 @@ def run_goal_conditioned(spec: ExperimentSpec) -> MetricsReport:
 def run_dynamic(spec: ExperimentSpec, scenario: str | None = None) -> MetricsReport:
     """``run_experiment`` for a dynamic_obstacle spec; ``scenario`` names the
     bundled world ``dynamic_<scenario>``, so the spec must give no world."""
+    if scenario and scenario not in DYNAMIC_SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}; choose from {DYNAMIC_SCENARIOS}")
     if scenario and spec.world is not None:
         world = repr(str(spec.world)) if isinstance(spec.world, (str, Path)) else "<WorldModel>"
         raise ValueError(f"scenario {scenario!r} and world {world} both name the world; give one")

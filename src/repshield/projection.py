@@ -122,6 +122,11 @@ def back_project(frame: DepthFrame, cfg: AvoidanceConfig) -> np.ndarray:
     into exact per-row depth bounds. Points come out in row-major pixel
     order, so ties elsewhere can be broken by lowest pixel index. Returns
     an (N, 3) column-major view, columns X, Y, Z.
+
+    When the candidate rows are one stored row (row stride 0, as in every
+    ``raycast_depth`` frame), each column's passing pixels share X and Z, so
+    only the first of them is lifted: the full lift with each column's
+    repeats dropped, at most ``width`` points. Any other grid is fully lifted.
     """
     intr = frame.intrinsics
     top, lo, hi, u_off, v_off = _cut_tables(intr, cfg.tau_z, cfg.epsilon,
@@ -129,13 +134,21 @@ def back_project(frame: DepthFrame, cfg: AvoidanceConfig) -> np.ndarray:
     d = frame.depths[top:]
     keep = d >= lo
     keep &= d <= hi
-    lifted = np.flatnonzero(keep)
-    # Sized to the candidate rows, not to the survivors: every frame of one
+    if d.strides[0] == 0 and len(d) > 1:
+        # Each column's first passing pixel, sorted back into row-major order.
+        width = d.shape[1]
+        first = keep.argmax(axis=0) * width + np.arange(width)
+        lifted = np.sort(first[keep.ravel()[first]])
+        depths, at = d[0], lifted % width
+    else:
+        lifted = np.flatnonzero(keep)
+        depths, at = d, lifted
+    # Sized to the stored depths, not to the survivors: every frame of one
     # size then asks for the same block, which the allocator keeps mapped
     # (smaller blocks cost about 40 minor page faults a native step). The
     # indices are in range, and mode="clip" spares take a copy of ``out``.
-    pts = np.empty((3, d.size))[:, :lifted.size]
-    z = np.take(d, lifted, out=pts[2], mode="clip")
+    pts = np.empty((3, depths.size))[:, :lifted.size]
+    z = np.take(depths, at, out=pts[2], mode="clip")
     # X = ((u - cx) * d) / fx and Y = ((v - cy) * d) / fy, as on the grid.
     for offsets, row, focal in ((u_off, pts[0], intr.fx), (v_off, pts[1], intr.fy)):
         np.take(offsets, lifted, out=row, mode="clip")

@@ -37,16 +37,30 @@ def oracle_back_project(frame) -> np.ndarray:
     return np.column_stack((x, y, depth))
 
 
-def oracle_cut(points: np.ndarray, cfg: AvoidanceConfig) -> np.ndarray:
-    """The points that pass the obstacle cuts, in their input order:
-    Z - depth_offset_m in (0, tau_z] and Y >= -epsilon."""
+def _oracle_passes(points: np.ndarray, cfg: AvoidanceConfig) -> np.ndarray:
+    """Per point, whether Z - depth_offset_m is in (0, tau_z] and Y >= -epsilon."""
     z = points[:, 2] - cfg.mount.depth_offset_m
-    return points[(z > 0) & (z <= cfg.tau_z) & (points[:, 1] >= -cfg.epsilon)]
+    return (z > 0) & (z <= cfg.tau_z) & (points[:, 1] >= -cfg.epsilon)
+
+
+def oracle_cut(points: np.ndarray, cfg: AvoidanceConfig) -> np.ndarray:
+    """The points that pass the obstacle cuts, in their input order."""
+    return points[_oracle_passes(points, cfg)]
 
 
 def oracle_lifted(frame, cfg: AvoidanceConfig) -> np.ndarray:
     """``oracle_back_project`` restricted to the obstacle cuts."""
     return oracle_cut(oracle_back_project(frame), cfg)
+
+
+def oracle_lifted_once(frame, cfg: AvoidanceConfig) -> np.ndarray:
+    """``oracle_lifted`` with each pixel column's repeats dropped: only the
+    first point lifted from a column is kept, and the order is unchanged."""
+    points = oracle_back_project(frame)
+    passes = _oracle_passes(points, cfg)
+    columns = np.nonzero(frame.depths > 0)[1][passes]
+    _, first = np.unique(columns, return_index=True)
+    return points[passes][np.sort(first)]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from repshield.pipeline import Shield, decision_log_row
 from repshield.platforms import SIM_FRAME_ROWS, get_platform
 from repshield.sim import RobotState, WorldModel, load_world, raycast_depth, save_world
 from repshield.sim.policies import GoalSeeker, Wanderer
-from repshield.worldgen import BUNDLED_WORLDS
+from repshield.worldgen import BUNDLED_WORLDS, DYNAMIC_SCENARIOS
 
 _EMPTY_ARENA = WorldModel(bounds=(0.0, 0.0, 4.0, 4.0), bounds_solid=False,
                           start=(2.0, 2.0, 0.0))
@@ -467,6 +467,18 @@ def test_dynamic_run_refuses_a_scenario_beside_a_world(world, named):
     spec = ExperimentSpec(task="dynamic_obstacle", world=world, trials=1)
     with pytest.raises(ValueError, match=f"^scenario 'side_appear' and world {named} both name"):
         run_dynamic(spec, scenario="side_appear")
+
+
+def test_dynamic_run_refuses_an_unknown_scenario_by_its_own_name(tmp_path, monkeypatch):
+    # A file named like the scenario's world is not read as the scenario.
+    monkeypatch.chdir(tmp_path)
+    save_world(BUNDLED_WORLDS["dynamic_side_appear"](), tmp_path / "dynamic_bogus")
+    spec = ExperimentSpec(task="dynamic_obstacle", trials=1)
+    message = f"unknown scenario 'bogus'; choose from {DYNAMIC_SCENARIOS}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_dynamic(spec, scenario="bogus")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_dynamic(replace(spec, world="corridor_empty"), scenario="bogus")
 
 
 def test_dynamic_run_requires_agents():

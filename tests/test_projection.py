@@ -15,7 +15,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import oracle_cut, oracle_lifted, oracle_obstacle_map, random_cloud
+from conftest import (oracle_cut, oracle_lifted, oracle_lifted_once, oracle_obstacle_map,
+                      random_cloud)
 from repshield import (AvoidanceConfig, CameraIntrinsics, CameraMount, DepthFrame,
                        InputFormatError, Trajectory, avoidance_step, back_project,
                        construct_obstacle_map, intrinsics_for_fov, load_depth_frame,
@@ -23,7 +24,7 @@ from repshield import (AvoidanceConfig, CameraIntrinsics, CameraMount, DepthFram
 from repshield.harness import resolve_world
 from repshield.platforms import PLATFORMS
 from repshield.projection import _cut_tables, bin_half_range
-from repshield.sim import RobotState, WorldModel, raycast_depth
+from repshield.sim import RobotState, WorldModel, check_collision, raycast_depth
 
 
 def _cfg(**overrides) -> AvoidanceConfig:
@@ -205,13 +206,107 @@ def test_property_back_project_matches_oracle_bitwise():
     assert len(_assert_back_project_matches_oracle(zeros, _cfg(epsilon=1.0))) == 0
 
 
+_TRAJ = Trajectory(np.array([[0.4, 0.0], [0.8, 0.05], [1.2, 0.1]]))
+
+
+def _map_bytes(points, cfg) -> tuple:
+    omap = construct_obstacle_map(points, cfg)
+    return omap.points.tobytes(), omap.bins.tobytes()
+
+
+def _assert_lifts_once_and_decides_as_copy(frame, cfg) -> np.ndarray:
+    """A frame of one stored row gives at most ``width`` points, the oracle's
+    with each column's repeats dropped; a C-order copy gives the full oracle,
+    and both give the same obstacle map and decision, bitwise."""
+    assert frame.depths.strides[0] == 0
+    cloud = back_project(frame, cfg)
+    assert len(cloud) <= frame.intrinsics.width
+    once = oracle_lifted_once(frame, cfg)
+    assert cloud.shape == once.shape and cloud.tobytes() == once.tobytes()
+    copy = DepthFrame(np.array(frame.depths), frame.intrinsics, frame.mount)
+    assert _map_bytes(cloud, cfg) == _map_bytes(_assert_back_project_matches_oracle(copy, cfg), cfg)
+    view, full = avoidance_step(frame, _TRAJ, cfg), avoidance_step(copy, _TRAJ, cfg)
+    assert (np.array([view.command.v, view.command.omega, view.theta_des]).tobytes()
+            == np.array([full.command.v, full.command.omega, full.theta_des]).tobytes())
+    assert (view.adjusted_trajectory.waypoints.tobytes()
+            == full.adjusted_trajectory.waypoints.tobytes())
+    return cloud
+
+
 def test_back_project_native_frames_match_oracle_bitwise():
     world = resolve_world("corridor_03")
     for plat in PLATFORMS.values():
         frame = raycast_depth(world, RobotState(1.0, 1.0, 0.3), plat.intrinsics(), plat.mount())
         assert frame.depths.shape == (plat.image_height, plat.image_width)
-        cloud = _assert_back_project_matches_oracle(frame, plat.config())
-        assert len(cloud) > 0
+        assert len(_assert_lifts_once_and_decides_as_copy(frame, plat.config())) > 0
+
+
+def _pool_rows(plat, intr, rng, count: int) -> list:
+    """Rendered rows at poses drawn like the native replay's: uniform over a
+    corridor, collision-free with 5 cm to spare, heading within 90 degrees
+    of +x."""
+    rows = []
+    margin = plat.footprint_radius_m + 0.05
+    while len(rows) < count:
+        world = resolve_world(f"corridor_{int(rng.integers(1, 11)):02d}")
+        xmin, ymin, xmax, ymax = world.bounds
+        robot = RobotState(rng.uniform(xmin + margin, xmax - margin),
+                           rng.uniform(ymin + margin, ymax - margin),
+                           rng.uniform(-math.pi / 2, math.pi / 2), margin)
+        if not check_collision(world, robot):
+            rows.append(raycast_depth(world, robot, intr, plat.mount()).depths[0])
+    return rows
+
+
+def _straddling_row(intr, cfg, rng) -> np.ndarray:
+    """A row of two adjacent floats near 0.95 m that give one Z - offset but
+    first pass the cuts on different rows: a row bound and its neighbour
+    outside it, in a random column order. Without such a bound, zeros."""
+    _, lo, hi, *_ = _cut_tables(intr, cfg.tau_z, cfg.epsilon, cfg.mount.depth_offset_m)
+    live = (lo <= hi)[:, 0]
+    bounds = [(float(b), float(np.nextafter(b, toward)))
+              for table, toward in ((lo, 0.0), (hi, math.inf))
+              for b in np.unique(table[live]) if 0 < b < math.inf]
+    offset = cfg.mount.depth_offset_m
+    pairs = sorted((abs(b - 0.95), b, out) for b, out in bounds if b - offset == out - offset)
+    if not pairs:
+        return np.zeros(intr.width)
+    return rng.choice(pairs[0][1:], size=intr.width)
+
+
+def test_one_stored_row_frames_decide_as_their_c_order_copies():
+    # Rendered rows, zeros and straddling rows over 3, 7 and native rows and
+    # three epsilons. A straddling row ties on Z across columns whose first
+    # passing rows differ, so the map's lowest-index winner depends on the
+    # lifted points keeping row-major order.
+    rng = np.random.default_rng(28)
+    straddled = 0
+    for plat in PLATFORMS.values():
+        for height in (3, 7, plat.image_height):
+            intr = plat.intrinsics(height)
+            renders = _pool_rows(plat, intr, rng, 2)
+            for epsilon in (-0.05, 0.0, 0.3):
+                for offset in sorted({plat.camera.depth_offset_m, -0.1}):
+                    mount = CameraMount(x_offset_m=plat.camera.x_offset_m,
+                                        fov_deg=plat.camera.fov_deg, depth_offset_m=offset)
+                    cfg = AvoidanceConfig(mount=mount, tau_z=plat.tau_z_m, epsilon=epsilon,
+                                          bin_count=plat.default_bin_count)
+                    straddle = _straddling_row(intr, cfg, rng)
+                    straddled += bool(straddle.any())
+                    for row in (*renders, np.zeros(intr.width), straddle):
+                        frame = DepthFrame(np.broadcast_to(row, (height, intr.width)),
+                                           intr, mount)
+                        _assert_lifts_once_and_decides_as_copy(frame, cfg)
+    assert straddled == 29  # of the 45 configurations
+    # One row under a negative epsilon leaves no candidate row at all.
+    for plat in PLATFORMS.values():
+        native = plat.intrinsics()
+        intr = CameraIntrinsics(native.fx, native.fy, native.cx, 0.0, native.width, 1)
+        frame = DepthFrame(np.broadcast_to(np.full(native.width, 0.5), (1, native.width)),
+                           intr, plat.mount())
+        assert frame.depths.strides[0] == 0
+        assert back_project(frame, plat.config()).shape == (0, 3)
+        _assert_lifts_once_and_decides_as_copy(frame, plat.config())
 
 
 def _passes_cuts(v: int, d: float, intr: CameraIntrinsics, cfg: AvoidanceConfig) -> bool:

@@ -28,7 +28,7 @@ from repshield.sim.world import _BROAD_MARGIN_M
 from repshield.harness import GOAL_RADIUS_M, run_episode
 from repshield.worldgen import BUNDLED_WORLDS
 
-from conftest import oracle_collision, oracle_column_depths
+from conftest import oracle_collision, oracle_column_depths, oracle_lifted, oracle_lifted_once
 
 
 def _square(cx, cy, side):
@@ -351,9 +351,10 @@ def _bits(values) -> tuple:
 
 @pytest.mark.parametrize("platform", sorted(PLATFORMS))
 def test_raycast_frames_are_row_views_that_read_like_copies(platform, tmp_path):
-    # A rendered frame is one read-only row repeated with a row stride of 0;
-    # lifting it, stepping the shield on it and a DF1 round trip all give
-    # what the same values in a fresh C-order grid give.
+    # A rendered frame is one read-only row repeated with a row stride of 0.
+    # Lifting it gives the oracle's cloud with each column's repeats dropped,
+    # a fresh C-order grid of the same values gives the full oracle, and the
+    # obstacle map, the shield's decision and a DF1 round trip agree.
     plat = get_platform(platform)
     cfg = plat.config()
     traj = Trajectory(np.array([[0.4, 0.0], [0.8, 0.05], [1.2, 0.1]]))
@@ -366,7 +367,12 @@ def test_raycast_frames_are_row_views_that_read_like_copies(platform, tmp_path):
             assert frame.depths.strides[0] == 0
             copy = DepthFrame(np.array(frame.depths), frame.intrinsics, frame.mount)
             assert copy.depths.strides[0] != 0
-            assert _bits(back_project(frame, cfg)) == _bits(back_project(copy, cfg))
+            cloud, full = back_project(frame, cfg), back_project(copy, cfg)
+            assert _bits(cloud) == _bits(oracle_lifted_once(frame, cfg))
+            assert _bits(full) == _bits(oracle_lifted(copy, cfg))
+            maps = [construct_obstacle_map(points, cfg) for points in (cloud, full)]
+            assert _bits(maps[0].points) == _bits(maps[1].points)
+            assert maps[0].bins.tolist() == maps[1].bins.tolist()
             view, tiled = avoidance_step(frame, traj, cfg), avoidance_step(copy, traj, cfg)
             assert not view.passthrough
             assert _bits([view.command.v, view.command.omega, view.theta_des]) == _bits(
