@@ -87,7 +87,9 @@ class DepthFrame:
                 f"depth grid shape {depths.shape} does not match intrinsics {expected}"
             )
         # A nan propagates through both reductions and fails both compares.
-        if not (depths.min() >= 0 and depths.max() < math.inf):
+        # Rows of stride 0 are one stored row, so checking it checks them all.
+        stored = depths[:1] if depths.strides[0] == 0 else depths
+        if not (stored.min() >= 0 and stored.max() < math.inf):
             raise InputFormatError("depth values must be finite and non-negative")
 
 
@@ -125,22 +127,26 @@ def back_project(frame: DepthFrame, cfg: AvoidanceConfig) -> np.ndarray:
 
     When the candidate rows are one stored row (row stride 0, as in every
     ``raycast_depth`` frame), each column's passing pixels share X and Z, so
-    only the first of them is lifted: the full lift with each column's
-    repeats dropped, at most ``width`` points. Any other grid is fully lifted.
+    only the first of them is lifted, at a row found by binary search over
+    the cut bounds: the full lift with each column's repeats dropped, at
+    most ``width`` points. Any other grid is fully lifted.
     """
     intr = frame.intrinsics
     top, lo, hi, u_off, v_off = _cut_tables(intr, cfg.tau_z, cfg.epsilon,
                                             cfg.mount.depth_offset_m)
     d = frame.depths[top:]
-    keep = d >= lo
-    keep &= d <= hi
     if d.strides[0] == 0 and len(d) > 1:
-        # Each column's first passing pixel, sorted back into row-major order.
-        width = d.shape[1]
-        first = keep.argmax(axis=0) * width + np.arange(width)
-        lifted = np.sort(first[keep.ravel()[first]])
+        # The rows a column passes are a suffix (``_cut_tables``): binary-search
+        # its first (n: none), then sort the pixels back into row-major order.
+        n, width = d.shape
+        first = np.maximum(n - np.searchsorted(lo[::-1, 0], d[0], side="right"),
+                           np.searchsorted(hi[:, 0], d[0], side="left"))
+        cols = np.flatnonzero(first < n)
+        lifted = np.sort(first[cols] * width + cols)
         depths, at = d[0], lifted % width
     else:
+        keep = d >= lo
+        keep &= d <= hi
         lifted = np.flatnonzero(keep)
         depths, at = d, lifted
     # Sized to the stored depths, not to the survivors: every frame of one
@@ -185,6 +191,10 @@ def _cut_tables(intr: CameraIntrinsics, tau_z: float, epsilon: float, offset: fl
     passes the height cut; hi is the greatest d that passes the range cut
     and, above it (Y falls), the height cut. On the row at cy, Y = 0 passes
     or fails the whole row. A row that passes nothing gets lo > hi.
+
+    Down the candidate rows lo never increases and hi never decreases, as
+    for a fixed d, Y rises with v and ``top`` skips every row at or above
+    cy when epsilon < 0. So the rows a depth passes form a suffix.
     """
     # Y has the sign of v - cy, so when -epsilon > 0 no row at or above the
     # principal point can pass the height cut.

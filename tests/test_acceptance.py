@@ -101,6 +101,7 @@ _INVARIANT_TESTS = {
         "test_property_tau_monotonicity_with_pinned_window",
         "test_property_emitted_ranges",
         "test_frontal_wall_depth_recovered",
+        "test_cut_tables_are_monotone",
     ],
     "test_repulsion": [
         "test_property_force_strictly_decreases_with_distance",

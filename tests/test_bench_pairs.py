@@ -4,6 +4,7 @@ any benchmark process starts."""
 from __future__ import annotations
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -42,3 +43,39 @@ def test_bad_arguments_are_refused_before_any_run(extra, message, monkeypatch, t
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert started == [] and not out.exists()
+
+
+def _stub_run(wrong_change_seed):
+    """A run_bench whose change wins every pair on every metric, and whose
+    change run at ``wrong_change_seed`` prints ``correct: false``."""
+    def run_bench(checkout, workload, seed, seconds, trace):
+        change = checkout.name == "change"
+        values = {"ticks_per_s": 2000.0 + seed + 2000.0 * change,
+                  "tick_ms_p99": 0.8 - 0.4 * change,
+                  "setup_s": 1.0 - 0.1 * change,
+                  "peak_rss_mb": 45.0 - 1.0 * change}
+        result = {"correct": not (change and seed == wrong_change_seed), "failed": 0,
+                  "metrics": {k: {"value": v} for k, v in values.items()}}
+        return result, {"host": "stub"}, 0
+    return run_bench
+
+
+@pytest.mark.parametrize("wrong_change_seed, met, wrong", [(None, True, 0), (3, False, 1)],
+                         ids=["all_correct", "one_change_run_incorrect"])
+def test_claim_is_not_met_while_a_run_is_wrong(wrong_change_seed, met, wrong, monkeypatch,
+                                               tmp_path):
+    bench_pairs = _bench_pairs()
+    monkeypatch.setattr(bench_pairs, "run_bench", _stub_run(wrong_change_seed))
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"), "--pairs", "10",
+                             "--workloads", "native_replay",
+                             "--claim", "native_replay:ticks_per_s", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert result["workloads"]["native_replay"]["summary"]["ticks_per_s"]["change_wins"] == "10/10"
+    assert result["workloads"]["native_replay"]["wrong_runs"] == {"parent": 0, "change": wrong}
+    assert result["claim"]["wrong_runs"] == wrong
+    assert result["claim"]["met"] is met

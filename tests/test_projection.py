@@ -309,6 +309,33 @@ def test_one_stored_row_frames_decide_as_their_c_order_copies():
         _assert_lifts_once_and_decides_as_copy(frame, plat.config())
 
 
+def test_one_stored_row_frames_lift_at_the_cut_bounds_exactly():
+    # Columns set to every row's bounds and to the floats just outside them,
+    # in a random column order: the binary search must place each at the
+    # first row the full compare passes, on either side of every bound.
+    rng = np.random.default_rng(29)
+    lifted = 0
+    for plat in PLATFORMS.values():
+        for height in (3, 7, plat.image_height):
+            intr = plat.intrinsics(height)
+            for epsilon in (-1e-9, -0.0, 1e-9):
+                cfg = AvoidanceConfig(mount=plat.mount(), tau_z=plat.tau_z_m, epsilon=epsilon,
+                                      bin_count=plat.default_bin_count)
+                _, lo, hi, *_ = _cut_tables(intr, cfg.tau_z, epsilon,
+                                            cfg.mount.depth_offset_m)
+                bounds = np.unique(np.concatenate((lo, hi)))
+                values = np.concatenate((bounds, np.nextafter(bounds, 0.0),
+                                         np.nextafter(bounds, math.inf)))
+                values = rng.permutation(np.unique(values[np.isfinite(values)]))
+                for start in range(0, values.size, intr.width):
+                    row = np.zeros(intr.width)
+                    row[:values.size - start] = values[start:start + intr.width]
+                    frame = DepthFrame(np.broadcast_to(rng.permutation(row),
+                                                       (height, intr.width)), intr, cfg.mount)
+                    lifted += len(_assert_lifts_once_and_decides_as_copy(frame, cfg))
+    assert lifted > 0
+
+
 def _passes_cuts(v: int, d: float, intr: CameraIntrinsics, cfg: AvoidanceConfig) -> bool:
     """The obstacle cuts on one pixel, with the oracle's arithmetic."""
     y = (v - intr.cy) * d / intr.fy
@@ -350,6 +377,21 @@ def test_property_cut_bounds_reproduce_the_cuts():
         assert all(not _passes_cuts(v, d, intr, cfg) for v in range(top) for d in probes[v])
         depths = np.tile(probes, (1, width))[:, :width]
         _assert_back_project_matches_oracle(DepthFrame(depths, intr, mount), cfg)
+
+
+def test_cut_tables_are_monotone():
+    # back_project finds a one-stored-row column's first passing row by
+    # binary search, which is exact only while, down the candidate rows, lo
+    # never increases and hi never decreases.
+    for plat in PLATFORMS.values():
+        for height in (2, 3, 7, plat.image_height):
+            intr = plat.intrinsics(height)
+            for epsilon in (-0.05, -1e-9, -0.0, 0.0, 1e-9, 0.3):
+                for offset in (plat.camera.depth_offset_m, -0.1, 0.0, 0.2):
+                    for tau_z in (0.5, plat.tau_z_m, 3.0):
+                        _, lo, hi, *_ = _cut_tables(intr, tau_z, epsilon, offset)
+                        case = (plat.name, height, epsilon, offset, tau_z)
+                        assert (lo[1:] <= lo[:-1]).all() and (hi[1:] >= hi[:-1]).all(), case
 
 
 def test_back_project_checks_clouds_whose_points_can_overflow():

@@ -16,9 +16,12 @@ neither side), the relative change of the medians, whether that change is
 within the benchmark's bound and the parent's interquartile range. With
 ``--claim W:M`` a claim block applies the paired rule: the change wins at
 least nine tenths of the pairs and the medians differ by more than the
-parent's interquartile range. Each run also records ``minflt``, the minor
-page faults of its process tree (the ``RUSAGE_CHILDREN`` delta, set-up
-processes included), and the summary gives each side's median of it.
+parent's interquartile range; it is not met while any untraced run of either
+side printed ``correct`` other than true or ``failed`` above 0, and each
+workload records, per side, how many runs did (``wrong_runs``). Each run also
+records ``minflt``, the minor page faults of its process tree (the
+``RUSAGE_CHILDREN`` delta, set-up processes included), and the summary gives
+each side's median of it.
 ``--trace-seed`` adds one traced run per side and workload; each ``--test``
 is a pytest node id run once per side, and its call duration is recorded.
 ``--fault-steps N`` counts, per side, the minor page faults of N
@@ -125,10 +128,13 @@ def claim_block(workloads: dict, workload: str, name: str) -> dict:
     summary = workloads[workload]["summary"][name]
     wins, total = map(int, summary["change_wins"].split("/"))
     parent, change = summary["parent"]["median"], summary["change"]["median"]
+    wrong = sum(n for w in workloads.values() for n in w["wrong_runs"].values())
     return {"metric": f"{workload} {name}", "parent_median": parent,
             "change_median": change, "ratio": round(change / parent, 4),
             "change_wins": summary["change_wins"], "parent_iqr": summary["parent_iqr"],
-            "met": bool(wins >= 0.9 * total and abs(change - parent) > summary["parent_iqr"])}
+            "wrong_runs": wrong,
+            "met": bool(wrong == 0 and wins >= 0.9 * total
+                        and abs(change - parent) > summary["parent_iqr"])}
 
 
 def time_test(checkout: Path, node: str) -> float:
@@ -195,7 +201,9 @@ def main(argv=None) -> int:
         workloads[workload] = {"pairs": pairs, "summary": {
             m["name"]: summarize(pairs, m) for m in spec["end_to_end"]},
             "minflt_median": {side: statistics.median(p[side]["minflt"] for p in pairs)
-                              for side in sides}}
+                              for side in sides},
+            "wrong_runs": {side: sum(not (p[side]["correct"] is True and p[side]["failed"] == 0)
+                                     for p in pairs) for side in sides}}
 
     out = {
         "what": args.what,
