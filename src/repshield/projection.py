@@ -87,9 +87,7 @@ class DepthFrame:
                 f"depth grid shape {depths.shape} does not match intrinsics {expected}"
             )
         # A nan propagates through both reductions and fails both compares.
-        # Rows of stride 0 are one stored row, so checking it checks them all.
-        stored = depths[:1] if depths.strides[0] == 0 else depths
-        if not (stored.min() >= 0 and stored.max() < math.inf):
+        if not (depths.min() >= 0 and depths.max() < math.inf):
             raise InputFormatError("depth values must be finite and non-negative")
 
 
