@@ -42,6 +42,48 @@ def _column_tables(intrinsics: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray
     return slope, norm, cos_axis
 
 
+def _kept_segments(world: WorldModel, origin: np.ndarray, fwd: np.ndarray, right: np.ndarray,
+                   intrinsics: CameraIntrinsics, norm: np.ndarray) -> np.ndarray:
+    """Mask of the ``world.static_segments`` worth a ray test: the others
+    cannot change a depth bit."""
+    # Drop segments wholly beyond FAR_LIMIT_M or wholly behind the camera:
+    # they can only win columns that are blanked anyway.
+    segs = world.static_segments
+    z = segs.reshape(-1, 2) @ fwd - origin @ fwd
+    z_a, z_b = z[0::2], z[1::2]
+    keep = np.minimum(z_a, z_b) <= FAR_LIMIT_M + _CULL_MARGIN_M
+    keep &= np.maximum(z_a, z_b) >= -_CULL_MARGIN_M
+    normals, offsets, owner = world.polygon_normals
+    if not owner.size:
+        return keep
+    # Also drop a polygon's edges that face away from the camera, which lies
+    # more than the margin inside their lines, when it lies more than the
+    # margin outside the polygon and no vertex lies within the margin of a
+    # column's line. A ray whose rounded test passes on such an edge crosses
+    # it outward at least the margin from its ends, so it entered the polygon
+    # first, through an edge the camera lies outside of: kept, or beyond the
+    # far limit and so is the dropped hit. That entry lies at least the
+    # margin from every vertex, so its test passes, and its t is smaller by
+    # the ray's chord through the polygon: far more than rounding on worlds
+    # of any practical size and polygons without needle-sharp corners (thin
+    # ones have no normals). So every depth bit stays.
+    z = z_a[:owner.size]  # edge k starts at vertex k
+    # Vertex k lies |u - c| * |z| / (fx * norm[c]) from column c's line; the
+    # nearest column by slope is rint(u) clipped to the image, and no norm
+    # exceeds an end column's.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = (segs[:owner.size, 0] - origin) @ right / z * intrinsics.fx + intrinsics.cx
+        clear = np.abs((np.rint(u).clip(0, intrinsics.width - 1) - u) * z) > (
+            _CULL_MARGIN_M * intrinsics.fx * max(norm[0], norm[-1]))
+    side = normals @ origin - offsets
+    # How far the camera lies outside each polygon; nan, which culls nothing,
+    # where a vertex lies near a column's line.
+    outside = np.maximum.reduceat(np.where(clear, side, np.nan), world.polygon_edges[1])
+    floor = np.where(outside > _CULL_MARGIN_M, -_CULL_MARGIN_M, -np.inf)
+    keep[:owner.size] &= side >= floor[owner]
+    return keep
+
+
 def column_depths(world: WorldModel, robot: RobotState, intrinsics: CameraIntrinsics,
                   mount: CameraMount, t: float = 0.0) -> np.ndarray:
     """Planar depth per pixel column, 0 where nothing is hit within ``FAR_LIMIT_M``.
@@ -60,14 +102,7 @@ def column_depths(world: WorldModel, robot: RobotState, intrinsics: CameraIntrin
 
     t_best = np.full(intrinsics.width, np.inf)
 
-    # Drop segments wholly beyond FAR_LIMIT_M or wholly behind the camera:
-    # they can only win columns that are blanked anyway.
-    segs = world.static_segments
-    z = segs.reshape(-1, 2) @ fwd - origin @ fwd
-    z_a, z_b = z[0::2], z[1::2]
-    keep = np.minimum(z_a, z_b) <= FAR_LIMIT_M + _CULL_MARGIN_M
-    keep &= np.maximum(z_a, z_b) >= -_CULL_MARGIN_M
-    segs = segs[keep]
+    segs = world.static_segments[_kept_segments(world, origin, fwd, right, intrinsics, norm)]
     if segs.shape[0]:
         # Ray-segment tests as (S, W) arrays: one row per segment.
         e = segs[:, 1] - segs[:, 0]

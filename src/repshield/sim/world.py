@@ -108,6 +108,11 @@ def perturb_agent(track: AgentTrack, delay: float = 0.0, speed_scale: float = 1.
     return AgentTrack(track.radius, times, points)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class WorldModel:
     """Immutable description of one environment.
@@ -151,37 +156,53 @@ class WorldModel:
 
     @cached_property
     def polygon_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """All polygon edges as one (E, 2, 2) array, E >= 0, and each polygon's first index."""
+        """All polygon edges (E, 2, 2), E >= 0, and each polygon's first index; read-only."""
         verts = [p.vertices for p in self.polygons]
-        segs = np.concatenate([np.empty((0, 2, 2))] + [
-            np.stack((v, np.roll(v, -1, axis=0)), axis=1) for v in verts])
-        return segs, np.cumsum([0] + [len(v) for v in verts])[:-1]
+        return (_read_only(np.concatenate([np.empty((0, 2, 2))] + [
+            np.stack((v, np.roll(v, -1, axis=0)), axis=1) for v in verts])),
+            _read_only(np.cumsum([0] + [len(v) for v in verts])[:-1]))
+
+    @cached_property
+    def polygon_normals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each polygon edge's outward unit normal (E, 2), offset (E,) and
+        polygon index (E,), read-only: a point p lies ``normal @ p - offset``
+        outside the edge's line. Normal and offset are 0 on every edge of a
+        polygon with a zero-length edge or thinner than about
+        ``_BROAD_MARGIN_M`` (twice its area at most that times its perimeter)."""
+        segs, first = self.polygon_edges
+        e = segs[:, 1] - segs[:, 0]
+        length = np.hypot(e[:, 0], e[:, 1])
+        owner = np.repeat(np.arange(first.size), np.diff(first, append=len(segs)))
+        area2, perimeter, zero_edges = (np.bincount(owner, w, minlength=first.size) for w in (
+            segs[:, 0, 0] * segs[:, 1, 1] - segs[:, 0, 1] * segs[:, 1, 0], length, length == 0))
+        solid = (np.abs(area2) > _BROAD_MARGIN_M * perimeter) & (zero_edges == 0)
+        scale = np.where(solid, np.sign(area2), 0.0)[owner] / np.where(length > 0, length, 1.0)
+        normals = np.stack((e[:, 1], -e[:, 0]), axis=1) * scale[:, None]
+        return (_read_only(normals), _read_only(np.einsum("ij,ij->i", normals, segs[:, 0])),
+                _read_only(owner))
 
     @cached_property
     def polygon_bounds(self) -> np.ndarray:
         """Each polygon's (xmin, ymin, xmax, ymax), shape (P, 4), P >= 0; read-only."""
-        bounds = np.array([np.concatenate((p.vertices.min(axis=0), p.vertices.max(axis=0)))
-                           for p in self.polygons]).reshape(-1, 4)
-        bounds.setflags(write=False)
-        return bounds
+        return _read_only(np.array([np.concatenate((p.vertices.min(axis=0),
+                                                    p.vertices.max(axis=0)))
+                                    for p in self.polygons]).reshape(-1, 4))
 
     @cached_property
     def static_segments(self) -> np.ndarray:
-        """All static wall/edge segments, shape (S, 2, 2); S may be 0."""
+        """All static wall/edge segments, polygon edges first, (S, 2, 2), S >= 0; read-only."""
         segs = [self.polygon_edges[0]]
         if self.bounds_solid:
             xmin, ymin, xmax, ymax = self.bounds
             corners = np.array([[xmin, ymin], [xmax, ymin], [xmax, ymax], [xmin, ymax]])
             segs.append(np.stack((corners, np.roll(corners, -1, axis=0)), axis=1))
-        return np.concatenate(segs, axis=0)
+        return _read_only(np.concatenate(segs, axis=0))
 
     @cached_property
     def _disc_table(self) -> tuple[np.ndarray, np.ndarray]:
-        table = (np.array([c.center for c in self.circles]).reshape(-1, 2),
-                 np.array([c.radius for c in self.circles] + [a.radius for a in self.agents]))
-        for array in table:
-            array.setflags(write=False)
-        return table
+        return (_read_only(np.array([c.center for c in self.circles]).reshape(-1, 2)),
+                _read_only(np.array([c.radius for c in self.circles]
+                                    + [a.radius for a in self.agents])))
 
     def discs(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Read-only centers (K, 2) and radii (K,) of the circles, then of each
@@ -193,8 +214,7 @@ class WorldModel:
         last_t, last = self.__dict__.get("_last_discs", (None, None))
         if t == last_t:
             return last
-        centers = np.concatenate((centers, [a.position(t) for a in self.agents]))
-        centers.setflags(write=False)
+        centers = _read_only(np.concatenate((centers, [a.position(t) for a in self.agents])))
         self.__dict__["_last_discs"] = (t, (centers, radii))
         return centers, radii
 

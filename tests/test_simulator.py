@@ -24,8 +24,11 @@ from repshield.sim import (FAR_LIMIT_M, AgentTrack, Circle, GoalSeeker, Polygon,
                            RobotState, WorldModel, Wanderer, check_collision, column_depths,
                            load_world, perturb_agent, raycast_depth,
                            save_world, step_kinematics)
+from repshield.sim import raycast
+from repshield.sim.raycast import _CULL_MARGIN_M
 from repshield.sim.world import _BROAD_MARGIN_M
-from repshield.harness import GOAL_RADIUS_M, run_episode
+from repshield.harness import (GOAL_RADIUS_M, ExperimentSpec, episodes, run_episode,
+                               run_goal_conditioned)
 from repshield.worldgen import BUNDLED_WORLDS
 
 from conftest import oracle_collision, oracle_column_depths, oracle_lifted, oracle_lifted_once
@@ -452,6 +455,131 @@ def test_property_raycast_oracle_equivalence(platform):
         depth = column_depths(world, robot, intr, mount)
         np.testing.assert_array_equal(depth, oracle_column_depths(world, robot, intr, mount))
         assert depth.any()
+
+
+def _backface_boundary_worlds(camera_x: float, intr) -> list[tuple[WorldModel, int]]:
+    """Polygons at the back-face cull's boundaries, for a camera at
+    (camera_x, 0) looking along +x, each with how many of its edges go
+    untested: a box around the camera (its edge behind the camera goes to
+    the far/behind cull); boxes the camera lies just beyond and just within
+    the cull margin outside of; a box with a vertex on column 140's ray; a
+    box whose side runs just beyond and just within the margin of the
+    camera; one box in both windings; and four polygons the cull never
+    touches: the two degenerate ones ``Polygon`` accepts and two slivers
+    with no area to speak of."""
+    slope = (140 - intr.cx) / intr.fx  # column 140 looks along (1, -slope)
+
+    def world(vertices):
+        polygon = Polygon(np.array(vertices, dtype=np.float64) + [camera_x, 0.0])
+        return WorldModel(bounds=(camera_x - 4.0, -4.0, camera_x + 6.0, 4.0),
+                          polygons=(polygon,), bounds_solid=False)
+
+    def box(x0, y0, x1, y1):
+        return [[x0, y0], [x1, y0], [x1, y1], [x0, y1]]
+
+    near, beyond = _CULL_MARGIN_M - 1e-9, _CULL_MARGIN_M + 1e-9
+    return [(world(box(-0.3, -0.3, 0.3, 0.3)), 1),
+            (world(box(beyond, -0.3, beyond + 0.5, 0.3)), 3),
+            (world(box(near, -0.3, near + 0.5, 0.3)), 0),
+            (world(box(2.0, -2.0 * slope, 2.4, 0.4 - 2.0 * slope)), 0),
+            (world(box(2.0, -beyond, 2.5, 0.6)), 3),
+            (world(box(2.0, -near, 2.5, 0.6)), 2),
+            (world(box(3.0, -0.5, 3.5, 0.5)), 3),
+            (world(box(3.0, -0.5, 3.5, 0.5)[::-1]), 3),
+            (world([[2.0, -0.5], [2.0, -0.5], [3.0, -0.5], [2.0, 0.5]]), 0),
+            (world([[1.5, 0.2], [2.5, 0.2], [3.5, 0.2]]), 0),
+            (world([[1.5, -0.5], [2.0 + 1e-13, 0.0], [2.5, 0.5]]), 0),
+            (world([[1.5, -0.5], [2.0 - 1e-13, 0.0], [2.5, 0.5]]), 0)]
+
+
+def _renders_and_kept(renders, intr, mount):
+    """Each (world, robot, t) render's column depths, and the mask of static
+    segments the raycaster ray-tested for it."""
+    kept = []
+    real = raycast._kept_segments
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(raycast, "_kept_segments",
+                      lambda *args: kept.append(real(*args)) or kept[-1])
+        depths = [column_depths(world, robot, intr, mount, t=t) for world, robot, t in renders]
+    return depths, kept
+
+
+@pytest.fixture(scope="module")
+def corridor_03_renders():
+    """(world, robot, t, intrinsics, mount) of every frame the corridor_03
+    seed-0 goal run renders at criterion 08's settings."""
+    renders = []
+    real = episodes.raycast_depth
+
+    def spy(world, robot, intr, mount, t=0.0):
+        renders.append((world, robot, t, intr, mount))
+        return real(world, robot, intr, mount, t=t)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(episodes, "raycast_depth", spy)
+        run_goal_conditioned(ExperimentSpec(task="goal_conditioned", world="corridor_03",
+                                            trials=1, seed=0, max_distance_m=60.0,
+                                            max_time_s=900.0))
+    return renders
+
+
+@pytest.mark.parametrize("platform", sorted(PLATFORMS))
+def test_backface_cull_matches_the_oracle_at_its_boundaries(platform, corridor_03_renders):
+    # Dropping the edges that face away from the camera leaves every depth
+    # bit as the plain all-segments ray test computes it: at the cull's
+    # boundaries, where the guard must keep a whole box, on polygons it
+    # never culls (with no RuntimeWarning, which fails any test), and on
+    # every 25th frame of a recorded closed-loop run.
+    plat = get_platform(platform)
+    mount = plat.mount()
+    robot = RobotState(1.0 - mount.x_offset_m, 0.0, 0.0)
+    recorded = [render[:3] for render in corridor_03_renders[::25]]
+    for intr in (plat.intrinsics(SIM_FRAME_ROWS), plat.intrinsics()):
+        cases = _backface_boundary_worlds(robot.x + mount.x_offset_m, intr)
+        depths, kept = _renders_and_kept([(world, robot, 0.0) for world, _ in cases], intr,
+                                         mount)
+        for (world, dropped), depth, mask in zip(cases, depths, kept):
+            assert _bits(depth) == _bits(oracle_column_depths(world, robot, intr, mount))
+            assert depth.any()
+            assert np.count_nonzero(~mask) == dropped
+        assert _bits(depths[6]) == _bits(depths[7])  # one box in both windings
+        for world, pose, t in recorded:
+            assert _bits(column_depths(world, pose, intr, mount, t=t)) == _bits(
+                oracle_column_depths(world, pose, intr, mount, t=t))
+
+
+def test_backface_cull_drops_edges_on_a_recorded_run(corridor_03_renders):
+    # A count, not a timer: the far/behind cull alone tests 20.6 segments a
+    # render here, and both culls together 11.2.
+    _, intr, mount = corridor_03_renders[0][2:]
+    _, kept = _renders_and_kept([render[:3] for render in corridor_03_renders], intr, mount)
+    assert np.mean([np.count_nonzero(mask) for mask in kept]) <= 12.0
+
+
+def test_polygon_normals_point_out_of_either_winding():
+    square = _square(1.0, 2.0, 0.5)
+    for poly in (square, Polygon(square.vertices[::-1])):
+        world = WorldModel(bounds=(0, 0, 4, 4), polygons=(poly, _square(3.0, 3.0, 0.4)))
+        normals, offsets, owner = world.polygon_normals
+        assert owner.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+        np.testing.assert_allclose(np.hypot(*normals.T), 1.0)
+        outside = normals[:4] @ poly.vertices.T - offsets[:4, None]
+        assert (outside <= 1e-15).all() and (normals[:4] @ [1.0, 2.0] - offsets[:4] < -0.2).all()
+    for vertices in ([[0, 0], [0, 0], [1, 0], [0, 1]], [[0, 0], [1, 0], [2, 0]]):
+        world = WorldModel(bounds=(0, 0, 4, 4), polygons=(Polygon(np.array(vertices)),))
+        assert not np.any(world.polygon_normals[0]) and not np.any(world.polygon_normals[1])
+
+
+def test_world_geometry_tables_are_read_only():
+    # A write to a table would change what the camera sees but not what the
+    # collision check tests.
+    world = BUNDLED_WORLDS["corridor_03"]()
+    with pytest.raises(ValueError):
+        world.static_segments[0, 0, 0] = 99.0
+    for table in (*world.polygon_edges, *world.polygon_normals, world.polygon_bounds):
+        assert table.size
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 1
 
 
 # ---------------------------------------------------------------------------
