@@ -39,6 +39,12 @@ def require_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, with writes through it refused from now on."""
+    array.setflags(write=False)
+    return array
+
+
 def require_points(name: str, value, dim: int, min_count: int = 0) -> np.ndarray:
     """``value`` as a finite float64 (N, dim) array, N >= min_count; an empty input
     becomes (0, dim), and a float64 array comes back as is, never copied."""
@@ -98,11 +104,7 @@ class SafetyParams:
 
 @dataclass(frozen=True)
 class AvoidanceConfig:
-    """Everything the per-frame avoidance step needs besides its inputs.
-
-    x_half_range_m optionally pins the lateral binning window; when None it
-    is derived as tan(fov/2) * tau_z.
-    """
+    """Everything the per-frame avoidance step needs besides its inputs."""
 
     mount: CameraMount
     tau_z: float = 1.0
@@ -110,7 +112,6 @@ class AvoidanceConfig:
     bin_count: int = 32
     theta_clip: float = math.pi / 4
     safety: SafetyParams = field(default_factory=SafetyParams)
-    x_half_range_m: float | None = None
 
     def __post_init__(self):
         require_positive("tau_z", self.tau_z)
@@ -118,8 +119,6 @@ class AvoidanceConfig:
         require_int("bin_count", self.bin_count, 1)
         if not (0 < self.theta_clip <= math.pi):
             raise ValueError(f"theta_clip must be in (0, pi], got {self.theta_clip}")
-        if self.x_half_range_m is not None:
-            require_positive("x_half_range_m", self.x_half_range_m)
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +136,12 @@ CONFIG_KEYS = tuple(_FIELDS)
 
 
 def save_config(cfg: AvoidanceConfig, path: str | Path) -> None:
-    """Write the flat key = value form; x_half_range_m is omitted when unset."""
+    """Write the flat key = value form, one line per key of ``CONFIG_KEYS``."""
     lines = []
     for key, (record, type_name) in _FIELDS.items():
         value = getattr(getattr(cfg, record) if record else cfg, key)
         # By declared type: the repr of a numpy scalar would not load back.
-        if value is not None:
-            lines.append(f"{key} = {int(value) if type_name == 'int' else repr(float(value))}")
+        lines.append(f"{key} = {int(value) if type_name == 'int' else repr(float(value))}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

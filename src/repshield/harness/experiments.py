@@ -21,7 +21,7 @@ from ..pipeline import Shield
 from ..platforms import PlatformSpec, get_platform
 from ..sim import RobotState, WorldModel, check_collision, load_world, perturb_agent
 from ..sim.policies import GoalSeeker, Wanderer
-from ..worldgen import BUNDLED_WORLDS, DYNAMIC_SCENARIOS
+from ..worldgen import BUNDLED_WORLDS, dynamic_world
 from .episodes import EpisodeResult, check_caps, run_episode
 
 TASKS = ("exploration", "goal_conditioned", "dynamic_obstacle")
@@ -108,20 +108,27 @@ def resolve_world(world: str | Path | WorldModel) -> WorldModel:
 _START_CLEARANCE_M = 0.3
 
 
+def _clear_pose(world: WorldModel, platform: PlatformSpec, poses, pad: float) -> RobotState | None:
+    """The first (x, y, heading) of ``poses`` whose footprint, grown by ``pad``,
+    touches nothing at t = 0, with the bare footprint; None if there is none."""
+    radius = platform.footprint_radius_m
+    for x, y, h in poses:
+        if not check_collision(world, RobotState(x, y, h, radius + pad, platform.name), t=0.0):
+            return RobotState(x, y, h, radius, platform.name)
+    return None
+
+
 def _sample_start(world: WorldModel, platform: PlatformSpec,
                   rng: np.random.Generator) -> RobotState:
     """Uniform collision-free pose; the same rng stream on both arms."""
     xmin, ymin, xmax, ymax = world.bounds
     margin = platform.footprint_radius_m + _START_CLEARANCE_M + 0.02
-    probe_radius = platform.footprint_radius_m + _START_CLEARANCE_M
-    for _ in range(1000):
-        x = rng.uniform(xmin + margin, xmax - margin)
-        y = rng.uniform(ymin + margin, ymax - margin)
-        heading = rng.uniform(-math.pi, math.pi)
-        probe = RobotState(x, y, heading, probe_radius, platform.name)
-        if not check_collision(world, probe, t=0.0):
-            return RobotState(x, y, heading, platform.footprint_radius_m, platform.name)
-    raise InputFormatError("could not sample a collision-free start pose")
+    poses = ((rng.uniform(xmin + margin, xmax - margin), rng.uniform(ymin + margin, ymax - margin),
+              rng.uniform(-math.pi, math.pi)) for _ in range(1000))
+    start = _clear_pose(world, platform, poses, _START_CLEARANCE_M)
+    if start is None:
+        raise InputFormatError("could not sample a collision-free start pose")
+    return start
 
 
 def _jittered_start(world: WorldModel, platform: PlatformSpec,
@@ -129,14 +136,10 @@ def _jittered_start(world: WorldModel, platform: PlatformSpec,
     if world.start is None:
         raise InputFormatError("world does not define a start pose")
     x0, y0, h0 = world.start
-    for _ in range(100):
-        x = x0 + rng.uniform(-0.1, 0.1)
-        y = y0 + rng.uniform(-0.1, 0.1)
-        probe = RobotState(x, y, h0, platform.footprint_radius_m + 0.02, platform.name)
-        if not check_collision(world, probe, t=0.0):
-            return RobotState(x, y, h0, platform.footprint_radius_m, platform.name)
-    start = RobotState(x0, y0, h0, platform.footprint_radius_m, platform.name)
-    if check_collision(world, start, t=0.0):
+    poses = ((x0 + rng.uniform(-0.1, 0.1), y0 + rng.uniform(-0.1, 0.1), h0) for _ in range(100))
+    start = (_clear_pose(world, platform, poses, 0.02)
+             or _clear_pose(world, platform, [world.start], 0.0))
+    if start is None:
         raise InputFormatError(f"start pose ({x0}, {y0}, {h0}) is in contact")
     return start
 
@@ -234,13 +237,13 @@ def run_goal_conditioned(spec: ExperimentSpec) -> MetricsReport:
 def run_dynamic(spec: ExperimentSpec, scenario: str | None = None) -> MetricsReport:
     """``run_experiment`` for a dynamic_obstacle spec; ``scenario`` names the
     bundled world ``dynamic_<scenario>``, so the spec must give no world."""
-    if scenario and scenario not in DYNAMIC_SCENARIOS:
-        raise ValueError(f"unknown scenario {scenario!r}; choose from {DYNAMIC_SCENARIOS}")
-    if scenario and spec.world is not None:
-        world = repr(str(spec.world)) if isinstance(spec.world, (str, Path)) else "<WorldModel>"
-        raise ValueError(f"scenario {scenario!r} and world {world} both name the world; give one")
     if scenario:
-        spec = replace(spec, world=f"dynamic_{scenario}")
+        world = dynamic_world(scenario)  # refuses an unknown scenario first
+        if spec.world is not None:
+            given = repr(str(spec.world)) if isinstance(spec.world, (str, Path)) else "<WorldModel>"
+            raise ValueError(
+                f"scenario {scenario!r} and world {given} both name the world; give one")
+        spec = replace(spec, world=world)
     return _run_task("dynamic_obstacle", spec)
 
 

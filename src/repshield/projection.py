@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import AvoidanceConfig, CameraMount, require_count, require_int, require_points
+from .config import (AvoidanceConfig, CameraMount, read_only, require_count, require_int,
+                     require_points)
 from .errors import InputFormatError
 
 
@@ -78,8 +79,7 @@ class DepthFrame:
     mount: CameraMount
 
     def __post_init__(self):
-        depths = np.asarray(self.depths, dtype=np.float64).view()
-        depths.setflags(write=False)
+        depths = read_only(np.asarray(self.depths, dtype=np.float64).view())
         object.__setattr__(self, "depths", depths)
         expected = (self.intrinsics.height, self.intrinsics.width)
         if depths.shape != expected:
@@ -209,16 +209,12 @@ def _cut_tables(intr: CameraIntrinsics, tau_z: float, epsilon: float, offset: fl
         hi = np.nextafter(_least_passing(
             lambda d: (d > 0) & ~((d - offset <= tau_z) & (height(d) | (rows > 0))),
             rows.size), 0.0)
-    tables = (lo[:, None], hi[:, None], np.tile(cols, rows.size), np.repeat(rows, intr.width))
-    for table in tables:
-        table.setflags(write=False)
-    return (top, *tables)
+    return top, *map(read_only, (lo[:, None], hi[:, None], np.tile(cols, rows.size),
+                                 np.repeat(rows, intr.width)))
 
 
 def bin_half_range(cfg: AvoidanceConfig) -> float:
     """Lateral half-extent of the binning window, in camera X meters."""
-    if cfg.x_half_range_m is not None:
-        return cfg.x_half_range_m
     return math.tan(math.radians(cfg.mount.fov_deg) / 2.0) * cfg.tau_z
 
 

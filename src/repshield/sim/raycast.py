@@ -13,18 +13,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..config import CameraMount
+from ..config import CameraMount, read_only
 from ..projection import CameraIntrinsics, DepthFrame
 from .kinematics import RobotState
-from .world import WorldModel
+from .world import GEOMETRY_MARGIN_M, WorldModel
 
 FAR_LIMIT_M = 5.0
 _T_EPS = 1e-9
-# A hit lies between its segment's endpoints, so its exact depth lies
-# between theirs. The cull and the ray test both round, by far less than
-# this margin on worlds of any practical size, so a segment is culled only
-# when every hit it could give is blanked by the far limit or has t < 0.
-_CULL_MARGIN_M = 1e-6
 
 
 @lru_cache(maxsize=16)
@@ -37,22 +32,21 @@ def _column_tables(intrinsics: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray
     slope = (u - intrinsics.cx) / intrinsics.fx
     norm = np.hypot(slope, 1.0)
     cos_axis = 1.0 / norm  # dot(unit ray, forward)
-    for table in (slope, norm, cos_axis):
-        table.setflags(write=False)
-    return slope, norm, cos_axis
+    return read_only(slope), read_only(norm), read_only(cos_axis)
 
 
 def _kept_segments(world: WorldModel, origin: np.ndarray, fwd: np.ndarray, right: np.ndarray,
                    intrinsics: CameraIntrinsics, norm: np.ndarray) -> np.ndarray:
     """Mask of the ``world.static_segments`` worth a ray test: the others
     cannot change a depth bit."""
-    # Drop segments wholly beyond FAR_LIMIT_M or wholly behind the camera:
-    # they can only win columns that are blanked anyway.
+    # Drop segments wholly beyond FAR_LIMIT_M or behind the camera, by more
+    # than the margin: a hit's exact depth lies between its segment's ends',
+    # so every hit such a segment could give is blanked or has t < 0.
     segs = world.static_segments
     z = segs.reshape(-1, 2) @ fwd - origin @ fwd
     z_a, z_b = z[0::2], z[1::2]
-    keep = np.minimum(z_a, z_b) <= FAR_LIMIT_M + _CULL_MARGIN_M
-    keep &= np.maximum(z_a, z_b) >= -_CULL_MARGIN_M
+    keep = np.minimum(z_a, z_b) <= FAR_LIMIT_M + GEOMETRY_MARGIN_M
+    keep &= np.maximum(z_a, z_b) >= -GEOMETRY_MARGIN_M
     normals, offsets, owner = world.polygon_normals
     if not owner.size:
         return keep
@@ -74,12 +68,12 @@ def _kept_segments(world: WorldModel, origin: np.ndarray, fwd: np.ndarray, right
     with np.errstate(divide="ignore", invalid="ignore"):
         u = (segs[:owner.size, 0] - origin) @ right / z * intrinsics.fx + intrinsics.cx
         clear = np.abs((np.rint(u).clip(0, intrinsics.width - 1) - u) * z) > (
-            _CULL_MARGIN_M * intrinsics.fx * max(norm[0], norm[-1]))
+            GEOMETRY_MARGIN_M * intrinsics.fx * max(norm[0], norm[-1]))
     side = normals @ origin - offsets
     # How far the camera lies outside each polygon; nan, which culls nothing,
     # where a vertex lies near a column's line.
     outside = np.maximum.reduceat(np.where(clear, side, np.nan), world.polygon_edges[1])
-    floor = np.where(outside > _CULL_MARGIN_M, -_CULL_MARGIN_M, -np.inf)
+    floor = np.where(outside > GEOMETRY_MARGIN_M, -GEOMETRY_MARGIN_M, -np.inf)
     keep[:owner.size] &= side >= floor[owner]
     return keep
 

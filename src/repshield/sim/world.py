@@ -14,17 +14,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ..config import require_count, require_finite, require_points, require_positive
+from ..config import read_only, require_count, require_finite, require_points, require_positive
 from ..errors import InputFormatError
 
 COLLISION_TOLERANCE_M = 1e-9
-# A polygon whose bounds, grown by r plus this margin, miss the robot's
-# center lies farther than r + margin from it: its exact distance exceeds r
-# by the margin, and the center lies outside some edge by a fair part of
-# it. The distance and containment tests round by far less than this margin
-# on worlds of any practical size, so neither could answer true for such a
-# polygon, and skipping it leaves every answer bitwise the same.
-_BROAD_MARGIN_M = 1e-6
+# Arithmetic on the coordinates of any practical world rounds by far less than
+# this. The shortcuts that keep every result bitwise the same rest on that:
+# check_collision's broad phase, polygon_normals' thin-polygon rule, sim.raycast's culls.
+GEOMETRY_MARGIN_M = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,11 +105,6 @@ def perturb_agent(track: AgentTrack, delay: float = 0.0, speed_scale: float = 1.
     return AgentTrack(track.radius, times, points)
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
-
-
 @dataclass(frozen=True, eq=False)
 class WorldModel:
     """Immutable description of one environment.
@@ -158,9 +150,9 @@ class WorldModel:
     def polygon_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """All polygon edges (E, 2, 2), E >= 0, and each polygon's first index; read-only."""
         verts = [p.vertices for p in self.polygons]
-        return (_read_only(np.concatenate([np.empty((0, 2, 2))] + [
+        return (read_only(np.concatenate([np.empty((0, 2, 2))] + [
             np.stack((v, np.roll(v, -1, axis=0)), axis=1) for v in verts])),
-            _read_only(np.cumsum([0] + [len(v) for v in verts])[:-1]))
+            read_only(np.cumsum([0] + [len(v) for v in verts])[:-1]))
 
     @cached_property
     def polygon_normals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -168,25 +160,25 @@ class WorldModel:
         polygon index (E,), read-only: a point p lies ``normal @ p - offset``
         outside the edge's line. Normal and offset are 0 on every edge of a
         polygon with a zero-length edge or thinner than about
-        ``_BROAD_MARGIN_M`` (twice its area at most that times its perimeter)."""
+        ``GEOMETRY_MARGIN_M`` (twice its area at most that times its perimeter)."""
         segs, first = self.polygon_edges
         e = segs[:, 1] - segs[:, 0]
         length = np.hypot(e[:, 0], e[:, 1])
         owner = np.repeat(np.arange(first.size), np.diff(first, append=len(segs)))
         area2, perimeter, zero_edges = (np.bincount(owner, w, minlength=first.size) for w in (
             segs[:, 0, 0] * segs[:, 1, 1] - segs[:, 0, 1] * segs[:, 1, 0], length, length == 0))
-        solid = (np.abs(area2) > _BROAD_MARGIN_M * perimeter) & (zero_edges == 0)
+        solid = (np.abs(area2) > GEOMETRY_MARGIN_M * perimeter) & (zero_edges == 0)
         scale = np.where(solid, np.sign(area2), 0.0)[owner] / np.where(length > 0, length, 1.0)
         normals = np.stack((e[:, 1], -e[:, 0]), axis=1) * scale[:, None]
-        return (_read_only(normals), _read_only(np.einsum("ij,ij->i", normals, segs[:, 0])),
-                _read_only(owner))
+        return (read_only(normals), read_only(np.einsum("ij,ij->i", normals, segs[:, 0])),
+                read_only(owner))
 
     @cached_property
     def polygon_bounds(self) -> np.ndarray:
         """Each polygon's (xmin, ymin, xmax, ymax), shape (P, 4), P >= 0; read-only."""
-        return _read_only(np.array([np.concatenate((p.vertices.min(axis=0),
-                                                    p.vertices.max(axis=0)))
-                                    for p in self.polygons]).reshape(-1, 4))
+        return read_only(np.array([np.concatenate((p.vertices.min(axis=0),
+                                                   p.vertices.max(axis=0)))
+                                   for p in self.polygons]).reshape(-1, 4))
 
     @cached_property
     def static_segments(self) -> np.ndarray:
@@ -196,27 +188,21 @@ class WorldModel:
             xmin, ymin, xmax, ymax = self.bounds
             corners = np.array([[xmin, ymin], [xmax, ymin], [xmax, ymax], [xmin, ymax]])
             segs.append(np.stack((corners, np.roll(corners, -1, axis=0)), axis=1))
-        return _read_only(np.concatenate(segs, axis=0))
+        return read_only(np.concatenate(segs, axis=0))
 
     @cached_property
     def _disc_table(self) -> tuple[np.ndarray, np.ndarray]:
-        return (_read_only(np.array([c.center for c in self.circles]).reshape(-1, 2)),
-                _read_only(np.array([c.radius for c in self.circles]
-                                    + [a.radius for a in self.agents])))
+        return (read_only(np.array([c.center for c in self.circles]).reshape(-1, 2)),
+                read_only(np.array([c.radius for c in self.circles]
+                                   + [a.radius for a in self.agents])))
 
     def discs(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Read-only centers (K, 2) and radii (K,) of the circles, then of each
-        agent at time t. The last result is kept, as a tick checks collision
-        at the time the next tick renders; equal floats place agents identically."""
+        agent at time t."""
         centers, radii = self._disc_table
         if not self.agents:
             return centers, radii
-        last_t, last = self.__dict__.get("_last_discs", (None, None))
-        if t == last_t:
-            return last
-        centers = _read_only(np.concatenate((centers, [a.position(t) for a in self.agents])))
-        self.__dict__["_last_discs"] = (t, (centers, radii))
-        return centers, radii
+        return read_only(np.concatenate((centers, [a.position(t) for a in self.agents]))), radii
 
 
 def _point_segment_distances(p: np.ndarray, segments: np.ndarray) -> np.ndarray:
@@ -254,8 +240,11 @@ def check_collision(world: WorldModel, robot, t: float = 0.0) -> bool:
     segs, first = world.polygon_edges
     if not first.size:
         return False
+    # A polygon whose bounds, grown by r plus the margin, miss the center lies
+    # farther than r + margin from it, and the center lies outside some edge by
+    # a fair part of the margin: neither test below could answer true for it.
     box = world.polygon_bounds
-    reach = r + _BROAD_MARGIN_M
+    reach = r + GEOMETRY_MARGIN_M
     x, y = robot.x, robot.y
     near = ((box[:, 0] <= x + reach) & (box[:, 1] <= y + reach)
             & (box[:, 2] >= x - reach) & (box[:, 3] >= y - reach))

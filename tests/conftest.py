@@ -13,6 +13,7 @@ every segment and disc, without the cull or the cached column tables.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -94,6 +95,14 @@ def oracle_obstacle_map(points: np.ndarray, cfg: AvoidanceConfig):
     pts = np.array([[best[b][0] + cfg.mount.x_offset_m, -points[best[b][1], 0]]
                     for b in bins]).reshape(len(bins), 2)
     return pts, np.array(bins, dtype=np.int64)
+
+
+def windowed(cfg: AvoidanceConfig, half: float) -> AvoidanceConfig:
+    """``cfg`` with the lateral window +-``half``, up to rounding: the mount's
+    fov_deg becomes 2 * degrees(atan(half / tau_z)), from which
+    ``bin_half_range`` derives the window."""
+    fov_deg = 2.0 * math.degrees(math.atan(half / cfg.tau_z))
+    return replace(cfg, mount=replace(cfg.mount, fov_deg=fov_deg))
 
 
 def random_cloud(rng: np.random.Generator, n: int, cfg: AvoidanceConfig) -> np.ndarray:

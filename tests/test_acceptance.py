@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import oracle_cut, oracle_dominant, oracle_obstacle_map, random_cloud
+from conftest import oracle_cut, oracle_dominant, oracle_obstacle_map, random_cloud, windowed
 from repshield import (AvoidanceConfig, CameraMount, DepthFrame, SafetyParams,
                        Trajectory, avoidance_step, construct_obstacle_map,
                        estimate_repulsive_direction, gate_command, intrinsics_for_fov)
@@ -75,12 +75,11 @@ def test_criterion_02_binning_oracle_equivalence():
     rng = np.random.default_rng(1002)
     start = time.monotonic()
     for case in range(500):
-        cfg = _cfg(mount=CameraMount(x_offset_m=float(rng.uniform(-0.1, 0.1)),
-                                     depth_offset_m=float(rng.uniform(-0.2, 0.2)),
-                                     fov_deg=90.0),
-                   tau_z=float(rng.uniform(0.5, 2.0)),
-                   bin_count=int(rng.integers(1, 64)),
-                   x_half_range_m=float(rng.uniform(0.3, 2.0)))
+        cfg = windowed(_cfg(mount=CameraMount(x_offset_m=float(rng.uniform(-0.1, 0.1)),
+                                              depth_offset_m=float(rng.uniform(-0.2, 0.2))),
+                            tau_z=float(rng.uniform(0.5, 2.0)),
+                            bin_count=int(rng.integers(1, 64))),
+                       float(rng.uniform(0.3, 2.0)))
         n = int(rng.integers(2000, 10001)) if case % 10 == 0 else int(rng.integers(0, 400))
         pts = random_cloud(rng, n, cfg)
         omap = construct_obstacle_map(oracle_cut(pts, cfg), cfg)

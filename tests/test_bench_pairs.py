@@ -63,7 +63,7 @@ def _stub_run(wrong_change_seed):
 @pytest.mark.parametrize("wrong_change_seed, met, wrong", [(None, True, 0), (3, False, 1)],
                          ids=["all_correct", "one_change_run_incorrect"])
 def test_claim_is_not_met_while_a_run_is_wrong(wrong_change_seed, met, wrong, monkeypatch,
-                                               tmp_path):
+                                               tmp_path, capsys):
     bench_pairs = _bench_pairs()
     monkeypatch.setattr(bench_pairs, "run_bench", _stub_run(wrong_change_seed))
     for side in ("parent", "change"):
@@ -74,6 +74,10 @@ def test_claim_is_not_met_while_a_run_is_wrong(wrong_change_seed, met, wrong, mo
                              "--change", str(tmp_path / "change"), "--pairs", "10",
                              "--workloads", "native_replay",
                              "--claim", "native_replay:ticks_per_s", "--out", str(out)]) == 0
+    # One progress line per run, the parent first in even pairs.
+    assert [line.split()[:3] for line in capsys.readouterr().err.splitlines()] == [
+        ["native_replay", str(i), side] for i in range(10)
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent"))]
     result = json.loads(out.read_text())
     assert result["workloads"]["native_replay"]["summary"]["ticks_per_s"]["change_wins"] == "10/10"
     assert result["workloads"]["native_replay"]["wrong_runs"] == {"parent": 0, "change": wrong}

@@ -298,8 +298,7 @@ def test_config_round_trip(tmp_path):
                                  fov_deg=170.0, depth_offset_m=0.05),
                tau_z=1.0, bin_count=32, theta_clip=math.pi / 4,
                safety=SafetyParams(theta_thres=math.pi / 6, v_fwd=0.2,
-                                   omega_max=0.8, k_omega=2.0),
-               x_half_range_m=0.9)
+                                   omega_max=0.8, k_omega=2.0))
     path = tmp_path / "cfg.txt"
     save_config(cfg, path)
     # The base shares several values with cfg, so check every key was written.
@@ -311,7 +310,7 @@ def test_config_round_trip_with_numpy_scalars(tmp_path):
     # Values are written by declared type, not by repr, which for a numpy
     # scalar reads "np.int64(7)" and would not load back.
     cfg = _cfg(mount=CameraMount(fov_deg=np.float32(90.0)),
-               bin_count=np.int64(7), tau_z=np.float64(1.25), x_half_range_m=np.float64(0.7))
+               bin_count=np.int64(7), tau_z=np.float64(1.25))
     path = tmp_path / "cfg.txt"
     save_config(cfg, path)
     assert "bin_count = 7\n" in path.read_text()
@@ -345,7 +344,8 @@ def test_config_errors(tmp_path):
     with pytest.raises(InputFormatError):
         load_config(path, base=_cfg())
     # Keys of deleted settings are unknown, not silently ignored.
-    for key, value in (("v_max", "0.2"), ("direction_mode", "attract"), ("height_m", "0.3")):
+    for key, value in (("v_max", "0.2"), ("direction_mode", "attract"), ("height_m", "0.3"),
+                       ("x_half_range_m", "0.7")):
         path.write_text(f"{key} = {value}\n")
         with pytest.raises(InputFormatError,
                            match=f"{re.escape(str(path))}:1: unknown key '{key}'"):
@@ -367,7 +367,6 @@ def test_config_rejects_non_finite_floats(tmp_path, key, value):
 _RECORD_FLOAT_FIELDS = {
     "tau_z": lambda v: _cfg(tau_z=v),
     "epsilon": lambda v: _cfg(epsilon=v),
-    "x_half_range_m": lambda v: _cfg(x_half_range_m=v),
     "x_offset_m": lambda v: CameraMount(x_offset_m=v),
     "depth_offset_m": lambda v: CameraMount(depth_offset_m=v),
     "v_fwd": lambda v: SafetyParams(v_fwd=v),

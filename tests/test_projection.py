@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import (oracle_cut, oracle_lifted, oracle_lifted_once, oracle_obstacle_map,
-                      random_cloud)
+                      random_cloud, windowed)
 from repshield import (AvoidanceConfig, CameraIntrinsics, CameraMount, DepthFrame,
                        InputFormatError, Trajectory, avoidance_step, back_project,
                        construct_obstacle_map, intrinsics_for_fov, load_depth_frame,
@@ -480,10 +480,11 @@ def test_raycast_frame_passes_the_depth_check(monkeypatch, bad):
 # ---------------------------------------------------------------------------
 
 def test_map_single_point_hand_computed():
-    cfg = _cfg(mount=CameraMount(x_offset_m=0.1, depth_offset_m=0.2),
-               tau_z=1.0, bin_count=4, x_half_range_m=1.0)
+    cfg = windowed(_cfg(mount=CameraMount(x_offset_m=0.1, depth_offset_m=0.2),
+                        tau_z=1.0, bin_count=4), 1.0)
     # Corrected z = 0.9 - 0.2 = 0.7; robot x = 0.7 + 0.1 = 0.8, y = -X = -0.5.
-    # Bin of X = 0.5 with half = 1, width = 0.5: floor(1.5 / 0.5) = 3.
+    # Bin of X = 0.5: fov 90 gives half = tan(pi/4) = 1 - 2**-53 and width =
+    # half / 2; X + half rounds to 1.5, and 1.5 / width = 3 + 4e-16 floors to 3.
     # Y = 0.2 sits below the camera axis, inside the default height mask.
     omap = construct_obstacle_map(np.array([[0.5, 0.2, 0.9]]), cfg)
     assert len(omap) == 1
@@ -492,7 +493,7 @@ def test_map_single_point_hand_computed():
 
 
 def test_map_keeps_nearest_per_bin_with_index_tie_break():
-    cfg = _cfg(tau_z=2.0, bin_count=2, x_half_range_m=1.0)
+    cfg = windowed(_cfg(tau_z=2.0, bin_count=2), 1.0)
     cloud = np.array([
         [-0.5, 0.2, 1.5],   # bin 0, farther
         [-0.4, 0.2, 0.8],   # bin 0, nearest -> wins
@@ -506,7 +507,7 @@ def test_map_keeps_nearest_per_bin_with_index_tie_break():
 
 
 def test_map_empty_cloud_and_all_filtered():
-    cfg = _cfg(bin_count=8, x_half_range_m=1.0)
+    cfg = windowed(_cfg(bin_count=8), 1.0)
     empty = construct_obstacle_map(np.empty((0, 3)), cfg)
     assert empty.empty and len(empty) == 0
     # The range and height cuts are back_project's; the map drops only
@@ -520,7 +521,7 @@ def test_map_filters_by_height_and_range():
     # in a bin of its own: back_project drops the overhead, far and zero
     # pixels, the map drops the one outside the lateral window.
     intr = CameraIntrinsics(fx=4.0, fy=2.0, cx=1.0, cy=1.0, width=5, height=3)
-    cfg = _cfg(tau_z=1.0, epsilon=-0.05, bin_count=8, x_half_range_m=0.5)
+    cfg = windowed(_cfg(tau_z=1.0, epsilon=-0.05, bin_count=8), 0.5)
     depths = np.zeros((3, 5))
     depths[2, 1] = 0.5   # X = 0, Y = 0.25, Z = 0.5: ground-level return, kept
     depths[0, 2] = 0.5   # Y = -0.25: overhead, dropped on height
@@ -534,7 +535,7 @@ def test_map_filters_by_height_and_range():
 
 
 def test_map_window_edges_land_in_the_end_bins():
-    cfg = _cfg(tau_z=2.0, bin_count=5, x_half_range_m=0.7)
+    cfg = windowed(_cfg(tau_z=2.0, bin_count=5), 0.7)
     half = bin_half_range(cfg)
     xs = [-half, half, np.nextafter(-half, -math.inf), np.nextafter(half, math.inf)]
     cloud = np.array([[x, 0.1, 0.5 + 0.1 * k] for k, x in enumerate(xs)])
@@ -551,8 +552,7 @@ def test_map_window_edges_land_in_the_end_bins():
 def test_default_half_range_follows_fov_and_tau():
     cfg = _cfg(mount=CameraMount(fov_deg=90.0), tau_z=2.0)
     assert bin_half_range(cfg) == pytest.approx(2.0)
-    pinned = _cfg(x_half_range_m=0.7)
-    assert bin_half_range(pinned) == 0.7
+    assert bin_half_range(windowed(cfg, 0.7)) == pytest.approx(0.7, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +575,8 @@ def test_property_oracle_equivalence():
         cfg = _cfg(mount=CameraMount(x_offset_m=float(rng.uniform(-0.1, 0.1)),
                                      depth_offset_m=float(rng.uniform(-0.2, 0.2))),
                    tau_z=float(rng.uniform(0.5, 2.0)),
-                   bin_count=int(rng.integers(1, 40)),
-                   x_half_range_m=float(rng.uniform(0.3, 2.0)))
+                   bin_count=int(rng.integers(1, 40)))
+        cfg = windowed(cfg, float(rng.uniform(0.3, 2.0)))
         _cut_map_matches_oracle(random_cloud(rng, int(rng.integers(0, 400)), cfg), cfg)
 
 
@@ -611,8 +611,9 @@ def test_property_depth_frame_oracle_equivalence():
                             depth_offset_m=float(rng.uniform(-0.2, 0.2)))
         cfg = _cfg(mount=mount, tau_z=float(rng.uniform(0.5, 2.0)),
                    epsilon=float(rng.uniform(-0.2, 0.2)),
-                   bin_count=int(rng.integers(1, 40)),
-                   x_half_range_m=(float(rng.uniform(0.1, 2.0)) if case % 2 else None))
+                   bin_count=int(rng.integers(1, 40)))
+        if case % 2:
+            cfg = windowed(cfg, float(rng.uniform(0.1, 2.0)))
         depths = rng.uniform(0.0, 1.5 * cfg.tau_z, size=(height, width)) + mount.depth_offset_m
         depths = np.maximum(depths, 0.0)
         depths[rng.random((height, width)) < 0.2] = 0.0
@@ -654,7 +655,7 @@ def test_depth_frames_with_empty_maps():
         (np.full((6, 8), 1.5), _cfg(mount=mount, tau_z=1.0)),
         # Even width: no column center sits on the axis, so every return
         # lies at |X| >= 0.5 * 0.5 / fx, outside the pinned window.
-        (np.full((6, 8), 0.5), _cfg(mount=mount, x_half_range_m=1e-3)),
+        (np.full((6, 8), 0.5), windowed(_cfg(mount=mount), 1e-3)),
     ]
     for depths, cfg in cases:
         omap = _assert_map_matches_oracle(DepthFrame(depths, intr, mount), cfg)
@@ -671,8 +672,8 @@ def test_property_mask_survivors_reproduce_the_map():
     for case in range(120):
         cfg = _cfg(mount=CameraMount(depth_offset_m=float(rng.uniform(-0.2, 0.2))),
                    tau_z=float(rng.uniform(0.5, 2.0)),
-                   bin_count=int(rng.integers(1, 33)),
-                   x_half_range_m=float(rng.uniform(0.3, 2.0)))
+                   bin_count=int(rng.integers(1, 33)))
+        cfg = windowed(cfg, float(rng.uniform(0.3, 2.0)))
         pts = random_cloud(rng, int(rng.integers(1, 300)), cfg)
         half = bin_half_range(cfg)
 
@@ -691,17 +692,17 @@ def test_property_mask_survivors_reproduce_the_map():
 
 
 def test_property_tau_monotonicity_with_pinned_window():
-    # With the lateral window pinned, growing tau_z can only add entries
-    # or move an existing bin's point nearer, never drop or push away.
+    # With the lateral window held (up to rounding), growing tau_z can only
+    # add entries or move an existing bin's point nearer, never drop or push away.
     rng = np.random.default_rng(9)
     for case in range(120):
         mount = CameraMount(depth_offset_m=float(rng.uniform(-0.1, 0.1)))
         tau_small = float(rng.uniform(0.4, 1.2))
         tau_big = tau_small + float(rng.uniform(0.1, 1.0))
-        kwargs = dict(mount=mount, bin_count=int(rng.integers(1, 24)),
-                      x_half_range_m=float(rng.uniform(0.3, 1.5)))
-        cfg_small = _cfg(tau_z=tau_small, **kwargs)
-        cfg_big = _cfg(tau_z=tau_big, **kwargs)
+        kwargs = dict(mount=mount, bin_count=int(rng.integers(1, 24)))
+        half = float(rng.uniform(0.3, 1.5))
+        cfg_small = windowed(_cfg(tau_z=tau_small, **kwargs), half)
+        cfg_big = windowed(_cfg(tau_z=tau_big, **kwargs), half)
         pts = random_cloud(rng, int(rng.integers(1, 300)), cfg_big)
         small = _cut_map_matches_oracle(pts, cfg_small)
         big = _cut_map_matches_oracle(pts, cfg_big)
@@ -717,8 +718,8 @@ def test_property_emitted_ranges():
         mount = CameraMount(x_offset_m=float(rng.uniform(-0.1, 0.1)),
                             depth_offset_m=float(rng.uniform(-0.2, 0.2)))
         cfg = _cfg(mount=mount, tau_z=float(rng.uniform(0.5, 2.0)),
-                   bin_count=int(rng.integers(1, 40)),
-                   x_half_range_m=float(rng.uniform(0.3, 2.0)))
+                   bin_count=int(rng.integers(1, 40)))
+        cfg = windowed(cfg, float(rng.uniform(0.3, 2.0)))
         pts = random_cloud(rng, int(rng.integers(0, 300)), cfg)
         omap = _cut_map_matches_oracle(pts, cfg)
         # The builder's guarantees, which ObstacleMap does not check itself.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -25,8 +26,7 @@ from repshield.sim import (FAR_LIMIT_M, AgentTrack, Circle, GoalSeeker, Polygon,
                            load_world, perturb_agent, raycast_depth,
                            save_world, step_kinematics)
 from repshield.sim import raycast
-from repshield.sim.raycast import _CULL_MARGIN_M
-from repshield.sim.world import _BROAD_MARGIN_M
+from repshield.sim.world import GEOMETRY_MARGIN_M
 from repshield.harness import (GOAL_RADIUS_M, ExperimentSpec, episodes, run_episode,
                                run_goal_conditioned)
 from repshield.worldgen import BUNDLED_WORLDS
@@ -213,8 +213,8 @@ def _broad_phase_boundary_poses(poly, r):
         other = 1 - axis
         for side, sign in ((lo[axis], -1.0), (hi[axis], 1.0)):
             for along in (lo[other], 0.5 * (lo[other] + hi[other]), hi[other]):
-                for d in (r - 1e-9, r + 1e-9, r + _BROAD_MARGIN_M - 1e-9,
-                          r + _BROAD_MARGIN_M + 1e-9):
+                for d in (r - 1e-9, r + 1e-9, r + GEOMETRY_MARGIN_M - 1e-9,
+                          r + GEOMETRY_MARGIN_M + 1e-9):
                     center = np.empty(2)
                     center[axis] = side + sign * d
                     center[other] = along
@@ -477,7 +477,7 @@ def _backface_boundary_worlds(camera_x: float, intr) -> list[tuple[WorldModel, i
     def box(x0, y0, x1, y1):
         return [[x0, y0], [x1, y0], [x1, y1], [x0, y1]]
 
-    near, beyond = _CULL_MARGIN_M - 1e-9, _CULL_MARGIN_M + 1e-9
+    near, beyond = GEOMETRY_MARGIN_M - 1e-9, GEOMETRY_MARGIN_M + 1e-9
     return [(world(box(-0.3, -0.3, 0.3, 0.3)), 1),
             (world(box(beyond, -0.3, beyond + 0.5, 0.3)), 3),
             (world(box(near, -0.3, near + 0.5, 0.3)), 0),
@@ -680,9 +680,10 @@ def test_discs_repeat_a_time_with_the_same_read_only_arrays():
                    agents=(track,), bounds_solid=False)
     centers, radii = w.discs(1.5)
     np.testing.assert_array_equal(centers, [[1.0, 1.0], track.position(1.5)])
-    assert w.discs(1.5)[0] is centers
     np.testing.assert_array_equal(w.discs(2.0)[0][1], track.position(2.0))
     np.testing.assert_array_equal(w.discs(1.5)[0], centers)
+    # discs is a pure function of t: the world keeps only its cached tables.
+    assert set(vars(w)) - {f.name for f in fields(w)} == {"_disc_table"}
     for array in (centers, radii):
         with pytest.raises(ValueError):
             array[0] = 0.0
