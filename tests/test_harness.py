@@ -15,9 +15,9 @@ import pytest
 from repshield.config import load_config
 from repshield.errors import InputFormatError
 from repshield.harness import (CONTROL_PERIOD_S, GOAL_RADIUS_M, ExperimentSpec, Tick,
-                               episode_ticks, episodes, per_trial_csv, report_csv, resolve_world,
-                               run_dynamic, run_episode, run_experiment, run_exploration,
-                               run_goal_conditioned)
+                               episode_ticks, episodes, experiments, per_trial_csv, report_csv,
+                               resolve_world, run_dynamic, run_episode, run_experiment,
+                               run_exploration, run_goal_conditioned)
 from repshield.pipeline import Shield, decision_log_row
 from repshield.platforms import SIM_FRAME_ROWS, get_platform
 from repshield.sim import RobotState, WorldModel, load_world, raycast_depth, save_world
@@ -190,6 +190,16 @@ def test_trials_have_distinct_starts():
     rep = run_exploration(_explore_spec(max_time_s=0.1))
     poses = [_invert_first_row(r.trajectory_log) for r in rep.per_trial]
     assert len({(round(x, 6), round(y, 6)) for x, y, _ in poses}) == len(poses)
+
+
+def test_jittered_start_falls_back_to_the_exact_start():
+    # Walls 0.01 m beyond the footprint on both sides: every jitter, probed
+    # 0.02 m wider, touches one, while the exact start is clear.
+    platform = get_platform("locobot")
+    gap = platform.footprint_radius_m + 0.01
+    world = WorldModel(bounds=(0.0, -gap, 4.0, gap), start=(1.0, 0.0, 0.3))
+    start = experiments._jittered_start(world, platform, np.random.default_rng(0))
+    assert start == RobotState(1.0, 0.0, 0.3, platform.footprint_radius_m, platform.name)
 
 
 # ---------------------------------------------------------------------------

@@ -654,7 +654,7 @@ def test_depth_frames_with_empty_maps():
         (np.zeros((6, 8)), _cfg(mount=mount)),
         (np.full((6, 8), 1.5), _cfg(mount=mount, tau_z=1.0)),
         # Even width: no column center sits on the axis, so every return
-        # lies at |X| >= 0.5 * 0.5 / fx, outside the pinned window.
+        # lies at |X| >= 0.5 * 0.5 / fx, outside a 1 mm window.
         (np.full((6, 8), 0.5), windowed(_cfg(mount=mount), 1e-3)),
     ]
     for depths, cfg in cases:
