@@ -40,8 +40,8 @@ def _kept_segments(world: WorldModel, origin: np.ndarray, fwd: np.ndarray, right
     """Mask of the ``world.static_segments`` worth a ray test: the others
     cannot change a depth bit."""
     # Drop segments wholly beyond FAR_LIMIT_M or behind the camera, by more
-    # than the margin: a hit's exact depth lies between its segment's ends',
-    # so every hit such a segment could give is blanked or has t < 0.
+    # than the margin: a hit's exact depth lies between the depths of its
+    # segment's ends, so every hit such a segment could give is blanked or has t < 0.
     segs = world.static_segments
     z = segs.reshape(-1, 2) @ fwd - origin @ fwd
     z_a, z_b = z[0::2], z[1::2]
