@@ -8,7 +8,7 @@ supported evaluation protocols at desk scale.
 """
 
 from .config import AvoidanceConfig, CameraMount, SafetyParams, load_config, save_config
-from .errors import InputFormatError, SingularityError
+from .errors import InputFormatError
 from .pipeline import AvoidanceDecision, Shield, avoidance_step, decision_log_row
 from .platforms import PLATFORMS, PlatformSpec, get_platform
 from .projection import (CameraIntrinsics, DepthFrame, ObstacleMap, back_project,
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AvoidanceConfig", "SafetyParams",
-    "InputFormatError", "SingularityError",
+    "InputFormatError",
     "AvoidanceDecision", "Shield", "avoidance_step", "decision_log_row",
     "load_config", "save_config",
     "PLATFORMS", "PlatformSpec", "get_platform",

@@ -4,7 +4,8 @@ Conventions used throughout:
 
 * Camera frame: X right, Y down, Z forward along the optical axis (meters).
 * Robot frame: x forward, y left, origin at the robot center (meters).
-* A depth value of exactly 0 marks an invalid pixel and produces no point.
+* A depth of 0, ``nan`` or ``+inf`` marks a missing return and produces no
+  point; a negative depth is refused.
 
 ``back_project`` decides which returns are obstacle candidates: it applies
 the range and height cuts on the depth grid and lifts only the pixels that
@@ -86,9 +87,9 @@ class DepthFrame:
             raise InputFormatError(
                 f"depth grid shape {depths.shape} does not match intrinsics {expected}"
             )
-        # A nan propagates through both reductions and fails both compares.
-        if not (depths.min() >= 0 and depths.max() < math.inf):
-            raise InputFormatError("depth values must be finite and non-negative")
+        # fmin skips nan, which with +inf marks a missing return, like 0.
+        if np.fmin.reduce(depths, axis=None) < 0:
+            raise InputFormatError("depth values must not be negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,12 +117,13 @@ def back_project(frame: DepthFrame, cfg: AvoidanceConfig) -> np.ndarray:
 
     Uses the pinhole model: X = (u - cx) * d / fx, Y = (v - cy) * d / fy,
     Z = d. These are the obstacle cuts, stated nowhere else: a pixel is
-    lifted only when d > 0 (zero marks an invalid pixel), d - depth_offset_m
-    is in (0, tau_z] (the range cut) and Y >= -epsilon (the height cut; Y
-    points down, so it drops overhead returns). ``_cut_tables`` turns them
-    into exact per-row depth bounds. Points come out in row-major pixel
-    order, so ties elsewhere can be broken by lowest pixel index. Returns
-    an (N, 3) column-major view, columns X, Y, Z.
+    lifted only when d > 0 and finite (0, nan and +inf mark a missing
+    return), d - depth_offset_m is in (0, tau_z] (the range cut) and
+    Y >= -epsilon (the height cut; Y points down, so it drops overhead
+    returns). ``_cut_tables`` turns them into exact per-row depth bounds.
+    Points come out in row-major pixel order, so ties elsewhere can be
+    broken by lowest pixel index. Returns an (N, 3) column-major view,
+    columns X, Y, Z.
 
     When the candidate rows are one stored row (row stride 0, as in every
     ``raycast_depth`` frame), each column's passing pixels share X and Z, so
@@ -135,7 +137,8 @@ def back_project(frame: DepthFrame, cfg: AvoidanceConfig) -> np.ndarray:
     d = frame.depths[top:]
     if d.strides[0] == 0 and len(d) > 1:
         # The rows a column passes are a suffix (``_cut_tables``): binary-search
-        # its first (n: none), then sort the pixels back into row-major order.
+        # its first (n: none, as for nan and +inf, which sort past every
+        # bound), then sort the pixels back into row-major order.
         n, width = d.shape
         first = np.maximum(n - np.searchsorted(lo[::-1, 0], d[0], side="right"),
                            np.searchsorted(hi[:, 0], d[0], side="left"))

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import AvoidanceConfig, require_count, require_points
-from .errors import InputFormatError, SingularityError
+from .errors import InputFormatError
 from .projection import _read_tagged
 
 # Distances below this are clamped before cubing so a near-contact point
@@ -55,22 +55,16 @@ def repulsive_force(waypoint: np.ndarray, obstacles: np.ndarray) -> np.ndarray:
     """Summed obstacle force on one waypoint, shape (2,), or on K, shape (K, 2).
 
     ``obstacles`` is a (B, 2) array of points. Each obstacle at distance d
-    pushes the waypoint directly away from it with magnitude 1/d^3.
+    pushes the waypoint directly away from it with magnitude 1/d^3; at
+    d = 0 there is no direction away, so that obstacle adds nothing.
     Components are accumulated with math.fsum so the result does not depend
     on summation blocking.
-
-    Raises:
-        SingularityError: a waypoint coincides exactly with an obstacle;
-            the first such waypoint reports its lowest obstacle index.
     """
     pts = require_points("obstacles", obstacles, 2)
     p = np.asarray(waypoint, dtype=np.float64)
     diffs = p.reshape(-1, 1, 2) - pts
     dists = np.hypot(diffs[..., 0], diffs[..., 1])
-    zero = np.nonzero(dists == 0.0)[1]
-    if zero.size:
-        raise SingularityError(int(zero[0]))
-    units = diffs / dists[..., None]
+    units = diffs / np.where(dists > 0.0, dists, 1.0)[..., None]
     scale = 1.0 / np.maximum(dists, MIN_OBSTACLE_DISTANCE_M)**3
     contrib = scale[..., None] * units
     return np.array([[math.fsum(xs), math.fsum(ys)]

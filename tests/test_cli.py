@@ -137,6 +137,35 @@ def test_replay_to_stdout_and_file(tmp_path, capsys):
     assert log_path.read_text() == out
 
 
+def test_replay_reads_nan_and_inf_as_missing_returns(tmp_path, capsys):
+    # A wall that nears over three frames, with nan and inf holes: the log
+    # is the log of the same files with the holes set to 0.
+    rng = np.random.default_rng(34)
+    intr = intrinsics_for_fov(16, 6, 90.0)
+    mount = CameraMount(fov_deg=90.0)
+    traj_path = tmp_path / "straight.tj1"
+    save_trajectory(Trajectory(np.column_stack((np.arange(1, 9) * 0.25,
+                                                np.zeros(8)))), traj_path)
+    logs = {}
+    for name in ("holes", "zeros"):
+        (tmp_path / name).mkdir()
+    for k, dist in enumerate((0.9, 0.7, 0.5)):
+        depths = np.full((6, 16), dist) + rng.uniform(0.0, 0.1, size=(6, 16))
+        hit = rng.random(depths.shape) < 0.3
+        for name, fill in (("holes", rng.choice([np.nan, np.inf], size=int(hit.sum()))),
+                           ("zeros", 0.0)):
+            depths[hit] = fill
+            save_depth_frame(DepthFrame(depths, intr, mount),
+                             tmp_path / name / f"frame_{k}.df1")
+    assert "nan" in (tmp_path / "holes" / "frame_0.df1").read_text()
+    for name in ("holes", "zeros"):
+        rc = main(["replay", "--frames", str(tmp_path / name), "--trajectory", str(traj_path)])
+        assert rc == 0
+        logs[name] = capsys.readouterr().out
+    assert logs["holes"] == logs["zeros"]
+    assert len(logs["holes"].splitlines()) == 4
+
+
 def test_replay_applies_rotation_latch(tmp_path, capsys):
     # A 0.4 m return alternating between the right and left thirds of the
     # image: each raw step turns away from it, so the raw commands alternate
@@ -162,7 +191,7 @@ def test_replay_applies_rotation_latch(tmp_path, capsys):
 
 @pytest.mark.parametrize("header, depths, config, message", [
     ("DF1 3 2 1.0 1.0 1.0 0.5", "0.5 0.5 0.5 0.5 -0.2 0.5", None,
-     "depth values must be finite and non-negative"),
+     "depth values must not be negative"),
     # fx = 1e-306 lifts the 80 m return to X = 3 * 80 / fx, past the float
     # maximum; tau_z = 100 lets it through the range cut.
     ("DF1 4 2 1e-306 1.0 0.0 0.0", "1 1 1 1 1 1 1 80", "tau_z = 100\n",

@@ -5,6 +5,8 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+from repshield import CameraMount, load_depth_frame
+from repshield.harness.cli import main
 from repshield.platforms import PLATFORMS
 from repshield.worldgen import BUNDLED_WORLDS
 
@@ -57,12 +59,30 @@ corridor_02/goal/locobot/shield report.csv ggg
 
 def test_matrix_runs_each_world_under_every_protocol_it_supports():
     names = [case for case, _ in _output_matrix().cases(BUNDLED_WORLDS, PLATFORMS)]
+    replays = [case for case in names if "/replay/" in case]
+    assert replays == [f"corridor_03/replay/{p}/shield" for p in sorted(PLATFORMS)]
     protocols = {}
     for case in names:
         world, command, _, _ = case.split("/")
-        protocols.setdefault(world, set()).add(command)
-    assert len(names) == len(set(names)) == 6 * sum(map(len, protocols.values()))
+        if command != "replay":
+            protocols.setdefault(world, set()).add(command)
+    assert len(names) == len(set(names)) == 6 * sum(map(len, protocols.values())) + 3 == 195
     assert protocols["exploration_boxes"] == {"explore"}
     assert protocols["corridor_03"] == {"explore", "goal"}
     assert protocols["dynamic_front_approach"] == {"explore", "goal", "dynamic"}
     assert set(protocols) == set(BUNDLED_WORLDS)
+
+
+def test_replay_cases_lift_native_c_order_frames(tmp_path):
+    # The saved renders load as C-order native grids, so the full lift runs,
+    # and each replay logs one decision per frame, some of them shielded.
+    tool = _output_matrix()
+    args = tool.replay_inputs(tmp_path, PLATFORMS["robomaster"])
+    frames = sorted((tmp_path / "frames").glob("*.df1"))
+    assert len(frames) == len(tool.REPLAY_POSES)
+    frame = load_depth_frame(frames[0], CameraMount())
+    assert frame.depths.shape == (360, 640) and frame.depths.flags.c_contiguous
+    assert main(["replay", "--platform", "robomaster", *args]) == 0
+    rows = (tmp_path / "replay.dec.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(frames)
+    assert any(row.split(",")[6] == "0" for row in rows)

@@ -189,6 +189,21 @@ def test_degenerate_trajectory_commands_stop():
     assert d2.command.v == 0.0 and d2.command.omega == 0.0
 
 
+def test_waypoint_on_a_map_point_gets_a_finite_decision():
+    # The map point gives no push to the waypoint that sits on it; the
+    # other waypoints are still pushed by it.
+    cfg = _cfg()
+    frame = _single_pixel_frame(cfg, 100, 0.5)
+    point = construct_obstacle_map(back_project(frame, cfg), cfg).points[0]
+    traj = Trajectory(np.vstack(([0.2, 0.0], point, [0.8, 0.0])))
+    assert traj.waypoints[1].tobytes() == point.tobytes()
+    step = avoidance_step(frame, traj, cfg)
+    assert np.isfinite(step.repulsive.forces).all()
+    assert step.repulsive.forces[1].tobytes() == np.zeros(2).tobytes()
+    assert math.isfinite(step.theta_des) and math.isfinite(step.command.omega)
+    assert np.isfinite(step.adjusted_trajectory.waypoints).all()
+
+
 def test_step_determinism_bitwise():
     rng = np.random.default_rng(45)
     cfg = _cfg()

@@ -22,7 +22,7 @@ from repshield import (AvoidanceConfig, CameraIntrinsics, CameraMount, DepthFram
                        construct_obstacle_map, intrinsics_for_fov, load_depth_frame,
                        save_depth_frame)
 from repshield.harness import resolve_world
-from repshield.platforms import PLATFORMS
+from repshield.platforms import PLATFORMS, SIM_FRAME_ROWS
 from repshield.projection import _cut_tables, bin_half_range
 from repshield.sim import RobotState, WorldModel, check_collision, raycast_depth
 
@@ -225,12 +225,18 @@ def _assert_lifts_once_and_decides_as_copy(frame, cfg) -> np.ndarray:
     assert cloud.shape == once.shape and cloud.tobytes() == once.tobytes()
     copy = DepthFrame(np.array(frame.depths), frame.intrinsics, frame.mount)
     assert _map_bytes(cloud, cfg) == _map_bytes(_assert_back_project_matches_oracle(copy, cfg), cfg)
-    view, full = avoidance_step(frame, _TRAJ, cfg), avoidance_step(copy, _TRAJ, cfg)
-    assert (np.array([view.command.v, view.command.omega, view.theta_des]).tobytes()
-            == np.array([full.command.v, full.command.omega, full.theta_des]).tobytes())
-    assert (view.adjusted_trajectory.waypoints.tobytes()
-            == full.adjusted_trajectory.waypoints.tobytes())
+    _assert_same_decision(frame, copy, cfg)
     return cloud
+
+
+def _assert_same_decision(frame, other, cfg) -> None:
+    """The two frames give the same command, theta_des and adjusted
+    waypoints, bitwise."""
+    a, b = avoidance_step(frame, _TRAJ, cfg), avoidance_step(other, _TRAJ, cfg)
+    assert (np.array([a.command.v, a.command.omega, a.theta_des]).tobytes()
+            == np.array([b.command.v, b.command.omega, b.theta_des]).tobytes())
+    assert (a.adjusted_trajectory.waypoints.tobytes()
+            == b.adjusted_trajectory.waypoints.tobytes())
 
 
 def test_back_project_native_frames_match_oracle_bitwise():
@@ -239,6 +245,40 @@ def test_back_project_native_frames_match_oracle_bitwise():
         frame = raycast_depth(world, RobotState(1.0, 1.0, 0.3), plat.intrinsics(), plat.mount())
         assert frame.depths.shape == (plat.image_height, plat.image_width)
         assert len(_assert_lifts_once_and_decides_as_copy(frame, plat.config())) > 0
+
+
+def _with_missing(grid, rng) -> tuple:
+    """``grid`` with a seeded 20 % of its pixels set to nan or +inf, and the
+    same grid with those pixels set to 0."""
+    hit = rng.random(grid.shape) < 0.2
+    missing, zeroed = np.array(grid), np.array(grid)
+    missing[hit] = rng.choice([np.nan, np.inf], size=int(hit.sum()))
+    zeroed[hit] = 0.0
+    return missing, zeroed
+
+
+def test_missing_returns_decide_as_zero_depths():
+    # nan and +inf mark a missing return, like 0, on both lift paths: a
+    # native C-order grid, a native render of one stored row, and the
+    # simulator's 2-row frame as a C-order grid and as its render. Any
+    # numpy warning fails the test (pyproject's filterwarnings).
+    rng = np.random.default_rng(34)
+    world = resolve_world("corridor_03")
+    for plat in PLATFORMS.values():
+        cfg = plat.config()
+        for rows in (None, SIM_FRAME_ROWS):
+            render = raycast_depth(world, RobotState(1.0, 1.0, 0.3), plat.intrinsics(rows),
+                                   plat.mount())
+            shape = render.depths.shape
+            row_missing, row_zeroed = _with_missing(render.depths[0], rng)
+            for missing, zeroed in (_with_missing(render.depths, rng),
+                                    (np.broadcast_to(row_missing, shape),
+                                     np.broadcast_to(row_zeroed, shape))):
+                frame = DepthFrame(missing, render.intrinsics, cfg.mount)
+                zeros = DepthFrame(zeroed, render.intrinsics, cfg.mount)
+                cloud, expected = back_project(frame, cfg), back_project(zeros, cfg)
+                assert cloud.shape == expected.shape and cloud.tobytes() == expected.tobytes()
+                _assert_same_decision(frame, zeros, cfg)
 
 
 def _pool_rows(plat, intr, rng, count: int) -> list:
@@ -432,14 +472,18 @@ def test_depth_frame_validation():
         DepthFrame(np.zeros((3, 3)), intr, mount)
     with pytest.raises(InputFormatError):
         DepthFrame(np.full((2, 3), -1.0), intr, mount)
-    with pytest.raises(InputFormatError):
-        DepthFrame(np.full((2, 3), np.nan), intr, mount)
-    message = "depth values must be finite and non-negative"
-    for bad in (np.inf, -np.inf, np.nan):
-        depths = np.full((2, 3), 0.5)
+    message = "depth values must not be negative"
+    for bad in (-np.inf, -1e-300):
+        depths = np.full((2, 3), np.nan)
         depths[1, 2] = bad
         with pytest.raises(InputFormatError, match=message):
             DepthFrame(depths, intr, mount)
+    # nan and +inf mark a missing return, like 0; so does a frame of nothing else.
+    for missing in (np.inf, np.nan):
+        depths = np.full((2, 3), 0.5)
+        depths[1, 2] = missing
+        assert np.array_equal(DepthFrame(depths, intr, mount).depths, depths, equal_nan=True)
+    assert np.isnan(DepthFrame(np.full((2, 3), np.nan), intr, mount).depths).all()
     assert DepthFrame(np.full((2, 3), -0.0), intr, mount).depths.min() == 0.0
 
 
@@ -470,9 +514,13 @@ def test_raycast_frame_passes_the_depth_check(monkeypatch, bad):
     intr = intrinsics_for_fov(3, 2, 90.0)
     monkeypatch.setattr("repshield.sim.raycast.column_depths",
                         lambda *args, **kwargs: np.array([1.0, bad, 0.0]))
-    with pytest.raises(InputFormatError, match="depth values must be finite and non-negative"):
-        raycast_depth(WorldModel(bounds=(0.0, 0.0, 4.0, 4.0)), RobotState(1.0, 1.0, 0.0),
-                      intr, CameraMount())
+    args = (WorldModel(bounds=(0.0, 0.0, 4.0, 4.0)), RobotState(1.0, 1.0, 0.0), intr,
+            CameraMount())
+    if bad < 0:
+        with pytest.raises(InputFormatError, match="depth values must not be negative"):
+            raycast_depth(*args)
+    else:
+        assert np.isnan(raycast_depth(*args).depths[:, 1]).all()
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import oracle_dominant, oracle_force
-from repshield import (AvoidanceConfig, CameraMount, InputFormatError, SingularityError,
-                       Trajectory, estimate_repulsive_direction, load_trajectory,
+from repshield import (AvoidanceConfig, CameraMount, InputFormatError, Trajectory,
+                       estimate_repulsive_direction, load_trajectory,
                        repulsive_force, rotate_trajectory, save_trajectory)
 from repshield.repulsion import MIN_OBSTACLE_DISTANCE_M
 
@@ -61,11 +61,14 @@ def test_force_empty_obstacles_is_zero():
                                   [0.0, 0.0])
 
 
-def test_force_coincident_obstacle_raises_with_index():
+def test_force_coincident_obstacle_adds_nothing():
+    # At distance 0 there is no direction away: the pair adds exactly 0, so
+    # the force is the one without that obstacle, bit for bit.
     obs = np.array([[1.0, 1.0], [0.25, -0.5], [2.0, 0.0]])
-    with pytest.raises(SingularityError) as err:
-        repulsive_force(np.array([0.25, -0.5]), obs)
-    assert err.value.obstacle_index == 1
+    wp = np.array([0.25, -0.5])
+    f = repulsive_force(wp, obs)
+    assert f.tobytes() == repulsive_force(wp, obs[[0, 2]]).tobytes()
+    assert repulsive_force(wp, obs[[1]]).tobytes() == np.zeros(2).tobytes()
 
 
 def test_force_near_singularity_is_clamped_finite():
@@ -151,14 +154,16 @@ def test_estimate_duplicate_waypoints_tie_to_lowest_index():
     assert res.dominant_index == 0
 
 
-def test_estimate_singularity_reports_first_waypoint_in_order():
-    # Waypoint 2 sits on obstacle 3 and waypoint 5 on obstacle 1: the first
-    # coincident pair in waypoint order is reported, not the lowest obstacle.
+def test_estimate_waypoints_on_obstacles_give_a_finite_rotation():
+    # Waypoint 2 sits on obstacle 3 and waypoint 5 on obstacle 1: each gets
+    # no push from its own obstacle, and its neighbours get the 1/d^3 push.
     wps = np.column_stack((np.arange(1.0, 9.0), np.full(8, 0.5)))
     obs = np.array([[0.0, -1.0], wps[5], [0.0, -2.0], wps[2], [0.0, -3.0]])
-    with pytest.raises(SingularityError) as err:
-        estimate_repulsive_direction(Trajectory(wps), obs, _cfg())
-    assert err.value.obstacle_index == 3
+    res = estimate_repulsive_direction(Trajectory(wps), obs, _cfg())
+    assert np.isfinite(res.forces).all() and math.isfinite(res.theta_rot)
+    # Waypoint 6, one step past waypoint 5, with nothing behind it.
+    assert res.dominant_index == 6
+    np.testing.assert_array_equal(res.forces[2], repulsive_force(wps[2], np.delete(obs, 3, 0)))
 
 
 def test_property_oracle_equivalence_small():

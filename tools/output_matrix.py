@@ -8,11 +8,13 @@ The first form imports ``repshield`` from ``CHECKOUT/src`` (by default the
 tree this script sits in) and runs its command-line front end once per case:
 exploration on every bundled world, goal on every world with goals, dynamic
 on every world with agents, each on every platform with the shield on and
-off, at seed 0 with 2 trials and ``--max-time 30``. It writes one line per
-output file, ``case file sha256``, for ``report.csv``, ``trials.csv`` and
-each ``*.traj.csv`` and ``*.dec.csv``. ``--compare A B`` prints every case
-whose files or digests differ between two such listings and exits 1 if there
-is one, 0 otherwise.
+off, at seed 0 with 2 trials and ``--max-time 30``; and, on every platform,
+replay of native renders at fixed poses along ``corridor_03``, saved as DF1
+files (loading gives C-order grids, so the full lift runs), with a straight
+trajectory. It writes one line per output file, ``case file sha256``, for
+``report.csv``, ``trials.csv`` and each ``*.traj.csv`` and ``*.dec.csv``.
+``--compare A B`` prints every case whose files or digests differ between
+two such listings and exits 1 if there is one, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -26,9 +28,13 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 PATTERNS = ("report.csv", "trials.csv", "*.traj.csv", "*.dec.csv")
 RUN_ARGS = ("--seed", "0", "--trials", "2", "--max-time", "30")
+REPLAY_WORLD = "corridor_03"
+REPLAY_POSES = ((1.0, 0.0, 0.0), (2.0, 0.5, 0.2), (7.5, -0.6, -0.3), (12.0, 0.9, 1.4))
 
 
 def cases(bundled_worlds: dict, platforms) -> list[tuple[str, list[str]]]:
@@ -44,7 +50,27 @@ def cases(bundled_worlds: dict, platforms) -> list[tuple[str, list[str]]]:
                     out.append((f"{name}/{command}/{platform}/{arm}",
                                 [command, "--world", name, "--platform", platform,
                                  f"--{arm}", *RUN_ARGS]))
+    out += [(f"{REPLAY_WORLD}/replay/{platform}/shield", ["replay", "--platform", platform])
+            for platform in sorted(platforms)]
     return out
+
+
+def replay_inputs(out: Path, platform) -> list[str]:
+    """Write the replay frames and trajectory under ``out``; returns their
+    arguments."""
+    from repshield import Trajectory, save_depth_frame, save_trajectory
+    from repshield.harness import resolve_world
+    from repshield.sim import RobotState, raycast_depth
+
+    world = resolve_world(REPLAY_WORLD)
+    (out / "frames").mkdir(parents=True)
+    for k, pose in enumerate(REPLAY_POSES):
+        frame = raycast_depth(world, RobotState(*pose), platform.intrinsics(), platform.mount())
+        save_depth_frame(frame, out / "frames" / f"frame_{k}.df1")
+    save_trajectory(Trajectory(np.column_stack((0.25 * np.arange(1, 9), np.zeros(8)))),
+                    out / "straight.tj1")
+    return ["--frames", str(out / "frames"), "--trajectory", str(out / "straight.tj1"),
+            "--out", str(out / "replay.dec.csv")]
 
 
 def digest_checkout(checkout: Path) -> list[str]:
@@ -58,8 +84,10 @@ def digest_checkout(checkout: Path) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         for case, argv in cases(BUNDLED_WORLDS, PLATFORMS):
             out = Path(tmp) / case
+            outputs = (replay_inputs(out, PLATFORMS[argv[2]]) if argv[0] == "replay"
+                       else ["--out", str(out)])
             with contextlib.redirect_stdout(io.StringIO()):
-                if main([*argv, "--out", str(out)]) != 0:
+                if main([*argv, *outputs]) != 0:
                     sys.exit(f"{case} failed in {checkout}")
             files = sorted({f for pattern in PATTERNS for f in out.rglob(pattern)})
             lines += [f"{case} {f.relative_to(out)} {hashlib.sha256(f.read_bytes()).hexdigest()}"
