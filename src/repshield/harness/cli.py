@@ -36,9 +36,9 @@ def _add_common(parser: argparse.ArgumentParser, task: str, default_trials: int)
                         help="wrap the policy in the avoidance shield")
     parser.add_argument("--trials", type=int, default=default_trials)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", type=Path, help="directory for report and logs")
+    parser.add_argument("--out", type=Path, help="new or empty directory for report and logs")
     parser.add_argument("--max-time", type=float, default=300.0,
-                        help="per-trial wall of simulated seconds")
+                        help="simulated-seconds cap; a trial ends after the tick that reaches it")
     parser.add_argument("--max-distance", type=float, default=30.0,
                         help="per-trial odometer cap in meters")
 
@@ -50,24 +50,11 @@ def _write_outputs(report: MetricsReport, out: Path | None) -> None:
     (out / "report.csv").write_text(report_csv(report))
     (out / "trials.csv").write_text(per_trial_csv(report))
     logs = out / "logs"
-    logs.mkdir(exist_ok=True)
+    logs.mkdir()
     for trial, res in enumerate(report.per_trial):
         (logs / f"trial_{trial:03d}.traj.csv").write_text(res.trajectory_log)
         if res.decision_log is not None:
             (logs / f"trial_{trial:03d}.dec.csv").write_text(res.decision_log)
-
-
-def _print_summary(report: MetricsReport) -> None:
-    print(f"task={report.task} shield={int(report.shield)} trials={report.trials}")
-    print(f"  arrival_rate={report.arrival_rate:.3f}")
-    print(f"  distance_before_collision={report.distance_before_collision_mean:.3f}"
-          f" +/- {report.distance_before_collision_std:.3f} m")
-    print(f"  path_length={report.path_length_mean:.3f}"
-          f" +/- {report.path_length_std:.3f} m")
-    print(f"  completion_time={report.completion_time_mean:.3f}"
-          f" +/- {report.completion_time_std:.3f} s")
-    print(f"  collisions: mean={report.collision_count_mean:.3f}"
-          f" trials_with={report.collision_trials}")
 
 
 def _cmd_run(args) -> int:
@@ -75,9 +62,14 @@ def _cmd_run(args) -> int:
         task=args.task, world=args.world, platform=args.platform, shield=args.shield,
         trials=args.trials, seed=args.seed, max_distance_m=args.max_distance,
         max_time_s=args.max_time)
+    # A used --out is refused before any trial runs, so two runs' files never mix.
+    if args.out is not None and any((args.out / name).exists()
+                                    for name in ("report.csv", "trials.csv", "logs")):
+        raise InputFormatError(f"--out {args.out} holds an earlier run's outputs; "
+                               "give a new or empty directory")
     report = (run_dynamic(spec, args.scenario) if args.task == "dynamic_obstacle"
               else run_experiment(spec))
-    _print_summary(report)
+    sys.stdout.write(report_csv(report))
     _write_outputs(report, args.out)
     return 0
 

@@ -121,14 +121,13 @@ def run_episode(world: WorldModel, policy, *, platform: PlatformSpec,
     """Fold the ticks of one episode into its metrics and logs.
 
     The episode ends at arrival (``episode_ticks`` runs out), after the
-    tick that reaches the time or distance cap, or, with
-    ``stop_on_collision``, after the first colliding tick; it runs at
-    least one tick unless it starts at its last goal. Collisions do not
-    block arrival. Distance is the commanded odometer (sum of v * dt),
-    which for arc integration equals true path length.
+    tick that reaches the time cap (k ticks take k * 0.1 s) or the
+    distance cap, or, with ``stop_on_collision``, after the first colliding
+    tick; it runs at least one tick unless it starts at its last goal.
+    Collisions do not block arrival. Distance is the commanded odometer
+    (sum of v * dt), which for arc integration equals true path length.
     """
     check_caps(max_time_s, max_distance_m)
-    max_ticks = int(round(max_time_s / CONTROL_PERIOD_S))
     traj_rows = [TRAJECTORY_LOG_HEADER]
     dec_rows = [DECISION_LOG_HEADER] if shield is not None else None
     state = start
@@ -150,7 +149,8 @@ def run_episode(world: WorldModel, policy, *, platform: PlatformSpec,
         if tick.collided and not collided_prev:
             collisions += 1
         collided_prev = tick.collided
-        if k >= max_ticks or distance >= max_distance_m or (stop_on_collision and tick.collided):
+        if (k * CONTROL_PERIOD_S >= max_time_s or distance >= max_distance_m
+                or (stop_on_collision and tick.collided)):
             break
     else:
         arrived, completion_time = True, (len(traj_rows) - 1) * CONTROL_PERIOD_S

@@ -19,8 +19,8 @@ from conftest import oracle_cut, oracle_dominant, oracle_obstacle_map, random_cl
 from repshield import (AvoidanceConfig, CameraMount, DepthFrame, SafetyParams,
                        Trajectory, avoidance_step, construct_obstacle_map,
                        estimate_repulsive_direction, gate_command, intrinsics_for_fov)
-from repshield.harness import (ExperimentSpec, report_csv, run_dynamic,
-                               run_exploration, run_goal_conditioned)
+from repshield.harness import (ExperimentSpec, report_csv, run_dynamic, run_experiment,
+                               run_goal_conditioned)
 from repshield.sim import WorldModel
 from repshield.worldgen import DYNAMIC_SCENARIOS
 
@@ -201,7 +201,7 @@ def test_criterion_07_exploration_improvement():
     for shield in (True, False):
         spec = ExperimentSpec(task="exploration", world="exploration_boxes",
                               shield=shield, trials=20, seed=0)
-        means[shield] = run_exploration(spec).distance_before_collision_mean
+        means[shield] = run_experiment(spec).distance_before_collision_mean
     elapsed = time.monotonic() - start
     ratio = means[True] / means[False]
     ok = ratio >= 2.0 and elapsed < 120.0
@@ -252,7 +252,7 @@ def test_criterion_10_determinism():
     arena = WorldModel(bounds=(0.0, 0.0, 6.0, 4.0), bounds_solid=False,
                        start=(1.0, 2.0, 0.0), goals=np.array([[3.0, 2.0]]))
     specs = [
-        ("exploration", run_exploration,
+        ("exploration", run_experiment,
          ExperimentSpec(task="exploration", world=arena, trials=3, seed=4,
                         max_time_s=3.0)),
         ("goal", run_goal_conditioned,

@@ -11,8 +11,8 @@ import pytest
 
 from repshield import (CameraMount, DepthFrame, Shield, Trajectory, get_platform,
                        intrinsics_for_fov, save_depth_frame)
-from repshield.harness import (ExperimentSpec, episodes, report_csv, resolve_world,
-                               run_episode, run_experiment)
+from repshield.harness import (ExperimentSpec, episodes, experiments, report_csv,
+                               resolve_world, run_episode, run_experiment)
 from repshield.harness.cli import main
 from repshield.repulsion import load_trajectory, save_trajectory
 from repshield.sim import RobotState, WorldModel, save_world
@@ -27,21 +27,30 @@ def arena_world(tmp_path):
     return path
 
 
+def _report(out: str) -> dict[str, str]:
+    """The metric -> value rows of a report.csv text."""
+    lines = out.splitlines()
+    assert lines[0] == "metric,value"
+    return dict(line.split(",", 1) for line in lines[1:])
+
+
 def test_explore_runs_and_prints_summary(arena_world, capsys):
     rc = main(["explore", "--world", str(arena_world), "--trials", "2",
                "--seed", "1", "--max-time", "2"])
-    out = capsys.readouterr().out
+    report = _report(capsys.readouterr().out)
     assert rc == 0
-    assert "task=exploration shield=1 trials=2" in out
-    assert "path_length=" in out
+    assert (report["task"], report["shield"], report["trials"]) == ("exploration", "1", "2")
+    assert float(report["path_length_mean"]) > 0.0
 
 
 def test_explore_writes_artifact_tree(arena_world, tmp_path, capsys):
     out_dir = tmp_path / "results"
     rc = main(["explore", "--world", str(arena_world), "--trials", "2",
                "--max-time", "2", "--out", str(out_dir)])
-    capsys.readouterr()
+    out = capsys.readouterr().out
     assert rc == 0
+    # Stdout is the report.csv text, byte for byte.
+    assert out.encode() == (out_dir / "report.csv").read_bytes()
     expected = run_experiment(ExperimentSpec(task="exploration", world=str(arena_world),
                                              trials=2, max_time_s=2.0))
     assert (out_dir / "report.csv").read_text() == report_csv(expected)
@@ -59,7 +68,7 @@ def test_no_shield_skips_decision_logs(arena_world, tmp_path, capsys):
     rc = main(["explore", "--world", str(arena_world), "--no-shield",
                "--trials", "1", "--max-time", "2", "--out", str(out_dir)])
     assert rc == 0
-    assert "shield=0" in capsys.readouterr().out
+    assert _report(capsys.readouterr().out)["shield"] == "0"
     assert (out_dir / "logs" / "trial_000.traj.csv").exists()
     assert not (out_dir / "logs" / "trial_000.dec.csv").exists()
 
@@ -67,24 +76,68 @@ def test_no_shield_skips_decision_logs(arena_world, tmp_path, capsys):
 def test_goal_run_arrives(arena_world, capsys):
     rc = main(["goal", "--world", str(arena_world), "--trials", "2",
                "--seed", "0", "--max-time", "20"])
-    out = capsys.readouterr().out
+    report = _report(capsys.readouterr().out)
     assert rc == 0
-    assert "arrival_rate=1.000" in out
+    assert report["arrival_rate"] == "1.0"
 
 
 def test_goal_run_on_bundled_world(capsys):
     rc = main(["goal", "--world", "corridor_empty", "--trials", "1",
                "--max-time", "120"])
-    out = capsys.readouterr().out
+    report = _report(capsys.readouterr().out)
     assert rc == 0
-    assert "arrival_rate=1.000" in out
+    assert report["arrival_rate"] == "1.0"
 
 
 def test_dynamic_scenario_runs(capsys):
     rc = main(["dynamic", "--scenario", "side_appear", "--trials", "1",
                "--max-time", "2"])
     assert rc == 0
-    assert "task=dynamic_obstacle" in capsys.readouterr().out
+    assert _report(capsys.readouterr().out)["task"] == "dynamic_obstacle"
+
+
+def test_reused_out_is_refused_and_the_earlier_run_kept(arena_world, tmp_path, capsys):
+    # An empty directory counts as new. A second run into a used one would
+    # mix the shielded trial_000.dec.csv and trial_001 logs with its own.
+    out_dir = tmp_path / "results"
+    out_dir.mkdir()
+    rc = main(["goal", "--world", str(arena_world), "--trials", "2", "--max-time", "2",
+               "--out", str(out_dir)])
+    assert rc == 0
+    capsys.readouterr()
+    before = {f: f.read_bytes() for f in out_dir.rglob("*") if f.is_file()}
+    assert len(before) == 6
+    rc = main(["goal", "--world", str(arena_world), "--no-shield", "--trials", "1",
+               "--max-time", "2", "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == (f"error: --out {out_dir} holds an earlier run's outputs; "
+                            "give a new or empty directory\n")
+    assert {f: f.read_bytes() for f in out_dir.rglob("*") if f.is_file()} == before
+
+
+@pytest.mark.parametrize("leftover", ["report.csv", "trials.csv", "logs"])
+@pytest.mark.parametrize("command", ["explore", "goal", "dynamic"])
+def test_out_holding_any_output_is_refused_before_a_trial_runs(
+        command, leftover, arena_world, tmp_path, monkeypatch, capsys):
+    def no_episode(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "run_episode", no_episode)
+    out_dir = tmp_path / "results"
+    out_dir.mkdir()
+    if leftover == "logs":
+        (out_dir / leftover).mkdir()
+    else:
+        (out_dir / leftover).write_text("")
+    world = (["--scenario", "side_appear"] if command == "dynamic"
+             else ["--world", str(arena_world)])
+    rc = main([command, *world, "--trials", "1", "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --out {out_dir} holds")
 
 
 def test_scenario_and_world_are_exclusive(capsys):
@@ -130,7 +183,9 @@ def test_replay_to_stdout_and_file(tmp_path, capsys):
     # A wall dead ahead must not pass through.
     assert all(line.split(",")[6] == "0" for line in lines[1:])
 
+    # Replay's --out is a file, and a stale one is overwritten.
     log_path = tmp_path / "replay.csv"
+    log_path.write_text("stale\n")
     rc = main(["replay", "--frames", str(frames_dir),
                "--trajectory", str(traj_path), "--out", str(log_path)])
     assert rc == 0
@@ -361,10 +416,12 @@ def test_missing_subcommand_and_bad_flag_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_console_script_entry_point(arena_world):
+def test_console_script_entry_point(arena_world, tmp_path):
+    out_dir = tmp_path / "console"
     proc = subprocess.run(
         [sys.executable, "-m", "repshield.harness.cli", "explore", "--world",
-         str(arena_world), "--trials", "1", "--max-time", "1"],
-        capture_output=True, text=True)
+         str(arena_world), "--trials", "1", "--max-time", "1", "--out", str(out_dir)],
+        capture_output=True)
     assert proc.returncode == 0
-    assert "task=exploration" in proc.stdout
+    assert proc.stdout == (out_dir / "report.csv").read_bytes()
+    assert _report(proc.stdout.decode())["task"] == "exploration"

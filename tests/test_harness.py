@@ -17,7 +17,7 @@ from repshield.errors import InputFormatError
 from repshield.harness import (CONTROL_PERIOD_S, GOAL_RADIUS_M, ExperimentSpec, Tick,
                                episode_ticks, episodes, experiments, per_trial_csv, report_csv,
                                resolve_world, run_dynamic, run_episode, run_experiment,
-                               run_exploration, run_goal_conditioned)
+                               run_goal_conditioned)
 from repshield.pipeline import Shield, decision_log_row
 from repshield.platforms import SIM_FRAME_ROWS, get_platform
 from repshield.sim import RobotState, WorldModel, load_world, raycast_depth, save_world
@@ -44,8 +44,8 @@ def _explore_spec(**kw) -> ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 def test_exploration_rerun_is_byte_identical():
-    a = run_exploration(_explore_spec())
-    b = run_exploration(_explore_spec())
+    a = run_experiment(_explore_spec())
+    b = run_experiment(_explore_spec())
     assert report_csv(a) == report_csv(b)
     assert per_trial_csv(a) == per_trial_csv(b)
     for ra, rb in zip(a.per_trial, b.per_trial):
@@ -111,8 +111,8 @@ def _artifact_digests(rep) -> dict[str, str]:
 
 @pytest.mark.parametrize("shield", [True, False])
 def test_exploration_bytes_match_pinned_digests(shield):
-    rep = run_exploration(ExperimentSpec(task="exploration", world="exploration_boxes",
-                                         trials=3, seed=0, max_time_s=20.0, shield=shield))
+    rep = run_experiment(ExperimentSpec(task="exploration", world="exploration_boxes",
+                                        trials=3, seed=0, max_time_s=20.0, shield=shield))
     assert _artifact_digests(rep) == _EXPLORATION_PIN[shield]
 
 
@@ -147,8 +147,8 @@ def test_unshielded_arrival_bytes_match_pinned_digests(spec, pin):
 
 
 def test_seed_changes_exploration_outcome():
-    a = run_exploration(_explore_spec(seed=7))
-    b = run_exploration(_explore_spec(seed=8))
+    a = run_experiment(_explore_spec(seed=7))
+    b = run_experiment(_explore_spec(seed=8))
     logs_a = [r.trajectory_log for r in a.per_trial]
     logs_b = [r.trajectory_log for r in b.per_trial]
     assert logs_a != logs_b
@@ -178,7 +178,7 @@ def test_shield_and_baseline_arms_share_start_poses():
     # flipping the shield flag must not move any trial's start pose.
     starts = {}
     for shield in (True, False):
-        rep = run_exploration(_explore_spec(shield=shield, max_time_s=0.1))
+        rep = run_experiment(_explore_spec(shield=shield, max_time_s=0.1))
         starts[shield] = [_invert_first_row(r.trajectory_log) for r in rep.per_trial]
     for (xa, ya, ha), (xb, yb, hb) in zip(starts[True], starts[False]):
         assert xa == pytest.approx(xb, abs=1e-9)
@@ -187,7 +187,7 @@ def test_shield_and_baseline_arms_share_start_poses():
 
 
 def test_trials_have_distinct_starts():
-    rep = run_exploration(_explore_spec(max_time_s=0.1))
+    rep = run_experiment(_explore_spec(max_time_s=0.1))
     poses = [_invert_first_row(r.trajectory_log) for r in rep.per_trial]
     assert len({(round(x, 6), round(y, 6)) for x, y, _ in poses}) == len(poses)
 
@@ -248,6 +248,15 @@ def test_tick_stream_without_goals_runs_past_the_time_cap():
     assert not rec.arrived
     assert [t.t for t in ticks] == [k * CONTROL_PERIOD_S for k in range(15)]
     assert rec.trajectory_log.splitlines()[1:] == [_trajectory_row(t) for t in ticks[:10]]
+
+
+@pytest.mark.parametrize("max_time_s, rows", [(0.1, 1), (0.15, 2), (0.25, 3), (0.35, 4),
+                                              (4.4, 44)])
+def test_time_cap_ends_the_episode_after_the_tick_that_reaches_it(max_time_s, rows):
+    # k ticks have run k * 0.1 s, so the first k with k * 0.1 >= the cap is the last.
+    rec = run_episode(policy=Wanderer(seed=4), max_time_s=max_time_s,
+                      **_arena_episode(shield=False))
+    assert rec.trajectory_log.count("\n") == 1 + rows   # the header and one row a tick
 
 
 class _SpyShield(Shield):
@@ -339,14 +348,14 @@ def test_metrics_recomputable_from_trajectory_logs():
 
 
 def test_exploration_without_goals_reports_nan_times():
-    rep = run_exploration(_explore_spec())
+    rep = run_experiment(_explore_spec())
     assert rep.arrival_rate == 0.0
     assert math.isnan(rep.completion_time_mean)
     assert math.isnan(rep.completion_time_std)
 
 
 def test_single_trial_std_is_zero():
-    rep = run_exploration(_explore_spec(trials=1))
+    rep = run_experiment(_explore_spec(trials=1))
     assert rep.path_length_std == 0.0
     assert rep.trials == 1
 
@@ -454,15 +463,6 @@ def test_spec_accepts_one_tick_and_no_odometer_cap():
     assert rep.per_trial[0].trajectory_log.count("\n") == 2   # header and one tick
 
 
-def test_runners_reject_mismatched_task():
-    with pytest.raises(ValueError):
-        run_exploration(ExperimentSpec(task="goal_conditioned", world=_EMPTY_ARENA))
-    with pytest.raises(ValueError):
-        run_goal_conditioned(ExperimentSpec(task="exploration", world=_EMPTY_ARENA))
-    with pytest.raises(ValueError):
-        run_dynamic(ExperimentSpec(task="exploration", world=_EMPTY_ARENA))
-
-
 def test_goal_run_requires_goals():
     spec = ExperimentSpec(task="goal_conditioned", world=_EMPTY_ARENA, trials=1)
     with pytest.raises(InputFormatError):
@@ -502,7 +502,7 @@ def test_dynamic_run_requires_agents():
 # ---------------------------------------------------------------------------
 
 def test_report_csv_shape_and_values():
-    rep = run_exploration(_explore_spec(trials=2))
+    rep = run_experiment(_explore_spec(trials=2))
     text = report_csv(rep)
     lines = text.splitlines()
     assert lines[0] == "metric,value"
@@ -515,7 +515,7 @@ def test_report_csv_shape_and_values():
 
 
 def test_per_trial_csv_shape():
-    rep = run_exploration(_explore_spec(trials=3))
+    rep = run_experiment(_explore_spec(trials=3))
     lines = per_trial_csv(rep).splitlines()
     assert lines[0].startswith("trial,arrived,")
     assert len(lines) == 4
