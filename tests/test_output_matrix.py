@@ -73,6 +73,14 @@ def test_matrix_runs_each_world_under_every_protocol_it_supports():
     assert set(protocols) == set(BUNDLED_WORLDS)
 
 
+def test_checked_in_listing_digests_every_case():
+    # CI compares a fresh listing against this one, so it must hold every
+    # case of the matrix and no other.
+    tool = _output_matrix()
+    listing = tool.read_digests(ROOT / "tests" / "output_matrix.txt")
+    assert set(listing) == {case for case, _ in tool.cases(BUNDLED_WORLDS, PLATFORMS)}
+
+
 def test_replay_cases_lift_native_c_order_frames(tmp_path):
     # The saved renders load as C-order native grids, so the full lift runs,
     # and each replay logs one decision per frame, some of them shielded.

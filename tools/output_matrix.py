@@ -14,7 +14,8 @@ files (loading gives C-order grids, so the full lift runs), with a straight
 trajectory. It writes one line per output file, ``case file sha256``, for
 ``report.csv``, ``trials.csv`` and each ``*.traj.csv`` and ``*.dec.csv``.
 ``--compare A B`` prints every case whose files or digests differ between
-two such listings and exits 1 if there is one, 0 otherwise.
+two such listings and exits 1 if there is one, 0 otherwise. CI compares a
+fresh listing against the one checked in at ``tests/output_matrix.txt``.
 """
 
 from __future__ import annotations
