@@ -22,7 +22,7 @@ from ..config import require_points
 # avoidance_step is unused here, but a benchmark's tracer looks it up on this module.
 from ..pipeline import (DECISION_LOG_HEADER, AvoidanceDecision, Shield,  # noqa: F401
                         avoidance_step, decision_log_row)
-from ..platforms import SIM_FRAME_ROWS, PlatformSpec
+from ..platforms import PlatformSpec
 from ..repulsion import Trajectory
 from ..safety import ControlCommand, turn_rate
 from ..sim import (RobotState, WorldModel, check_collision, policy_trajectory,
@@ -93,7 +93,7 @@ def episode_ticks(world: WorldModel, policy, *, platform: PlatformSpec, shield: 
     """
     safety = platform.config().safety
     mount = platform.mount()
-    intr = platform.intrinsics(SIM_FRAME_ROWS)
+    intr = platform.intrinsics()
     goals = require_points("goals", () if goals is None else goals, 2)
     gi = 0
     state = start

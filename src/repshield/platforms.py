@@ -9,14 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import AvoidanceConfig, CameraMount, require_int
+from .config import AvoidanceConfig, CameraMount
 from .projection import CameraIntrinsics, intrinsics_for_fov
-
-# The simulated world is planar, so image rows carry no extra geometry
-# and the obstacle map is identical for two or more rows (one row would
-# give fy = 0, so PlatformSpec.intrinsics requires two); frames are
-# rendered with the minimum two rows to keep episodes fast.
-SIM_FRAME_ROWS = 2
 
 
 @dataclass(frozen=True)
@@ -43,24 +37,8 @@ class PlatformSpec:
     def mount(self) -> CameraMount:
         return self.camera
 
-    def intrinsics(self, rows: int | None = None) -> CameraIntrinsics:
-        """Camera intrinsics, optionally rendered at a reduced row count.
-
-        Reduced-row frames keep the native vertical field of view by
-        scaling fy, so the bottom rows still look down at the same angle
-        and the height mask passes the same pixel columns. With square
-        pixels instead, a short frame would narrow the vertical span and
-        hide obstacles close to the camera.
-        """
-        native = intrinsics_for_fov(self.image_width, self.image_height, self.camera.fov_deg)
-        if rows is not None:
-            require_int("rows", rows, 2)
-        if rows is None or rows == self.image_height:
-            return native
-        tan_half_v = ((self.image_height - 1) / 2.0) / native.fy
-        return CameraIntrinsics(fx=native.fx, fy=((rows - 1) / 2.0) / tan_half_v,
-                                cx=native.cx, cy=(rows - 1) / 2.0,
-                                width=self.image_width, height=rows)
+    def intrinsics(self) -> CameraIntrinsics:
+        return intrinsics_for_fov(self.image_width, self.image_height, self.camera.fov_deg)
 
     def config(self) -> AvoidanceConfig:
         return AvoidanceConfig(mount=self.camera, tau_z=self.tau_z_m,

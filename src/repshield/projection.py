@@ -87,8 +87,9 @@ class DepthFrame:
             raise InputFormatError(
                 f"depth grid shape {depths.shape} does not match intrinsics {expected}"
             )
-        # fmin skips nan, which with +inf marks a missing return, like 0.
-        if np.fmin.reduce(depths, axis=None) < 0:
+        # fmin skips nan, which with +inf marks a missing return, like 0. A
+        # grid of row stride 0 repeats its row 0, so only that row is read.
+        if np.fmin.reduce(depths[:1] if depths.strides[0] == 0 else depths, axis=None) < 0:
             raise InputFormatError("depth values must not be negative")
 
 
@@ -132,15 +133,15 @@ def back_project(frame: DepthFrame, cfg: AvoidanceConfig) -> np.ndarray:
     most ``width`` points. Any other grid is fully lifted.
     """
     intr = frame.intrinsics
-    top, lo, hi, u_off, v_off = _cut_tables(intr, cfg.tau_z, cfg.epsilon,
-                                            cfg.mount.depth_offset_m)
+    top, lo, hi, lo_rev, u_off, v_off = _cut_tables(intr, cfg.tau_z, cfg.epsilon,
+                                                    cfg.mount.depth_offset_m)
     d = frame.depths[top:]
     if d.strides[0] == 0 and len(d) > 1:
         # The rows a column passes are a suffix (``_cut_tables``): binary-search
         # its first (n: none, as for nan and +inf, which sort past every
         # bound), then sort the pixels back into row-major order.
         n, width = d.shape
-        first = np.maximum(n - np.searchsorted(lo[::-1, 0], d[0], side="right"),
+        first = np.maximum(n - np.searchsorted(lo_rev, d[0], side="right"),
                            np.searchsorted(hi[:, 0], d[0], side="left"))
         cols = np.flatnonzero(first < n)
         lifted = np.sort(first[cols] * width + cols)
@@ -182,7 +183,8 @@ def _least_passing(test, n: int) -> np.ndarray:
 def _cut_tables(intr: CameraIntrinsics, tau_z: float, epsilon: float, offset: float) -> tuple:
     """``back_project``'s cuts as the first candidate row ``top`` and, for
     each row from there down, (rows, 1) depth bounds ``lo`` and ``hi``, plus
-    each pixel's ``u - cx`` and ``v - cy``, read-only and shared.
+    ``lo`` reversed as a contiguous vector (for ``searchsorted``) and each
+    pixel's ``u - cx`` and ``v - cy``, read-only and shared.
 
     On a row, Y(d) = ((v - cy) * d) / fy is monotone in d, as rounding to
     nearest is monotone, and so is d - offset. So a pixel passes the cuts
@@ -212,8 +214,8 @@ def _cut_tables(intr: CameraIntrinsics, tau_z: float, epsilon: float, offset: fl
         hi = np.nextafter(_least_passing(
             lambda d: (d > 0) & ~((d - offset <= tau_z) & (height(d) | (rows > 0))),
             rows.size), 0.0)
-    return top, *map(read_only, (lo[:, None], hi[:, None], np.tile(cols, rows.size),
-                                 np.repeat(rows, intr.width)))
+    return top, *map(read_only, (lo[:, None], hi[:, None], lo[::-1].copy(),
+                                 np.tile(cols, rows.size), np.repeat(rows, intr.width)))
 
 
 def bin_half_range(cfg: AvoidanceConfig) -> float:

@@ -17,8 +17,22 @@ from dataclasses import replace
 
 import numpy as np
 
-from repshield import AvoidanceConfig
+from repshield import AvoidanceConfig, CameraIntrinsics
 from repshield.projection import bin_half_range
+
+
+def reduced_row_intrinsics(plat, rows: int) -> CameraIntrinsics:
+    """``plat``'s native intrinsics at ``rows`` rows (at least 2), keeping the
+    native vertical field of view by scaling fy, so the bottom rows look
+    down at the native angle: the geometry of the simulator's former
+    reduced-row frames, on which several pinned counts were recorded."""
+    native = plat.intrinsics()
+    if rows == plat.image_height:
+        return native
+    tan_half_v = ((plat.image_height - 1) / 2.0) / native.fy
+    return CameraIntrinsics(fx=native.fx, fy=((rows - 1) / 2.0) / tan_half_v,
+                            cx=native.cx, cy=(rows - 1) / 2.0, width=plat.image_width,
+                            height=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from repshield.harness import (CONTROL_PERIOD_S, GOAL_RADIUS_M, ExperimentSpec, 
                                resolve_world, run_dynamic, run_episode, run_experiment,
                                run_goal_conditioned)
 from repshield.pipeline import Shield, decision_log_row
-from repshield.platforms import SIM_FRAME_ROWS, get_platform
+from repshield.platforms import get_platform
 from repshield.sim import RobotState, WorldModel, load_world, raycast_depth, save_world
 from repshield.sim.policies import GoalSeeker, Wanderer
 from repshield.worldgen import BUNDLED_WORLDS, DYNAMIC_SCENARIOS
@@ -275,6 +275,7 @@ class _SpyShield(Shield):
 def test_episode_steps_the_shield_it_is_handed_on_the_platform_camera(platform_name, tmp_path):
     # The shield declares an unbiased sensor; the simulator still renders with
     # the platform's camera, so each frame carries the platform's depth bias.
+    # Every frame is the camera's own: its native shape, one stored row.
     platform = get_platform(platform_name)
     cfg_path = tmp_path / "unbiased.cfg"
     cfg_path.write_text("depth_offset_m = 0\n")
@@ -285,10 +286,12 @@ def test_episode_steps_the_shield_it_is_handed_on_the_platform_camera(platform_n
     ticks = list(itertools.islice(episode_ticks(world, GoalSeeker(), platform=platform,
                                                 shield=spy, start=start, goals=world.goals), 10))
     assert len(spy.frames) == len(ticks) == 10
-    intr = platform.intrinsics(SIM_FRAME_ROWS)
+    intr = platform.intrinsics()
     unbiased = replace(platform.mount(), depth_offset_m=0.0)
     for tick, frame, pose in zip(ticks, spy.frames, [start] + [t.state for t in ticks]):
-        assert frame.mount == platform.mount()
+        assert frame.mount == platform.mount() and frame.intrinsics == intr
+        assert frame.depths.shape == (platform.image_height, platform.image_width)
+        assert frame.depths.strides[0] == 0
         rendered = raycast_depth(world, pose, intr, platform.mount(), t=tick.t)
         assert np.array_equal(frame.depths, rendered.depths)
         true_depth = raycast_depth(world, pose, intr, unbiased, t=tick.t).depths

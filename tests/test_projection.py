@@ -16,13 +16,13 @@ import numpy as np
 import pytest
 
 from conftest import (oracle_cut, oracle_lifted, oracle_lifted_once, oracle_obstacle_map,
-                      random_cloud, windowed)
+                      random_cloud, reduced_row_intrinsics, windowed)
 from repshield import (AvoidanceConfig, CameraIntrinsics, CameraMount, DepthFrame,
                        InputFormatError, Trajectory, avoidance_step, back_project,
                        construct_obstacle_map, intrinsics_for_fov, load_depth_frame,
                        save_depth_frame)
 from repshield.harness import resolve_world
-from repshield.platforms import PLATFORMS, SIM_FRAME_ROWS
+from repshield.platforms import PLATFORMS
 from repshield.projection import _cut_tables, bin_half_range
 from repshield.sim import RobotState, WorldModel, check_collision, raycast_depth
 
@@ -62,13 +62,7 @@ def test_intrinsics_validation():
         CameraMount(fov_deg=200.0)
 
 
-_LOCOBOT = PLATFORMS["locobot"]
-
-
 @pytest.mark.parametrize("build, message", [
-    (lambda: _LOCOBOT.intrinsics(1), "rows must be at least 2, got 1"),
-    (lambda: _LOCOBOT.intrinsics(2.5), "rows must be an integer, got 2.5"),
-    (lambda: _LOCOBOT.intrinsics(True), "rows must be an integer, got True"),
     (lambda: intrinsics_for_fov(1, 8, 90.0), "width must be at least 2, got 1"),
     (lambda: intrinsics_for_fov(8.0, 8, 90.0), "width must be an integer, got 8.0"),
     (lambda: intrinsics_for_fov(8, 0, 90.0), "height must be at least 1, got 0"),
@@ -79,15 +73,13 @@ _LOCOBOT = PLATFORMS["locobot"]
      "width must be an integer, got 2.0"),
     (lambda: CameraIntrinsics(1.0, 1.0, 0.0, 0.0, width=2, height=True),
      "height must be an integer, got True"),
-], ids=["rows_1", "rows_float", "rows_bool", "width_1", "width_float", "height_0",
-        "fov_180", "fov_0", "fov_negative", "intrinsics_width_float",
-        "intrinsics_height_bool"])
+], ids=["width_1", "width_float", "height_0", "fov_180", "fov_0", "fov_negative",
+        "intrinsics_width_float", "intrinsics_height_bool"])
 def test_intrinsics_check_their_own_arguments(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
     # numpy integers are integers.
     assert intrinsics_for_fov(np.int64(2), np.int32(1), 90.0).width == 2
-    assert _LOCOBOT.intrinsics(np.int64(2)).height == 2
 
 
 # ---------------------------------------------------------------------------
@@ -259,16 +251,17 @@ def _with_missing(grid, rng) -> tuple:
 
 def test_missing_returns_decide_as_zero_depths():
     # nan and +inf mark a missing return, like 0, on both lift paths: a
-    # native C-order grid, a native render of one stored row, and the
-    # simulator's 2-row frame as a C-order grid and as its render. Any
-    # numpy warning fails the test (pyproject's filterwarnings).
+    # native C-order grid, a native render of one stored row, and a 2-row
+    # frame of the native vertical field of view as a C-order grid and as
+    # its render. Any numpy warning fails the test (pyproject's
+    # filterwarnings).
     rng = np.random.default_rng(34)
     world = resolve_world("corridor_03")
     for plat in PLATFORMS.values():
         cfg = plat.config()
-        for rows in (None, SIM_FRAME_ROWS):
-            render = raycast_depth(world, RobotState(1.0, 1.0, 0.3), plat.intrinsics(rows),
-                                   plat.mount())
+        for rows in (plat.image_height, 2):
+            render = raycast_depth(world, RobotState(1.0, 1.0, 0.3),
+                                   reduced_row_intrinsics(plat, rows), plat.mount())
             shape = render.depths.shape
             row_missing, row_zeroed = _with_missing(render.depths[0], rng)
             for missing, zeroed in (_with_missing(render.depths, rng),
@@ -323,7 +316,7 @@ def test_one_stored_row_frames_decide_as_their_c_order_copies():
     straddled = 0
     for plat in PLATFORMS.values():
         for height in (3, 7, plat.image_height):
-            intr = plat.intrinsics(height)
+            intr = reduced_row_intrinsics(plat, height)
             renders = _pool_rows(plat, intr, rng, 2)
             for epsilon in (-0.05, 0.0, 0.3):
                 for offset in sorted({plat.camera.depth_offset_m, -0.1}):
@@ -357,7 +350,7 @@ def test_one_stored_row_frames_lift_at_the_cut_bounds_exactly():
     lifted = 0
     for plat in PLATFORMS.values():
         for height in (3, 7, plat.image_height):
-            intr = plat.intrinsics(height)
+            intr = reduced_row_intrinsics(plat, height)
             for epsilon in (-1e-9, -0.0, 1e-9):
                 cfg = AvoidanceConfig(mount=plat.mount(), tau_z=plat.tau_z_m, epsilon=epsilon,
                                       bin_count=plat.default_bin_count)
@@ -397,9 +390,10 @@ def test_property_cut_bounds_reproduce_the_cuts():
         mount = CameraMount(depth_offset_m=(-0.1, 0.0, 0.2)[case % 3])
         cfg = _cfg(mount=mount, tau_z=float(rng.choice([0.3, 1.0, 2.5])),
                    epsilon=(-0.05, 0.0, 0.1)[case // 3 % 3])
-        top, lo, hi, *offsets = _cut_tables(intr, cfg.tau_z, cfg.epsilon,
-                                            mount.depth_offset_m)
-        assert all(not table.flags.writeable for table in (lo, hi, *offsets))
+        top, lo, hi, lo_rev, *offsets = _cut_tables(intr, cfg.tau_z, cfg.epsilon,
+                                                    mount.depth_offset_m)
+        assert all(not table.flags.writeable for table in (lo, hi, lo_rev, *offsets))
+        assert lo_rev.flags.c_contiguous and lo_rev.tobytes() == lo[::-1, 0].tobytes()
         probes = np.zeros((height, 4))
         for v in range(top, height):
             low, high = float(lo[v - top, 0]), float(hi[v - top, 0])
@@ -425,7 +419,7 @@ def test_cut_tables_are_monotone():
     # never increases and hi never decreases.
     for plat in PLATFORMS.values():
         for height in (2, 3, 7, plat.image_height):
-            intr = plat.intrinsics(height)
+            intr = reduced_row_intrinsics(plat, height)
             for epsilon in (-0.05, -1e-9, -0.0, 0.0, 1e-9, 0.3):
                 for offset in (plat.camera.depth_offset_m, -0.1, 0.0, 0.2):
                     for tau_z in (0.5, plat.tau_z_m, 3.0):
@@ -485,6 +479,27 @@ def test_depth_frame_validation():
         assert np.array_equal(DepthFrame(depths, intr, mount).depths, depths, equal_nan=True)
     assert np.isnan(DepthFrame(np.full((2, 3), np.nan), intr, mount).depths).all()
     assert DepthFrame(np.full((2, 3), -0.0), intr, mount).depths.min() == 0.0
+
+
+def test_depth_frame_reads_only_the_stored_row_of_a_row_stride_0_grid():
+    # A row-stride-0 grid is checked on its one stored row; a grid with a row
+    # of its own, here a C-order one whose only negative depth is in its last
+    # row, is checked whole.
+    intr = intrinsics_for_fov(5, 4, 90.0)
+    mount = CameraMount()
+    message = "depth values must not be negative"
+    row = np.array([0.5, 0.0, -1e-300, 1.5, 0.5])
+    with pytest.raises(InputFormatError, match=message):
+        DepthFrame(np.broadcast_to(row, (4, 5)), intr, mount)
+    last = np.full((4, 5), 0.5)
+    last[3, 4] = -0.5
+    assert last.strides[0] != 0
+    with pytest.raises(InputFormatError, match=message):
+        DepthFrame(last, intr, mount)
+    missing = np.broadcast_to([0.5, np.nan, np.inf, 0.0, 2.0], (4, 5))
+    frame = DepthFrame(missing, intr, mount)
+    assert frame.depths.strides[0] == 0
+    assert np.array_equal(frame.depths, missing, equal_nan=True)
 
 
 def test_depth_frames_are_read_only_views_of_their_input(tmp_path):

@@ -20,7 +20,7 @@ from repshield import (AvoidanceConfig, CameraMount, ControlCommand, DepthFrame,
                        Trajectory, avoidance_step, construct_obstacle_map, back_project,
                        intrinsics_for_fov, load_depth_frame, save_depth_frame)
 from repshield.errors import InputFormatError
-from repshield.platforms import PLATFORMS, SIM_FRAME_ROWS, get_platform
+from repshield.platforms import PLATFORMS, get_platform
 from repshield.sim import (FAR_LIMIT_M, AgentTrack, Circle, GoalSeeker, Polygon,
                            RobotState, WorldModel, Wanderer, check_collision, column_depths,
                            load_world, perturb_agent, raycast_depth,
@@ -31,7 +31,8 @@ from repshield.harness import (GOAL_RADIUS_M, ExperimentSpec, episodes, run_epis
                                run_goal_conditioned)
 from repshield.worldgen import BUNDLED_WORLDS
 
-from conftest import oracle_collision, oracle_column_depths, oracle_lifted, oracle_lifted_once
+from conftest import (oracle_collision, oracle_column_depths, oracle_lifted, oracle_lifted_once,
+                      reduced_row_intrinsics)
 
 
 def _square(cx, cy, side):
@@ -363,9 +364,9 @@ def test_raycast_frames_are_row_views_that_read_like_copies(platform, tmp_path):
     traj = Trajectory(np.array([[0.4, 0.0], [0.8, 0.05], [1.2, 0.1]]))
     scenes = ((BUNDLED_WORLDS["corridor_03"](), RobotState(2.0, 0.5, 0.2), 0.0),
               (BUNDLED_WORLDS["dynamic_front_approach"](), RobotState(3.3, 0.1, -0.1), 9.0))
-    for rows in (SIM_FRAME_ROWS, plat.image_height):
+    for intr in (reduced_row_intrinsics(plat, 2), plat.intrinsics()):
         for k, (world, robot, t) in enumerate(scenes):
-            frame = raycast_depth(world, robot, plat.intrinsics(rows), plat.mount(), t=t)
+            frame = raycast_depth(world, robot, intr, plat.mount(), t=t)
             assert not frame.depths.flags.writeable
             assert frame.depths.strides[0] == 0
             copy = DepthFrame(np.array(frame.depths), frame.intrinsics, frame.mount)
@@ -382,33 +383,9 @@ def test_raycast_frames_are_row_views_that_read_like_copies(platform, tmp_path):
                 [tiled.command.v, tiled.command.omega, tiled.theta_des])
             assert _bits(view.adjusted_trajectory.waypoints) == _bits(
                 tiled.adjusted_trajectory.waypoints)
-            path = tmp_path / f"{rows}_{k}.df1"
+            path = tmp_path / f"{intr.height}_{k}.df1"
             save_depth_frame(frame, path)
             assert _bits(load_depth_frame(path, frame.mount).depths) == _bits(frame.depths)
-
-
-def test_reduced_row_frames_give_identical_obstacle_maps():
-    # Rendering at 2 (the simulator's SIM_FRAME_ROWS) or 8 rows preserves
-    # the native vertical fov, so the obstacle map matches the
-    # full-resolution render exactly. Every platform has a non-zero
-    # depth_offset_m, which the map subtracts from each depth.
-    w = WorldModel(bounds=(0, 0, 4, 3), polygons=(_square(2.0, 1.2, 0.25),
-                                                  _square(3.1, 2.2, 0.3)),
-                   bounds_solid=True)
-    for plat in PLATFORMS.values():
-        cfg = plat.config()
-        rng = np.random.default_rng(54)
-        for _ in range(10):
-            robot = RobotState(float(rng.uniform(0.5, 3.5)), float(rng.uniform(0.5, 2.5)),
-                               float(rng.uniform(-math.pi, math.pi)))
-            maps = []
-            for rows in (2, 8, plat.image_height):
-                frame = raycast_depth(w, robot, plat.intrinsics(rows), plat.mount())
-                maps.append(construct_obstacle_map(back_project(frame, cfg), cfg))
-            for reduced in maps[:2]:
-                assert reduced.bins.tolist() == maps[-1].bins.tolist()
-                np.testing.assert_allclose(reduced.points, maps[-1].points,
-                                           rtol=0, atol=1e-12)
 
 
 def _cull_boundary_world(camera_x: float) -> WorldModel:
@@ -432,7 +409,7 @@ def test_property_raycast_oracle_equivalence(platform):
     # the plain all-segments ray test computes it.
     plat = get_platform(platform)
     mount = plat.mount()
-    intrs = (plat.intrinsics(SIM_FRAME_ROWS), plat.intrinsics())
+    intrs = (reduced_row_intrinsics(plat, 2), plat.intrinsics())
     rng = np.random.default_rng(55)
     for build in BUNDLED_WORLDS.values():
         world = build()
@@ -534,7 +511,7 @@ def test_backface_cull_matches_the_oracle_at_its_boundaries(platform, corridor_0
     mount = plat.mount()
     robot = RobotState(1.0 - mount.x_offset_m, 0.0, 0.0)
     recorded = [render[:3] for render in corridor_03_renders[::25]]
-    for intr in (plat.intrinsics(SIM_FRAME_ROWS), plat.intrinsics()):
+    for intr in (reduced_row_intrinsics(plat, 2), plat.intrinsics()):
         cases = _backface_boundary_worlds(robot.x + mount.x_offset_m, intr)
         depths, kept = _renders_and_kept([(world, robot, 0.0) for world, _ in cases], intr,
                                          mount)
