@@ -62,11 +62,15 @@ def _cmd_run(args) -> int:
         task=args.task, world=args.world, platform=args.platform, shield=args.shield,
         trials=args.trials, seed=args.seed, max_distance_m=args.max_distance,
         max_time_s=args.max_time)
-    # A used --out is refused before any trial runs, so two runs' files never mix.
-    if args.out is not None and any((args.out / name).exists()
-                                    for name in ("report.csv", "trials.csv", "logs")):
-        raise InputFormatError(f"--out {args.out} holds an earlier run's outputs; "
-                               "give a new or empty directory")
+    # An --out that is, or lies under, a file, or that holds an earlier run's
+    # outputs, is refused before any trial runs, so no run's work is lost or mixed.
+    if args.out is not None:
+        nearest = next(p for p in (args.out, *args.out.parents) if p.exists())
+        if not nearest.is_dir():
+            raise InputFormatError(f"--out {args.out}: {nearest} is not a directory")
+        if any((args.out / name).exists() for name in ("report.csv", "trials.csv", "logs")):
+            raise InputFormatError(f"--out {args.out} holds an earlier run's outputs; "
+                                   "give a new or empty directory")
     report = (run_dynamic(spec, args.scenario) if args.task == "dynamic_obstacle"
               else run_experiment(spec))
     sys.stdout.write(report_csv(report))

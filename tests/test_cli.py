@@ -140,6 +140,24 @@ def test_out_holding_any_output_is_refused_before_a_trial_runs(
     assert captured.err.startswith(f"error: --out {out_dir} holds")
 
 
+@pytest.mark.parametrize("under", ["", "results"])
+def test_out_naming_or_under_a_file_is_refused_before_a_trial_runs(
+        under, arena_world, tmp_path, monkeypatch, capsys):
+    def no_episode(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "run_episode", no_episode)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / under
+    rc = main(["goal", "--world", str(arena_world), "--trials", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: --out {out}: {afile} is not a directory\n"
+    assert afile.read_text() == "kept\n"
+
+
 def test_scenario_and_world_are_exclusive(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["dynamic", "--scenario", "side_appear", "--world", "dynamic_front_approach",
