@@ -140,7 +140,7 @@ def test_out_holding_any_output_is_refused_before_a_trial_runs(
     assert captured.err.startswith(f"error: --out {out_dir} holds")
 
 
-@pytest.mark.parametrize("under", ["", "results"])
+@pytest.mark.parametrize("under", ["", "results"], ids=["file", "under_file"])
 def test_out_naming_or_under_a_file_is_refused_before_a_trial_runs(
         under, arena_world, tmp_path, monkeypatch, capsys):
     def no_episode(*args, **kwargs):
