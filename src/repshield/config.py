@@ -119,6 +119,17 @@ class AvoidanceConfig:
         require_int("bin_count", self.bin_count, 1)
         if not (0 < self.theta_clip <= math.pi):
             raise ValueError(f"theta_clip must be in (0, pi], got {self.theta_clip}")
+        width = self.bin_window[1]
+        if not 0 < width < math.inf:
+            raise ValueError(f"tau_z {self.tau_z} and fov_deg {self.mount.fov_deg} give a bin "
+                             f"width of {width}, which must be finite and positive")
+
+    @property
+    def bin_window(self) -> tuple[float, float]:
+        """The obstacle map's lateral window: its half-extent in camera X
+        meters, tan(fov/2) * tau_z, and the width of each of its bins."""
+        half = math.tan(math.radians(self.mount.fov_deg) / 2.0) * self.tau_z
+        return half, 2.0 * half / self.bin_count
 
 
 # ---------------------------------------------------------------------------

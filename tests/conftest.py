@@ -18,7 +18,6 @@ from dataclasses import replace
 import numpy as np
 
 from repshield import AvoidanceConfig, CameraIntrinsics
-from repshield.projection import bin_half_range
 
 
 def reduced_row_intrinsics(plat, rows: int) -> CameraIntrinsics:
@@ -90,7 +89,7 @@ def oracle_obstacle_map(points: np.ndarray, cfg: AvoidanceConfig):
     z in (0, tau_z] and Y >= -epsilon, bin camera X over +/- the lateral
     half-range, nearest z per bin with lowest point index on ties.
     """
-    half = bin_half_range(cfg)
+    half = cfg.bin_window[0]
     width = 2.0 * half / cfg.bin_count
     best: dict[int, tuple[float, int]] = {}
     for i in range(points.shape[0]):
@@ -114,14 +113,14 @@ def oracle_obstacle_map(points: np.ndarray, cfg: AvoidanceConfig):
 def windowed(cfg: AvoidanceConfig, half: float) -> AvoidanceConfig:
     """``cfg`` with the lateral window +-``half``, up to rounding: the mount's
     fov_deg becomes 2 * degrees(atan(half / tau_z)), from which
-    ``bin_half_range`` derives the window."""
+    ``AvoidanceConfig.bin_window`` derives the window."""
     fov_deg = 2.0 * math.degrees(math.atan(half / cfg.tau_z))
     return replace(cfg, mount=replace(cfg.mount, fov_deg=fov_deg))
 
 
 def random_cloud(rng: np.random.Generator, n: int, cfg: AvoidanceConfig) -> np.ndarray:
     """Points straddling every filter boundary of the obstacle map."""
-    half = bin_half_range(cfg)
+    half = cfg.bin_window[0]
     x = rng.uniform(-1.5 * half, 1.5 * half, size=n)
     y = rng.uniform(-0.4, 0.6, size=n)
     z = rng.uniform(0.0, 1.5 * cfg.tau_z, size=n) + cfg.mount.depth_offset_m

@@ -289,6 +289,27 @@ def test_replay_refuses_malformed_frames(header, depths, config, message, tmp_pa
     assert captured.err == f"error: {frames_dir / 'frame_0.df1'}: {message}\n"
 
 
+def test_replay_refuses_a_config_whose_bin_window_overflows(tmp_path, capsys):
+    # tau_z = 1e308 makes the map's bin width inf on locobot, the default
+    # platform: refused as the config loads, naming the file, with no
+    # traceback and no numpy warning.
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    save_depth_frame(DepthFrame(np.full((3, 9), 0.5), intrinsics_for_fov(9, 3, 90.0),
+                                CameraMount()), frames_dir / "frame_0.df1")
+    traj_path = tmp_path / "straight.tj1"
+    save_trajectory(Trajectory(np.array([[0.5, 0.0], [1.0, 0.0]])), traj_path)
+    cfg_path = tmp_path / "c.txt"
+    cfg_path.write_text("tau_z = 1e308\n")
+    rc = main(["replay", "--frames", str(frames_dir), "--trajectory", str(traj_path),
+               "--config", str(cfg_path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == (f"error: {cfg_path}: tau_z 1e+308 and fov_deg 170.0 give a bin "
+                            "width of inf, which must be finite and positive\n")
+
+
 @pytest.mark.parametrize("command", ["goal", "dynamic"])
 def test_start_pose_in_contact_is_refused(command, tmp_path, capsys):
     # The start sits inside the circle, so every jittered start collides too.

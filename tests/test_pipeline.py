@@ -439,3 +439,24 @@ def test_config_comments_and_blanks(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("# comment\n\ntau_z = 0.8  # trailing\n")
     assert load_config(path, base=_cfg()).tau_z == 0.8
+
+
+@pytest.mark.parametrize("text, width", [
+    ("tau_z = 1e308\n", "inf"),
+    # tan(44.75 deg) * 1e308 is finite, but twice it is not.
+    ("tau_z = 1e308\nfov_deg = 89.5\n", "inf"),
+    ("tau_z = 1e-300\nfov_deg = 1e-300\n", "0.0"),
+], ids=["tau_overflows", "window_overflows", "window_vanishes"])
+def test_config_refuses_a_bin_window_that_overflows_or_vanishes(text, width, tmp_path):
+    # The map bins camera X by the config's bin width; an inf or 0 width
+    # binned a point at X = 0 into bin 0 or crashed with an IndexError.
+    path = tmp_path / "c.txt"
+    path.write_text(text)
+    with pytest.raises(InputFormatError, match=re.escape(f"{path}: tau_z ") + ".* give a bin "
+                       + re.escape(f"width of {width}, which must be finite and positive")):
+        load_config(path, base=get_platform("locobot").config())
+    # Just inside the overflow, the window still bins X = 0 into the middle bin.
+    cfg = _cfg(tau_z=1e307, mount=CameraMount(fov_deg=89.5))
+    omap = construct_obstacle_map(np.array([[0.0, 0.0, 1.0]]), cfg)
+    assert omap.bins.tolist() == [cfg.bin_count // 2]
+

@@ -23,7 +23,7 @@ from repshield import (AvoidanceConfig, CameraIntrinsics, CameraMount, DepthFram
                        save_depth_frame)
 from repshield.harness import resolve_world
 from repshield.platforms import PLATFORMS
-from repshield.projection import _cut_tables, bin_half_range
+from repshield.projection import _cut_tables, _offset_grids
 from repshield.sim import RobotState, WorldModel, check_collision, raycast_depth
 
 
@@ -369,6 +369,78 @@ def test_one_stored_row_frames_lift_at_the_cut_bounds_exactly():
     assert lifted > 0
 
 
+def test_the_one_row_lift_caches_no_rows_by_width_table():
+    # Every simulator frame takes the one-row lift, which reads at most
+    # ``width`` offsets: no table it caches holds more than max(rows, width)
+    # values. A C-order lift builds its rows×width grids once, and at each
+    # column's first passing row its points are the one-row lift's, bitwise.
+    world = resolve_world("corridor_03")
+    for plat in PLATFORMS.values():
+        _cut_tables.cache_clear()
+        _offset_grids.cache_clear()
+        cfg, intr = plat.config(), plat.intrinsics()
+        render = raycast_depth(world, RobotState(1.0, 1.0, 0.3), intr, cfg.mount)
+        cloud = back_project(render, cfg)
+        assert _offset_grids.cache_info().currsize == 0
+        assert _cut_tables.cache_info().currsize == 1
+        _, *tables = _cut_tables(intr, cfg.tau_z, cfg.epsilon, cfg.mount.depth_offset_m)
+        assert max(table.size for table in tables) <= max(intr.height, intr.width)
+        copy = DepthFrame(np.array(render.depths), intr, cfg.mount)
+        full = back_project(copy, cfg)
+        assert full.tobytes() == back_project(copy, cfg).tobytes()
+        assert _offset_grids.cache_info()[:2] == (1, 1)  # hits, misses
+        # A column's points share X and Z, so each first one is its first row's.
+        _, first = np.unique(full[:, [0, 2]], axis=0, return_index=True)
+        assert len(cloud) > 0 and full[np.sort(first)].tobytes() == cloud.tobytes()
+
+
+_MIRROR_WORLDS = tuple(f"corridor_{k:02d}" for k in range(1, 11)) + ("exploration_boxes",)
+
+
+def test_mirrored_frames_give_mirrored_commands():
+    # ROADMAP item 18 (i): flipping a frame's columns and negating the
+    # trajectory's y negates every X exactly (cx = (W - 1) / 2), so v stays
+    # and omega negates, bitwise, on the one-row render and on its C-order
+    # copy. Only an exactly symmetric force (|theta_rep| = pi, which turns
+    # left either way) is exempt.
+    rng = np.random.default_rng(18)
+    checked = ties = shielded = 0
+    for plat in PLATFORMS.values():
+        cfg, intr = plat.config(), plat.intrinsics()
+        margin = plat.footprint_radius_m + 0.05
+        poses = 0
+        while poses < 100:
+            world = resolve_world(str(rng.choice(_MIRROR_WORLDS)))
+            xmin, ymin, xmax, ymax = world.bounds
+            robot = RobotState(rng.uniform(xmin + margin, xmax - margin),
+                               rng.uniform(ymin + margin, ymax - margin),
+                               rng.uniform(-math.pi, math.pi), margin)
+            if check_collision(world, robot):
+                continue
+            poses += 1
+            xs = 0.2 * np.arange(1, 9)
+            traj = np.column_stack((xs, rng.uniform(-0.6, 0.6) * xs ** 2
+                                    + rng.uniform(-0.2, 0.2) * xs))
+            mirrored_traj = Trajectory(traj * [1.0, -1.0])
+            render = raycast_depth(world, robot, intr, cfg.mount)
+            for depths in (render.depths, np.array(render.depths)):
+                frame = DepthFrame(depths, intr, cfg.mount)
+                mirror = DepthFrame(depths[:, ::-1], intr, cfg.mount)
+                assert mirror.depths.strides[0] == depths.strides[0]
+                a = avoidance_step(frame, Trajectory(traj), cfg)
+                b = avoidance_step(mirror, mirrored_traj, cfg)
+                assert a.passthrough == b.passthrough
+                if not a.passthrough and math.pi in (abs(a.repulsive.theta_rep),
+                                                     abs(b.repulsive.theta_rep)):
+                    ties += 1
+                    continue
+                checked += 1
+                shielded += not a.passthrough
+                assert (np.array([a.command.v, a.command.omega]).tobytes()
+                        == np.array([b.command.v, -b.command.omega]).tobytes())
+    assert checked + ties == 600 and ties <= 6 and shielded > 300
+
+
 def _passes_cuts(v: int, d: float, intr: CameraIntrinsics, cfg: AvoidanceConfig) -> bool:
     """The obstacle cuts on one pixel, with the oracle's arithmetic."""
     y = (v - intr.cy) * d / intr.fy
@@ -390,10 +462,12 @@ def test_property_cut_bounds_reproduce_the_cuts():
         mount = CameraMount(depth_offset_m=(-0.1, 0.0, 0.2)[case % 3])
         cfg = _cfg(mount=mount, tau_z=float(rng.choice([0.3, 1.0, 2.5])),
                    epsilon=(-0.05, 0.0, 0.1)[case // 3 % 3])
-        top, lo, hi, lo_rev, *offsets = _cut_tables(intr, cfg.tau_z, cfg.epsilon,
-                                                    mount.depth_offset_m)
-        assert all(not table.flags.writeable for table in (lo, hi, lo_rev, *offsets))
+        top, lo, hi, lo_rev, cols, rows = _cut_tables(intr, cfg.tau_z, cfg.epsilon,
+                                                      mount.depth_offset_m)
+        assert all(not table.flags.writeable for table in (lo, hi, lo_rev, cols, rows))
         assert lo_rev.flags.c_contiguous and lo_rev.tobytes() == lo[::-1, 0].tobytes()
+        assert cols.tolist() == [u - intr.cx for u in range(width)]
+        assert rows.tolist() == [v - intr.cy for v in range(top, height)]
         probes = np.zeros((height, 4))
         for v in range(top, height):
             low, high = float(lo[v - top, 0]), float(hi[v - top, 0])
@@ -599,7 +673,7 @@ def test_map_filters_by_height_and_range():
 
 def test_map_window_edges_land_in_the_end_bins():
     cfg = windowed(_cfg(tau_z=2.0, bin_count=5), 0.7)
-    half = bin_half_range(cfg)
+    half = cfg.bin_window[0]
     xs = [-half, half, np.nextafter(-half, -math.inf), np.nextafter(half, math.inf)]
     cloud = np.array([[x, 0.1, 0.5 + 0.1 * k] for k, x in enumerate(xs)])
     omap = construct_obstacle_map(cloud, cfg)
@@ -614,8 +688,8 @@ def test_map_window_edges_land_in_the_end_bins():
 
 def test_default_half_range_follows_fov_and_tau():
     cfg = _cfg(mount=CameraMount(fov_deg=90.0), tau_z=2.0)
-    assert bin_half_range(cfg) == pytest.approx(2.0)
-    assert bin_half_range(windowed(cfg, 0.7)) == pytest.approx(0.7, rel=1e-15)
+    assert cfg.bin_window[0] == pytest.approx(2.0)
+    assert windowed(cfg, 0.7).bin_window[0] == pytest.approx(0.7, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +778,7 @@ def test_tiled_frame_ties_resolve_to_lowest_index():
         # Every Z is within tau_z and the mount has no offsets, so a bin's
         # winning Z is its map entry's x.
         kept = back_project(frame, cfg)
-        half = bin_half_range(cfg)
+        half = cfg.bin_window[0]
         bins = np.minimum(np.floor((kept[:, 0] + half) / (half / 2)), 3)
         for b, x in zip(omap.bins, omap.points[:, 0]):
             assert np.count_nonzero((bins == b) & (kept[:, 2] == x)) >= 100
@@ -738,7 +812,7 @@ def test_property_mask_survivors_reproduce_the_map():
                    bin_count=int(rng.integers(1, 33)))
         cfg = windowed(cfg, float(rng.uniform(0.3, 2.0)))
         pts = random_cloud(rng, int(rng.integers(1, 300)), cfg)
-        half = bin_half_range(cfg)
+        half = cfg.bin_window[0]
 
         def mask(p):
             z = p[:, 2] - cfg.mount.depth_offset_m
@@ -794,7 +868,7 @@ def test_property_emitted_ranges():
             continue
         z = omap.points[:, 0] - mount.x_offset_m
         assert np.all(z > 0) and np.all(z <= cfg.tau_z)
-        half = bin_half_range(cfg)
+        half = cfg.bin_window[0]
         assert np.all(np.abs(omap.points[:, 1]) <= half)
         assert np.all(np.diff(omap.bins) > 0)
         assert len(omap) <= cfg.bin_count
