@@ -119,7 +119,8 @@ class AvoidanceConfig:
         require_int("bin_count", self.bin_count, 1)
         if not (0 < self.theta_clip <= math.pi):
             raise ValueError(f"theta_clip must be in (0, pi], got {self.theta_clip}")
-        width = self.bin_window[1]
+        with np.errstate(over="ignore"):  # a numpy scalar tau_z may overflow
+            width = self.bin_window[1]
         if not 0 < width < math.inf:
             raise ValueError(f"tau_z {self.tau_z} and fov_deg {self.mount.fov_deg} give a bin "
                              f"width of {width}, which must be finite and positive")

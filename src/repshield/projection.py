@@ -227,7 +227,7 @@ def _offset_grids(*key) -> tuple:
     """The full lift's per-pixel ``u - cx`` and ``v - cy`` over the candidate
     rows, in row-major order: ``_cut_tables(*key)``'s vectors spread over
     rows×width grids, built on the first lift of a grid of that geometry.
-    Gathering from them is 30-45 % faster than dividing each pixel index."""
+    Dividing each pixel index instead made the full lift 30-45 % slower."""
     *_, cols, rows = _cut_tables(*key)
     return read_only(np.tile(cols, rows.size)), read_only(np.repeat(rows, cols.size))
 

@@ -455,6 +455,9 @@ def test_config_refuses_a_bin_window_that_overflows_or_vanishes(text, width, tmp
     with pytest.raises(InputFormatError, match=re.escape(f"{path}: tau_z ") + ".* give a bin "
                        + re.escape(f"width of {width}, which must be finite and positive")):
         load_config(path, base=get_platform("locobot").config())
+    # A numpy scalar is refused the same way, with no overflow warning.
+    with pytest.raises(ValueError, match="give a bin width of inf"):
+        _cfg(tau_z=np.float64(1e308))
     # Just inside the overflow, the window still bins X = 0 into the middle bin.
     cfg = _cfg(tau_z=1e307, mount=CameraMount(fov_deg=89.5))
     omap = construct_obstacle_map(np.array([[0.0, 0.0, 1.0]]), cfg)
