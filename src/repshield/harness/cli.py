@@ -12,25 +12,19 @@ from pathlib import Path
 
 import numpy as np
 
-from ..config import load_config, require_positive
+from ..config import load_config
 from ..errors import InputFormatError
 from ..pipeline import DECISION_LOG_HEADER, Shield, decision_log_row
 from ..platforms import PLATFORMS, get_platform
 from ..projection import load_depth_frame
 from ..repulsion import load_trajectory
-from ..worldgen import DYNAMIC_SCENARIOS
 from .episodes import CONTROL_PERIOD_S
-from .experiments import (ExperimentSpec, MetricsReport, per_trial_csv, report_csv,
-                          run_dynamic, run_experiment)
+from .experiments import ExperimentSpec, MetricsReport, per_trial_csv, report_csv, run_experiment
 
 
 def _add_common(parser: argparse.ArgumentParser, task: str, default_trials: int) -> None:
     parser.set_defaults(func=_cmd_run, task=task)
-    where = parser.add_mutually_exclusive_group()
-    where.add_argument("--world", help="bundled world name or world file path")
-    if task == "dynamic_obstacle":
-        where.add_argument("--scenario", choices=DYNAMIC_SCENARIOS,
-                           help="bundled scenario S, shorthand for --world dynamic_S")
+    parser.add_argument("--world", help="bundled world name or world file path")
     parser.add_argument("--platform", choices=sorted(PLATFORMS), default="locobot")
     parser.add_argument("--shield", action=argparse.BooleanOptionalAction, default=True,
                         help="wrap the policy in the avoidance shield")
@@ -71,15 +65,16 @@ def _cmd_run(args) -> int:
         if any((args.out / name).exists() for name in ("report.csv", "trials.csv", "logs")):
             raise InputFormatError(f"--out {args.out} holds an earlier run's outputs; "
                                    "give a new or empty directory")
-    report = (run_dynamic(spec, args.scenario) if args.task == "dynamic_obstacle"
-              else run_experiment(spec))
+    report = run_experiment(spec)
     sys.stdout.write(report_csv(report))
     _write_outputs(report, args.out)
     return 0
 
 
 def _cmd_replay(args) -> int:
-    require_positive("--dt", args.dt)
+    # A --out that cannot take the log is refused before any frame loads.
+    if args.out is not None and (args.out.is_dir() or not args.out.parent.is_dir()):
+        raise InputFormatError(f"--out {args.out} must name a file in an existing directory")
     platform = get_platform(args.platform)
     cfg = platform.config()
     if args.config is not None:
@@ -99,10 +94,10 @@ def _cmd_replay(args) -> int:
                 decision, cmd = avoider.step(frame, traj)
             except ValueError as exc:
                 raise InputFormatError(f"{frame_path}: {exc}") from exc
-            rows.append(decision_log_row(k * args.dt, decision, cmd))
+            rows.append(decision_log_row(k * CONTROL_PERIOD_S, decision, cmd))
     text = "\n".join(rows) + "\n"
     if args.out is not None:
-        Path(args.out).write_text(text)
+        args.out.write_text(text)
     else:
         sys.stdout.write(text)
     return 0
@@ -130,8 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=Path,
                    help="key = value config file overriding platform defaults")
     p.add_argument("--out", type=Path, help="decision log destination (default stdout)")
-    p.add_argument("--dt", type=float, default=CONTROL_PERIOD_S,
-                   help="seconds between frames in the log's t column")
     p.set_defaults(func=_cmd_replay)
     return parser
 

@@ -41,7 +41,6 @@ class EpisodeResult:
     distance_m: float
     distance_before_collision_m: float
     collisions: int
-    final_state: RobotState
     trajectory_log: str
     decision_log: str | None
 
@@ -110,8 +109,9 @@ def episode_ticks(world: WorldModel, policy, *, platform: PlatformSpec, shield: 
         else:
             decision, cmd = None, follow_waypoint_command(traj, safety)
         state = step_kinematics(state, cmd, CONTROL_PERIOD_S)
+        # Stamped as the next tick's render, so one instant places each agent once.
         yield Tick(t, decision, cmd, state,
-                   check_collision(world, state, t=t + CONTROL_PERIOD_S))
+                   check_collision(world, state, t=(k + 1) * CONTROL_PERIOD_S))
 
 
 def run_episode(world: WorldModel, policy, *, platform: PlatformSpec,
@@ -130,7 +130,6 @@ def run_episode(world: WorldModel, policy, *, platform: PlatformSpec,
     check_caps(max_time_s, max_distance_m)
     traj_rows = [TRAJECTORY_LOG_HEADER]
     dec_rows = [DECISION_LOG_HEADER] if shield is not None else None
-    state = start
     distance = clear_distance = 0.0
     collisions, collided_prev = 0, False
     arrived, completion_time = False, math.nan
@@ -157,6 +156,6 @@ def run_episode(world: WorldModel, policy, *, platform: PlatformSpec,
 
     return EpisodeResult(
         arrived=arrived, completion_time_s=completion_time, distance_m=distance,
-        distance_before_collision_m=clear_distance, collisions=collisions, final_state=state,
+        distance_before_collision_m=clear_distance, collisions=collisions,
         trajectory_log="\n".join(traj_rows) + "\n",
         decision_log="\n".join(dec_rows) + "\n" if dec_rows is not None else None)

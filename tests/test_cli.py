@@ -11,7 +11,7 @@ import pytest
 
 from repshield import (CameraMount, DepthFrame, Shield, Trajectory, get_platform,
                        intrinsics_for_fov, save_depth_frame)
-from repshield.harness import (ExperimentSpec, episodes, experiments, report_csv,
+from repshield.harness import (ExperimentSpec, cli, episodes, experiments, report_csv,
                                resolve_world, run_episode, run_experiment)
 from repshield.harness.cli import main
 from repshield.repulsion import load_trajectory, save_trajectory
@@ -90,7 +90,7 @@ def test_goal_run_on_bundled_world(capsys):
 
 
 def test_dynamic_scenario_runs(capsys):
-    rc = main(["dynamic", "--scenario", "side_appear", "--trials", "1",
+    rc = main(["dynamic", "--world", "dynamic_side_appear", "--trials", "1",
                "--max-time", "2"])
     assert rc == 0
     assert _report(capsys.readouterr().out)["task"] == "dynamic_obstacle"
@@ -131,9 +131,8 @@ def test_out_holding_any_output_is_refused_before_a_trial_runs(
         (out_dir / leftover).mkdir()
     else:
         (out_dir / leftover).write_text("")
-    world = (["--scenario", "side_appear"] if command == "dynamic"
-             else ["--world", str(arena_world)])
-    rc = main([command, *world, "--trials", "1", "--out", str(out_dir)])
+    world = "dynamic_side_appear" if command == "dynamic" else str(arena_world)
+    rc = main([command, "--world", world, "--trials", "1", "--out", str(out_dir)])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
@@ -156,14 +155,6 @@ def test_out_naming_or_under_a_file_is_refused_before_a_trial_runs(
     assert captured.out == ""
     assert captured.err == f"error: --out {out}: {afile} is not a directory\n"
     assert afile.read_text() == "kept\n"
-
-
-def test_scenario_and_world_are_exclusive(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["dynamic", "--scenario", "side_appear", "--world", "dynamic_front_approach",
-              "--trials", "1", "--max-time", "2"])
-    assert exc.value.code == 2
-    capsys.readouterr()
 
 
 def test_closed_loop_commands_reject_config(arena_world, tmp_path, capsys):
@@ -310,6 +301,35 @@ def test_replay_refuses_a_config_whose_bin_window_overflows(tmp_path, capsys):
                             "width of inf, which must be finite and positive\n")
 
 
+@pytest.mark.parametrize("out", ["frames", "afile/log.csv", "missing/log.csv"],
+                         ids=["directory", "under_file", "missing_parent"])
+def test_replay_refuses_an_unusable_out_before_loading_a_frame(
+        out, tmp_path, monkeypatch, capsys):
+    # A regular file is a valid --out (test_replay_to_stdout_and_file); as a
+    # parent it is not, nor is a directory or a missing parent.
+    def no_load(*args, **kwargs):
+        raise AssertionError("a frame was loaded")
+
+    monkeypatch.setattr(cli, "load_depth_frame", no_load)
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    save_depth_frame(DepthFrame(np.full((3, 9), 0.5), intrinsics_for_fov(9, 3, 90.0),
+                                CameraMount()), frames_dir / "frame_0.df1")
+    traj_path = tmp_path / "straight.tj1"
+    save_trajectory(Trajectory(np.array([[0.5, 0.0], [1.0, 0.0]])), traj_path)
+    (tmp_path / "afile").write_text("kept\n")
+    out_path = tmp_path / out
+    rc = main(["replay", "--frames", str(frames_dir), "--trajectory", str(traj_path),
+               "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == (f"error: --out {out_path} must name a file "
+                            "in an existing directory\n")
+    assert (tmp_path / "afile").read_text() == "kept\n"
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("command", ["goal", "dynamic"])
 def test_start_pose_in_contact_is_refused(command, tmp_path, capsys):
     # The start sits inside the circle, so every jittered start collides too.
@@ -393,11 +413,10 @@ def test_replay_of_recorded_closed_loop_matches_its_decision_log(
      "max_time_s"),
     (["goal", "--world", "corridor_empty", "--trials", "1", "--max-distance", "nan"],
      "max_distance_m"),
-    (["dynamic", "--scenario", "side_appear", "--trials", "1", "--max-time", "nan"],
+    (["dynamic", "--world", "dynamic_side_appear", "--trials", "1", "--max-time", "nan"],
      "max_time_s"),
-    (["replay", "--frames", ".", "--trajectory", "t.tj1", "--dt", "0"], "--dt"),
     (["goal", "--world", "corridor_empty", "--trials", "1", "--seed", "-1"], "seed"),
-], ids=["explore", "goal", "dynamic", "replay", "seed"])
+], ids=["explore", "goal", "dynamic", "seed"])
 def test_bad_caps_and_dt_exit_1(argv, name, capsys):
     rc = main(argv)
     captured = capsys.readouterr()

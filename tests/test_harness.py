@@ -20,7 +20,7 @@ from repshield.harness import (CONTROL_PERIOD_S, GOAL_RADIUS_M, ExperimentSpec, 
                                run_goal_conditioned)
 from repshield.pipeline import Shield, decision_log_row
 from repshield.platforms import get_platform
-from repshield.sim import RobotState, WorldModel, load_world, raycast_depth, save_world
+from repshield.sim import Circle, RobotState, WorldModel, load_world, raycast_depth, save_world
 from repshield.sim.policies import GoalSeeker, Wanderer
 from repshield.worldgen import BUNDLED_WORLDS, DYNAMIC_SCENARIOS
 
@@ -144,6 +144,15 @@ def test_unshielded_arrival_bytes_match_pinned_digests(spec, pin):
     rep = run_experiment(spec)
     assert rep.arrival_rate == 1.0 and rep.collision_trials == rep.trials
     assert _artifact_digests(rep) == pin
+
+
+@pytest.mark.parametrize("scenario", DYNAMIC_SCENARIOS)
+def test_scenario_entry_point_gives_the_world_name_bytes(scenario):
+    # The benchmark runs run_dynamic(spec, scenario=S); the CLI runs the world dynamic_S.
+    spec = ExperimentSpec(task="dynamic_obstacle", trials=2, seed=1, max_time_s=10.0)
+    by_scenario = _artifact_digests(run_dynamic(spec, scenario=scenario))
+    by_world = _artifact_digests(run_experiment(replace(spec, world=f"dynamic_{scenario}")))
+    assert len(by_scenario) == 6 and by_scenario == by_world
 
 
 def test_seed_changes_exploration_outcome():
@@ -301,6 +310,32 @@ def test_episode_steps_the_shield_it_is_handed_on_the_platform_camera(platform_n
                                    platform.mount().depth_offset_m, atol=1e-12)
 
 
+def test_contact_check_places_agents_where_the_next_tick_renders_them(monkeypatch):
+    # Tick k checks contact at the instant tick k + 1 renders, bit for bit:
+    # k * 0.1 + 0.1 and (k + 1) * 0.1 differ in the last bit on 389 of the
+    # first 1,200 ticks, which would place an agent at two instants an ulp apart.
+    renders, checks = [], []
+    render, check = episodes.raycast_depth, episodes.check_collision
+
+    def spy_render(*args, t, **kwargs):
+        renders.append(t)
+        return render(*args, t=t, **kwargs)
+
+    def spy_check(*args, t, **kwargs):
+        checks.append(t)
+        return check(*args, t=t, **kwargs)
+
+    monkeypatch.setattr(episodes, "raycast_depth", spy_render)
+    monkeypatch.setattr(episodes, "check_collision", spy_check)
+    platform = get_platform("locobot")
+    world = BUNDLED_WORLDS["dynamic_side_appear"]()
+    rec = run_episode(world, Wanderer(seed=2), platform=platform, shield=Shield(platform.config()),
+                      start=RobotState(*world.start, platform.footprint_radius_m, platform.name),
+                      max_time_s=120.0)
+    assert len(renders) == len(checks) == rec.trajectory_log.count("\n") - 1 == 1200
+    assert checks[:-1] == renders[1:]
+
+
 def test_follower_episode_renders_no_frame(monkeypatch):
     def no_render(*args, **kwargs):
         raise AssertionError("the follower rendered a frame")
@@ -309,6 +344,34 @@ def test_follower_episode_renders_no_frame(monkeypatch):
     rec = run_episode(policy=GoalSeeker(), max_time_s=60.0,
                       **_arena_episode(shield=False, goals=_GOAL_ARENA.goals))
     assert rec.arrived and rec.decision_log is None
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic relations
+# ---------------------------------------------------------------------------
+
+# Two circles per world, in view of the first 30 s, so their order can change too.
+_ADDED_CIRCLES = {
+    "corridor_03": ((2.4, 0.5, 0.15), (3.2, -0.6, 0.2)),
+    "corridor_07": ((2.4, 0.5, 0.15), (3.2, -0.6, 0.2)),
+    "exploration_boxes": ((1.75, 0.7, 0.12), (1.3, 2.0, 0.1)),
+}
+
+
+@pytest.mark.parametrize("platform", ["locobot", "robomaster"])
+@pytest.mark.parametrize("world_name", sorted(_ADDED_CIRCLES))
+def test_reordering_polygons_and_circles_keeps_every_log_byte(world_name, platform):
+    base = BUNDLED_WORLDS[world_name]()
+    circles = tuple(Circle(np.array([x, y]), r) for x, y, r in _ADDED_CIRCLES[world_name])
+    world = replace(base, circles=circles)
+    order = np.random.default_rng(18).permutation(len(world.polygons))
+    reordered = replace(world, polygons=tuple(world.polygons[i] for i in order),
+                        circles=circles[::-1])
+    task = "exploration" if world_name == "exploration_boxes" else "goal_conditioned"
+    spec = ExperimentSpec(task=task, world=world, platform=platform, trials=2, max_time_s=30.0)
+    digests = _artifact_digests(run_experiment(spec))
+    assert _artifact_digests(run_experiment(replace(spec, world=reordered))) == digests
+    assert _artifact_digests(run_experiment(replace(spec, world=base))) != digests
 
 
 # ---------------------------------------------------------------------------

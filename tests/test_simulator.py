@@ -916,7 +916,6 @@ def test_closed_loop_empty_world_reaches_goal():
     assert gaps[-1] <= GOAL_RADIUS_M
     assert all(gap > GOAL_RADIUS_M for gap in gaps[:-1])
     assert float(rows[-1][0]) == res.completion_time_s
-    assert (res.final_state.x, res.final_state.y) == (float(rows[-1][1]), float(rows[-1][2]))
     # Passthrough cruising: 5 m at 0.2 m/s is 25 s of travel, minus the
     # goal radius, so roughly 23.5 s.
     assert res.completion_time_s == pytest.approx(23.5, abs=0.5)
